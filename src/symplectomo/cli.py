@@ -341,7 +341,7 @@ def cmd_reconstruct(args) -> int:
         f"reconstruction: dim {report.rho.dim}, trace error {report.trace_error:.3g}, "
         f"hermiticity {report.hermiticity_residual:.3g}, min eigenvalue {report.min_eigenvalue:.3g}"
     )
-    _manifest(args, "reconstruct", [args.input], [args.out, report_path], started, seed=getattr(args, "seed", None))
+    _manifest(args, "reconstruct", [args.input], [args.out, report_path], started)
     return 0
 
 
@@ -398,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="polar grid r_max:n_r:n_phi")
     p.add_argument("--method", choices=["symplectic", "homodyne"], default="symplectic")
     p.add_argument("--projection", choices=["none", "hermitize", "clip"], default="hermitize")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)
 

@@ -234,7 +234,7 @@ def load_samples(path) -> list[SampleBatch]:
 # ---------------------------------------------------------------------------
 
 
-def save_density(rho: FockDensityMatrix, path) -> None:
+def _density_payload(rho: FockDensityMatrix) -> dict:
     payload = {
         "dim": rho.dim,
         "re": [[float(v) for v in row] for row in rho.entries.real],
@@ -242,8 +242,12 @@ def save_density(rho: FockDensityMatrix, path) -> None:
     }
     if rho.dims is not None:
         payload["dims"] = [int(d) for d in rho.dims]
+    return payload
+
+
+def save_density(rho: FockDensityMatrix, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh)
+        json.dump(_density_payload(rho), fh)
         fh.write("\n")
 
 
@@ -259,16 +263,8 @@ def load_density(path) -> FockDensityMatrix:
 
 def save_report(report, path) -> None:
     """Full reconstruction record: the density-matrix schema plus diagnostics."""
-    rho = report.rho
-    density = {
-        "dim": rho.dim,
-        "re": [[float(v) for v in row] for row in rho.entries.real],
-        "im": [[float(v) for v in row] for row in rho.entries.imag],
-    }
-    if rho.dims is not None:
-        density["dims"] = [int(d) for d in rho.dims]
     payload = {
-        "density": density,
+        "density": _density_payload(report.rho),
         "trace_error": report.trace_error,
         "hermiticity_residual": report.hermiticity_residual,
         "min_eigenvalue": report.min_eigenvalue,

@@ -87,7 +87,7 @@ def kernel_displacement_argument(setting, scale: KernelScale) -> complex:
 #
 # Factorial prefactors are computed in log domain.  The associated Laguerre
 # values come from the three-term recurrence, which stays accurate through
-# n, m ~ 200; the explicit alternating series (kept below as a cross-check)
+# n, m ~ 200; the explicit alternating series (the test suite's cross-check)
 # loses all double precision once n |zeta|^2 is large.
 
 
@@ -141,40 +141,6 @@ def displacement_element(m: int, n: int, zeta: complex) -> complex:
     pref = np.exp(0.5 * (gammaln(p + 1) - gammaln(p + d + 1)))
     phase = zeta**d if m >= n else (-np.conj(zeta)) ** d
     return complex(pref * phase * np.exp(-y / 2) * L)
-
-
-def _displacement_element_series(m: int, n: int, zeta: complex) -> complex:
-    """Reference evaluation of <m|D|n> (m >= n) as the explicit normally-ordered sum.
-
-    Log-domain terms summed largest-first; reliable only while the alternating
-    cancellation stays well inside double precision, hence test-only.
-    """
-    if m < n:
-        raise InvalidParameter("series form expects m >= n")
-    d = m - n
-    A = zeta
-    B = -np.conj(zeta)
-    logs, phases = [], []
-    for l in range(n + 1):
-        logs.append(
-            0.5 * (gammaln(n + 1) + gammaln(m + 1))
-            - gammaln(n - l + 1)
-            - gammaln(l + d + 1)
-            - gammaln(l + 1)
-        )
-        phases.append(A ** (l + d) * B**l)
-    logs = np.array(logs)
-    mags = np.array([abs(ph) for ph in phases])
-    with np.errstate(divide="ignore"):
-        weight = logs + np.log(np.where(mags > 0, mags, 1.0))
-    order = np.argsort(weight)[::-1]
-    shift = weight[order[0]]
-    total = 0.0 + 0.0j
-    for idx in order:
-        if mags[idx] == 0:
-            continue
-        total += np.exp(weight[idx] - shift) * (phases[idx] / mags[idx])
-    return complex(np.exp(shift) * total * np.exp(-abs(zeta) ** 2 / 2))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "line_marginal",
     "default_x_grid",
     "tabulate_tomogram",
-    "MarginalEvaluator",
 ]
 
 NORMALIZATION_TOL = 1e-3
@@ -91,6 +90,8 @@ class Tomogram:
         object.__setattr__(self, "settings", tuple(self.settings))
         x = np.asarray(self.x, dtype=float)
         v = np.asarray(self.values, dtype=float)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise InvalidParameter("tomogram grid and densities must be finite")
         if x.ndim != 1 or x.size < 2:
             raise InvalidParameter("x grid must be a 1-d array with >= 2 points")
         dx = np.diff(x)
@@ -261,23 +262,6 @@ def tabulate_tomogram(
     tomo = Tomogram(tuple(settings), x_grid, np.asarray(rows))
     tomo.validate_normalization()
     return tomo
-
-
-class MarginalEvaluator:
-    """Callable adapter bundling a state with its grid policy.
-
-    Used by the reconstruction routines when they are handed a state instead
-    of a tabulated tomogram.
-    """
-
-    def __init__(self, state):
-        self.state = state
-
-    def values(self, x, setting: QuadratureSetting):
-        return _marginal_any(self.state, x, setting)
-
-    def x_grid(self, setting: QuadratureSetting, num: int = 1201) -> np.ndarray:
-        return default_x_grid(self.state, setting, num)
 
 
 def _as_setting(setting) -> QuadratureSetting:

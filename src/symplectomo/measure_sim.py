@@ -25,7 +25,7 @@ from .errors import (
     PhaseLockRequired,
 )
 from .kernels import KernelScale
-from .marginals import MarginalEvaluator, QuadratureSetting, default_x_grid
+from .marginals import QuadratureSetting, _marginal_any, default_x_grid
 from .twomode import TwoModeSetting, tilde_marginal, _default_x1_grid
 
 __all__ = [
@@ -145,7 +145,7 @@ def _marginal_table(state, setting, num: int) -> tuple[np.ndarray, np.ndarray]:
         w = np.asarray(tilde_marginal(state, x, setting), dtype=float)
     else:
         x = default_x_grid(state, setting, num)
-        w = np.asarray(MarginalEvaluator(state).values(x, setting), dtype=float)
+        w = np.asarray(_marginal_any(state, x, setting), dtype=float)
     return x, w
 
 
@@ -171,16 +171,10 @@ def sample_marginal(state, setting, n: int, seed: int, weight: float = 1.0) -> S
     """Draw ``n`` i.i.d. outcomes of the setting's marginal.
 
     Outcomes are reported in the raw coordinate ``X = x + delta``: a nonzero
-    shift acts as a pure translation of the record.
+    shift acts as a pure translation of the record.  This is the one-setting
+    campaign.
     """
-    if n < 1:
-        raise InvalidParameter("need n >= 1 samples")
-    x, cdf = tabulated_cdf(state, setting)
-    rng = _batch_seed(seed, 0)
-    u = rng.random(n)
-    outcomes = np.interp(u, cdf, x)
-    delta = setting.delta[0] if isinstance(setting, TwoModeSetting) else setting.delta
-    return SampleBatch(setting=setting, outcomes=outcomes + delta, seed=int(seed), weight=weight)
+    return sample_campaign(state, [(setting, weight)], n, seed)[0]
 
 
 def sample_campaign(state, schedule, n_per_setting: int, seed: int) -> list[SampleBatch]:
@@ -192,6 +186,8 @@ def sample_campaign(state, schedule, n_per_setting: int, seed: int) -> list[Samp
     schedule = list(schedule)
     if not schedule:
         raise EmptySchedule("schedule must contain at least one setting")
+    if n_per_setting < 1:
+        raise InvalidParameter("need n >= 1 samples per setting")
     batches = []
     for idx, entry in enumerate(schedule):
         setting, weight = entry if isinstance(entry, tuple) else (entry, 1.0)

@@ -4,13 +4,14 @@ Two estimators are provided for the symplectic scheme::
 
     rho = integral dx dmu dnu  w(x, mu, nu) K(x; mu, nu, z)
 
-* deterministic quadrature over a polar (mu, nu) grid, fed by an exact
-  tomogram or a marginal evaluator;
+* deterministic quadrature over a polar (mu, nu) grid, fed by a tabulated
+  tomogram (a state is tabulated first);
 * kernel averaging over simulated measurement samples drawn with
   importance-weighted settings.
 
-plus the homodyne variant restricted to the rotation subgroup, where the
-kernel is the radial integral of the z = 1 symplectic kernel.
+Homodyne reconstruction is the z = 1 polar quadrature restricted to the
+rotation subgroup: its phase distributions fix the characteristic function
+on every ray, so it shares the one-mode assembler.
 
 Tabulated tomograms are expected on a common circle of settings: the exact
 scaling property ``w(x, r u) = (r0/r) w(x r0 / r, r0 u)`` extends them over
@@ -34,7 +35,7 @@ from .errors import (
     InvalidParameter,
 )
 from .kernels import KernelScale, displacement_matrix, kernel_displacement_argument
-from .marginals import MarginalEvaluator, QuadratureSetting, Tomogram
+from .marginals import Tomogram, circle_settings, tabulate_tomogram
 from .states import FockDensityMatrix
 
 __all__ = [
@@ -135,17 +136,23 @@ def _assemble_rho(
     phi_weights: np.ndarray,
     r: np.ndarray,
     wr: np.ndarray,
-    scale: KernelScale,
+    z: float,
     dim: int,
 ) -> np.ndarray:
-    """Sum ``w_phi w_r r chi (z^2/2pi) D(zeta)`` over the polar nodes."""
-    z = scale.z
-    mu = r[None, :] * np.cos(phis)[:, None]
-    nu = r[None, :] * np.sin(phis)[:, None]
-    zetas = -(z / np.sqrt(2)) * (nu - 1j * mu)
-    D = displacement_matrix(zetas, dim)
-    weights = phi_weights[:, None] * (wr * r)[None, :] * chi * (z**2 / (2 * np.pi))
-    return np.einsum("pr,prnm->nm", weights, D)
+    """Sum ``w_phi w_r r chi (z^2/2pi) D(zeta)`` over the polar nodes.
+
+    The node ``(mu, nu) = r (cos phi, sin phi)`` has ``zeta = (z r / sqrt 2)
+    e^{i theta}`` with ``theta = phi + pi/2``, and
+    ``<m|D(a e^{i theta})|n> = e^{i(m-n) theta} <m|D(a)|n>`` for real ``a``:
+    one real-axis table per radius and the angular Fourier sum of ``chi`` over
+    ``m - n`` replace the per-node tables.
+    """
+    radial = displacement_matrix(z * r / np.sqrt(2), dim)  # (n_r, dim, dim)
+    orders = np.arange(1 - dim, dim)
+    angular = np.exp(1j * np.outer(orders, phis + np.pi / 2)) @ (phi_weights[:, None] * chi)
+    n = np.arange(dim)
+    per_element = angular[n[:, None] - n[None, :] + dim - 1]  # (dim, dim, n_r)
+    return np.einsum("mnr,r,rmn->mn", per_element, wr * r * (z**2 / (2 * np.pi)), radial)
 
 
 def _row_fourier(values: np.ndarray, x: np.ndarray, deltas: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -165,6 +172,19 @@ def _tomogram_circle_data(tomo: Tomogram) -> tuple[np.ndarray, float]:
     return phis, r0
 
 
+def _as_tomogram(source, n_phi: int, x_points: int) -> Tomogram:
+    if isinstance(source, Tomogram):
+        return source
+    return tabulate_tomogram(source, circle_settings(n_phi), num=x_points)
+
+
+def _circle_chi(tomo: Tomogram, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angles, angle weights and ``chi[p, k]`` at ``freqs[k]`` times the unit radius."""
+    phis, r0 = _tomogram_circle_data(tomo)
+    deltas = np.array([s.delta for s in tomo.settings])
+    return phis, _angle_weights(phis), _row_fourier(tomo.values, tomo.x, deltas, freqs / r0)
+
+
 def _diagnostics(raw: np.ndarray) -> tuple[float, float]:
     trace_error = abs(float(np.trace(raw).real) - 1.0)
     herm = float(np.max(np.abs(raw - raw.conj().T)))
@@ -177,8 +197,13 @@ def _project(raw: np.ndarray, projection: str) -> np.ndarray:
         return raw
     if projection == "hermitize":
         return h
+    # nearest density matrix in Frobenius norm (Smolin, Gambetta & Smith,
+    # PRL 108, 070502 (2012)): project the eigenvalues onto the simplex
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    desc = vals[::-1]
+    excess = (np.cumsum(desc) - 1.0) / np.arange(1, vals.size + 1)
+    shift = excess[np.nonzero(desc > excess)[0][-1]]
+    return (vecs * np.clip(vals - shift, 0.0, None)) @ vecs.conj().T
 
 
 def _finish(
@@ -215,35 +240,16 @@ def _finish(
 def reconstruct_from_tomogram(source, cfg: ReconstructionConfig) -> ReconstructionReport:
     """Reconstruct a one-mode density matrix from exact marginal data.
 
-    ``source`` is a circle Tomogram, a one-mode state, or a
-    ``MarginalEvaluator``.  States/evaluators are sampled on a unit circle of
-    ``cfg.grid.n_phi`` angles; tomograms bring their own angles and radius.
+    ``source`` is a circle Tomogram or a one-mode state.  A state is first
+    tabulated on a unit circle of ``cfg.grid.n_phi`` angles with
+    ``cfg.x_points`` outcomes; tomograms bring their own angles and radius.
     """
+    tomo = _as_tomogram(source, cfg.grid.n_phi, cfg.x_points)
     z = cfg.scale.z
-    r_max = cfg.grid.resolve_r_max(z)
-    r, wr = _radial_nodes(r_max, cfg.grid.n_r)
-
-    if isinstance(source, Tomogram):
-        phis, r0 = _tomogram_circle_data(source)
-        phi_weights = _angle_weights(phis)
-        deltas = np.array([s.delta for s in source.settings])
-        chi = _row_fourier(source.values, source.x, deltas, z * r / r0)
-        settings_used = len(source.settings)
-    else:
-        evaluator = source if isinstance(source, MarginalEvaluator) else MarginalEvaluator(source)
-        phis = 2 * np.pi * np.arange(cfg.grid.n_phi) / cfg.grid.n_phi
-        phi_weights = np.full(cfg.grid.n_phi, 2 * np.pi / cfg.grid.n_phi)
-        chi_rows = []
-        for phi in phis:
-            setting = QuadratureSetting(np.cos(phi), np.sin(phi))
-            xg = evaluator.x_grid(setting, cfg.x_points)
-            row = np.asarray(evaluator.values(xg, setting), dtype=float)
-            chi_rows.append((row * _trapezoid_weights(xg)) @ np.exp(-1j * np.outer(xg, z * r)))
-        chi = np.asarray(chi_rows)
-        settings_used = cfg.grid.n_phi
-
-    raw = _assemble_rho(chi, phis, phi_weights, r, wr, cfg.scale, cfg.dim)
-    return _finish(raw, cfg.projection, settings_used, 0, check_trace=True)
+    r, wr = _radial_nodes(cfg.grid.resolve_r_max(z), cfg.grid.n_r)
+    phis, phi_weights, chi = _circle_chi(tomo, z * r)
+    raw = _assemble_rho(chi, phis, phi_weights, r, wr, z, cfg.dim)
+    return _finish(raw, cfg.projection, len(tomo.settings), 0, check_trace=True)
 
 
 # ---------------------------------------------------------------------------
@@ -285,38 +291,27 @@ def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> Reconstructi
 # ---------------------------------------------------------------------------
 
 
-def _homodyne_phase_weights(phis: np.ndarray) -> np.ndarray:
-    return _angle_weights(np.asarray(phis) % (2 * np.pi))
-
-
 def reconstruct_homodyne(
     data,
     dim: int,
     r_cutoff: float = 12.0,
-    regularizer_eps: float = 1e-4,
-    n_r: int = 4001,
     projection: str = "hermitize",
 ) -> ReconstructionReport:
-    """Reconstruct from rotated-quadrature data with the radial-integral kernel.
+    """Reconstruct from rotated-quadrature data as the z = 1 polar reconstruction.
 
-    ``data`` is either a circle Tomogram (rows become exact phase
-    distributions) or an iterable of ``(phi, samples)`` pairs.  Phases that
-    only cover ``[0, pi)`` are mirrored to the full circle using
-    ``x_(phi+pi) = -x_phi``.
+    The phases ``phi`` are the settings ``(cos phi, sin phi)`` of the unit
+    circle, so the estimate is the z = 1 symplectic quadrature on
+    Gauss-Legendre radii over ``[0, r_cutoff]``.  ``data`` is either a circle
+    Tomogram (rows become exact phase distributions) or an iterable of
+    ``(phi, samples)`` pairs.  Phases that only cover ``[0, pi)`` are
+    mirrored to the full circle using ``x_(phi+pi) = -x_phi``.
     """
-    r = np.linspace(0.0, r_cutoff, n_r)
-    trw = _trapezoid_weights(r)
-    damp = trw * r * np.exp(-regularizer_eps * r**2)
-
+    r, wr = _radial_nodes(r_cutoff, PolarGrid.n_r)
+    # one extra column at r_cutoff for the tail estimate: Gauss-Legendre
+    # radii have no node on the boundary
+    radii = np.append(r, r_cutoff)
     if isinstance(data, Tomogram):
-        phis, r0 = _tomogram_circle_data(data)
-        tw = _trapezoid_weights(data.x)
-        # rows tabulate the density of r0 * x_phi; rescale frequencies to x_phi
-        phase_matrix = np.exp(1j * np.outer(data.x, r / r0))
-        payloads = [
-            ((data.values[j] * tw) @ phase_matrix) * np.exp(-1j * s.delta * r / r0)
-            for j, s in enumerate(data.settings)
-        ]
+        phis, phi_weights, chi = _circle_chi(data, radii)
         samples_used = 0
         settings_used = len(data.settings)
     else:
@@ -324,32 +319,25 @@ def reconstruct_homodyne(
         if not pairs or all(xs.size == 0 for _, xs in pairs):
             raise EmptyBatches("no homodyne data")
         phis = np.asarray([p for p, _ in pairs])
-        payloads = [_empirical_characteristic(xs, r) for _, xs in pairs]
+        chi = np.array([_empirical_characteristic(xs, -radii) for _, xs in pairs])
         span = (phis.max() - phis.min()) % (2 * np.pi)
         if span < np.pi:
             # extend [0, pi) coverage: x_(phi+pi) = -x_phi, so the mirrored
             # characteristic is the complex conjugate
             phis = np.concatenate([phis, (phis + np.pi) % (2 * np.pi)])
-            payloads = payloads + [np.conj(c) for c in payloads]
+            chi = np.concatenate([chi, chi.conj()])
+        phi_weights = _angle_weights(phis % (2 * np.pi))
         samples_used = sum(xs.size for _, xs in pairs)
         settings_used = len(pairs)
 
-    weights = _homodyne_phase_weights(phis)
-    # the radial table at phase 0; other phases differ by the number-basis
-    # rotation D(|zeta| e^{i theta}) = e^{i(n-m) theta} D(|zeta|)
-    base = displacement_matrix(r / np.sqrt(2), dim)
-    # same tail criterion as the per-element kernel evaluator, with the
-    # characteristic payload included (it supplies most of the decay)
-    boundary = float(np.max(np.abs(base[-1]))) * abs(damp[-1] / (r[1] - r[0]))
-    tail = 2 * boundary * max(abs(c[-1]) for c in payloads) / (2 * np.pi)
-    if tail > 1e-3 / (2 * np.pi):
+    # beyond the boundary the integrand decays like exp(-r^2/4), so the
+    # discarded part is about the boundary integrand times
+    # int_R^inf (r/R) exp(-(r^2 - R^2)/4) dr = 2/R
+    boundary = _assemble_rho(chi[:, -1:], phis, phi_weights, radii[-1:], np.ones(1), 1.0, dim)
+    tail = 2.0 * float(np.max(np.abs(boundary))) / r_cutoff
+    if tail > 1e-3:
         raise CutoffTooSmall(f"radial tail estimate {tail:.3g} at r_cutoff {r_cutoff}")
-    n = np.arange(dim)
-    dgrid = n[:, None] - n[None, :]
-    raw = np.zeros((dim, dim), dtype=complex)
-    for j, phi in enumerate(phis):
-        radial = np.einsum("r,rnm->nm", damp * payloads[j], base)
-        raw += weights[j] / (2 * np.pi) * radial * np.exp(1j * dgrid * (phi - np.pi / 2))
+    raw = _assemble_rho(chi[:, :-1], phis, phi_weights, r, wr, 1.0, dim)
     return _finish(raw, projection, settings_used, samples_used, check_trace=False)
 
 
@@ -417,20 +405,10 @@ def wigner_from_tomogram(
     exp(-i z (x - mu q - nu p))``, evaluated on the polar grid with the same
     circle-plus-scaling representation as the density reconstruction.
     """
-    from .marginals import tabulate_tomogram, circle_settings
-
+    tomo = _as_tomogram(source, grid.n_phi, x_points)
     z = scale.z
-    r_max = grid.resolve_r_max(z)
-    r, wr = _radial_nodes(r_max, grid.n_r)
-
-    if isinstance(source, Tomogram):
-        tomo = source
-    else:
-        tomo = tabulate_tomogram(source, circle_settings(grid.n_phi), num=x_points)
-    phis, r0 = _tomogram_circle_data(tomo)
-    phi_weights = _angle_weights(phis)
-    deltas = np.array([s.delta for s in tomo.settings])
-    chi = _row_fourier(tomo.values, tomo.x, deltas, z * r / r0)  # (n_phi, n_r)
+    r, wr = _radial_nodes(grid.resolve_r_max(z), grid.n_r)
+    phis, phi_weights, chi = _circle_chi(tomo, z * r)  # (n_phi, n_r)
 
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))

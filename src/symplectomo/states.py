@@ -327,8 +327,7 @@ def characteristic_one_mode(state: OneModeState, wq, wp):
     """Phase-space characteristic function ``(1/2pi) integral W exp(i(wq q + wp p))``.
 
     Equals ``Tr[rho exp(i(wq qhat + wp phat))]``.  Closed forms for every
-    analytic variant; used as the fast path in reconstruction and as an
-    independent cross-check of the Wigner normalization.
+    analytic variant; an independent cross-check of the Wigner normalization.
     """
     wq = np.asarray(wq, dtype=float)
     wp = np.asarray(wp, dtype=float)

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedVariant,
 )
 from .kernels import KernelScale, displacement_matrix
-from .reconstruct import ReconstructionReport, _finish, _radial_nodes, _trapezoid_weights
+from .reconstruct import ReconstructionReport, _finish, _radial_nodes, _row_fourier, _trapezoid_weights
 from . import states as st
 
 __all__ = [
@@ -205,10 +205,14 @@ class TwoModeTomogram:
         object.__setattr__(self, "settings", tuple(self.settings))
         x1 = np.asarray(self.x1, dtype=float)
         v = np.asarray(self.values, dtype=float)
+        if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(v))):
+            raise InvalidParameter("tomogram grid and densities must be finite")
         x1.flags.writeable = False
         object.__setattr__(self, "x1", x1)
         if self.x2 is not None:
             x2 = np.asarray(self.x2, dtype=float)
+            if not np.all(np.isfinite(x2)):
+                raise InvalidParameter("tomogram grid and densities must be finite")
             x2.flags.writeable = False
             object.__setattr__(self, "x2", x2)
             if v.shape != (len(self.settings), x1.size, x2.size):
@@ -612,42 +616,34 @@ def tabulate_tilde_tomogram(
     return tomo
 
 
-def _assemble_two_mode(chi_fn, cfg: TwoModeConfig) -> np.ndarray:
-    """Accumulate ``sum w R^3 chi(u) (z^4/(2pi)^2) D1 x D2`` over the 4-d grid.
+def _assemble_two_mode(
+    chi: np.ndarray,
+    dirs: np.ndarray,
+    weights: np.ndarray,
+    R: np.ndarray,
+    wR: np.ndarray,
+    cfg: TwoModeConfig,
+    offset=0.0,
+) -> np.ndarray:
+    """Sum ``w_s wR_k R_k^3 chi[s, k] (z1^4/(2pi)^2) D1 x D2`` over directions and radii.
 
-    ``chi_fn(u_batch)`` returns ``integral w-tilde exp(-i z1 x1) dx1`` for a
-    batch of setting rows ``u`` (shape (n, 4)).
+    ``dirs`` are unit setting rows ``(mu1, mu2, nu1, nu2)`` with quadrature
+    ``weights``, ``chi[s, k]`` is the characteristic at the row ``R_k dirs[s]``
+    and ``offset`` the constant per-mode displacement of a fixed second row.
+    Per radius the direction sum is one GEMM ``D1^T (c D2)``.
     """
     z1 = cfg.scale.z
     d1, d2 = cfg.dims
-    R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
-    tg, tw = leggauss(cfg.n_t)
-    t = 0.5 * (tg + 1.0)
-    wt = 0.5 * tw
-    psi = 2 * np.pi * np.arange(cfg.n_psi) / cfg.n_psi
-    wpsi = 2 * np.pi / cfg.n_psi
-    cosp, sinp = np.cos(psi), np.sin(psi)
-
-    rho4 = np.zeros((d1, d1, d2, d2), dtype=complex)
-    for Rv, wRv in zip(R, wR):
-        for tv, wtv in zip(t, wt):
-            r1 = Rv * np.sqrt(tv)
-            r2 = Rv * np.sqrt(1.0 - tv)
-            zeta1 = -(z1 / np.sqrt(2)) * r1 * (sinp - 1j * cosp)
-            zeta2 = -(z1 / np.sqrt(2)) * r2 * (sinp - 1j * cosp)
-            D1 = displacement_matrix(zeta1, d1)
-            D2 = displacement_matrix(zeta2, d2)
-            u = np.empty((cfg.n_psi, cfg.n_psi, 4))
-            u[..., 0] = r1 * cosp[:, None]
-            u[..., 1] = r2 * cosp[None, :]
-            u[..., 2] = r1 * sinp[:, None]
-            u[..., 3] = r2 * sinp[None, :]
-            chi = chi_fn(u.reshape(-1, 4)).reshape(cfg.n_psi, cfg.n_psi)
-            T = chi * (wRv * Rv**3 * 0.5 * wtv * wpsi * wpsi * z1**4 / (2 * np.pi) ** 2)
-            inner = np.einsum("ab,bkl->akl", T, D2)
-            rho4 += np.einsum("anm,akl->nmkl", D1, inner)
+    unit_zetas = -(z1 / np.sqrt(2)) * (dirs[:, 2:] - 1j * dirs[:, :2])
+    rho4 = np.zeros((d1 * d1, d2 * d2), dtype=complex)
+    for k, (Rv, wRv) in enumerate(zip(R, wR)):
+        zetas = Rv * unit_zetas + offset
+        D1 = displacement_matrix(zetas[:, 0], d1).reshape(-1, d1 * d1)
+        D2 = displacement_matrix(zetas[:, 1], d2).reshape(-1, d2 * d2)
+        coeff = weights * chi[:, k] * (wRv * Rv**3 * z1**4 / (2 * np.pi) ** 2)
+        rho4 += D1.T @ (coeff[:, None] * D2)
     # reorder (n1, m1, n2, m2) -> (n1, n2, m1, m2), flatten mode-1 major
-    return rho4.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
+    return rho4.reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
 
 
 def reconstruct_two_mode(source, cfg: TwoModeConfig) -> ReconstructionReport:
@@ -656,53 +652,27 @@ def reconstruct_two_mode(source, cfg: TwoModeConfig) -> ReconstructionReport:
     ``source`` is a TwoModeTomogram or an analytic TwoModeState.  Vector
     tomograms are first marginalized over x2 (their single-quadrature content
     determines the state already); tilde tomograms need direction weights and
-    a common direction radius.
+    a common direction radius.  A state is the ``z2 = 0`` case of
+    ``reconstruct_two_mode_vector``.
     """
-    z1 = cfg.scale.z
-
-    if isinstance(source, TwoModeTomogram):
-        tomo = source
-        if tomo.kind == "vector":
-            dx2 = tomo.x2[1] - tomo.x2[0]
-            rows = np.trapezoid(tomo.values, dx=dx2, axis=2)
-            weights = tomo.direction_weights
-            if weights is None:
-                raise DegenerateConfig("two-mode reconstruction needs direction weights")
-            tomo = TwoModeTomogram(tomo.settings, tomo.x1, rows, direction_weights=weights)
-        if tomo.direction_weights is None:
-            raise DegenerateConfig("two-mode reconstruction needs direction weights")
-        radii = np.array([s.radius for s in tomo.settings])
-        r0 = float(radii.mean())
-        if np.max(np.abs(radii - r0)) > 1e-9 * max(r0, 1.0):
-            raise DegenerateConfig("tilde settings must share a common radius")
-        dirs = np.array([s.row1 / r0 for s in tomo.settings])
-        deltas = np.array([s.delta[0] for s in tomo.settings])
-        R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
-        tw = _trapezoid_weights(tomo.x1)
-        phase = np.exp(-1j * np.outer(tomo.x1, z1 * R / r0))
-        chi = (tomo.values * tw[None, :]) @ phase
-        chi = chi * np.exp(1j * np.outer(deltas, z1 * R / r0))
-        d1, d2 = cfg.dims
-        rho4 = np.zeros((d1, d1, d2, d2), dtype=complex)
-        for k, (Rv, wRv) in enumerate(zip(R, wR)):
-            rows_u = dirs * Rv
-            zeta = -(z1 / np.sqrt(2)) * (rows_u[:, 2:] - 1j * rows_u[:, :2])
-            D1 = displacement_matrix(zeta[:, 0], d1)
-            D2 = displacement_matrix(zeta[:, 1], d2)
-            coeff = tomo.direction_weights * chi[:, k] * (wRv * Rv**3 * z1**4 / (2 * np.pi) ** 2)
-            rho4 += np.einsum("s,snm,skl->nmkl", coeff, D1, D2)
-        raw = rho4.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
-        settings_used = len(tomo.settings)
-    else:
-        state = source
-
-        def chi_fn(u_batch: np.ndarray) -> np.ndarray:
-            return characteristic_two_mode(state, -z1 * u_batch)
-
-        raw = _assemble_two_mode(chi_fn, cfg)
-        settings_used = cfg.n_t * cfg.n_psi**2
-
-    return _finish(raw, cfg.projection, settings_used, 0, check_trace=True, dims=cfg.dims)
+    if not isinstance(source, TwoModeTomogram):
+        return reconstruct_two_mode_vector(source, np.zeros(4), cfg, z2=0.0)
+    tomo = source
+    if tomo.direction_weights is None:
+        raise DegenerateConfig("two-mode reconstruction needs direction weights")
+    rows = tomo.values
+    if tomo.kind == "vector":
+        rows = np.trapezoid(rows, dx=tomo.x2[1] - tomo.x2[0], axis=2)
+    radii = np.array([s.radius for s in tomo.settings])
+    r0 = float(radii.mean())
+    if np.max(np.abs(radii - r0)) > 1e-9 * max(r0, 1.0):
+        raise DegenerateConfig("tilde settings must share a common radius")
+    dirs = np.array([s.row1 / r0 for s in tomo.settings])
+    deltas = np.array([s.delta[0] for s in tomo.settings])
+    R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
+    chi = _row_fourier(rows, tomo.x1, deltas, cfg.scale.z * R / r0)
+    raw = _assemble_two_mode(chi, dirs, tomo.direction_weights, R, wR, cfg)
+    return _finish(raw, cfg.projection, len(dirs), 0, check_trace=True, dims=cfg.dims)
 
 
 def reconstruct_two_mode_vector(
@@ -710,49 +680,19 @@ def reconstruct_two_mode_vector(
 ) -> ReconstructionReport:
     """Vector-kernel reconstruction with a constant second quadrature row.
 
-    Sweeps the first row over the 4-d polar grid while ``(mu_p, nu_p) =
+    Sweeps the first row over the radial x Hopf grid while ``(mu_p, nu_p) =
     second_row`` stays fixed, using the joint characteristic function of the
     analytic state.  Exact for any ``z2`` (tested), which is the freedom the
     vector kernel exposes.
     """
     u2 = np.asarray(second_row, dtype=float).reshape(4)
     z1 = cfg.scale.z
-
-    def chi_fn(u_batch: np.ndarray) -> np.ndarray:
-        return characteristic_two_mode(state, -z1 * u_batch - z2 * u2[None, :])
-
-    d1, d2 = cfg.dims
-    # same assembly as the tilde path, with the constant z2 offset folded into
-    # the per-mode displacement arguments
     R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
-    tg, tw_ = leggauss(cfg.n_t)
-    t = 0.5 * (tg + 1.0)
-    wt = 0.5 * tw_
-    psi = 2 * np.pi * np.arange(cfg.n_psi) / cfg.n_psi
-    wpsi = 2 * np.pi / cfg.n_psi
-    cosp, sinp = np.cos(psi), np.sin(psi)
-    off = -(z2 / np.sqrt(2)) * (u2[2:] - 1j * u2[:2])
-
-    rho4 = np.zeros((d1, d1, d2, d2), dtype=complex)
-    for Rv, wRv in zip(R, wR):
-        for tv, wtv in zip(t, wt):
-            r1 = Rv * np.sqrt(tv)
-            r2 = Rv * np.sqrt(1.0 - tv)
-            zeta1 = -(z1 / np.sqrt(2)) * r1 * (sinp - 1j * cosp) + off[0]
-            zeta2 = -(z1 / np.sqrt(2)) * r2 * (sinp - 1j * cosp) + off[1]
-            D1 = displacement_matrix(zeta1, d1)
-            D2 = displacement_matrix(zeta2, d2)
-            u = np.empty((cfg.n_psi, cfg.n_psi, 4))
-            u[..., 0] = r1 * cosp[:, None]
-            u[..., 1] = r2 * cosp[None, :]
-            u[..., 2] = r1 * sinp[:, None]
-            u[..., 3] = r2 * sinp[None, :]
-            chi = chi_fn(u.reshape(-1, 4)).reshape(cfg.n_psi, cfg.n_psi)
-            T = chi * (wRv * Rv**3 * 0.5 * wtv * wpsi * wpsi * z1**4 / (2 * np.pi) ** 2)
-            inner = np.einsum("ab,bkl->akl", T, D2)
-            rho4 += np.einsum("anm,akl->nmkl", D1, inner)
-    raw = rho4.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
-    return _finish(raw, cfg.projection, cfg.n_t * cfg.n_psi**2, 0, check_trace=True, dims=cfg.dims)
+    dirs, weights = hopf_directions(cfg.n_t, cfg.n_psi)
+    chi = characteristic_two_mode(state, -z1 * R[None, :, None] * dirs[:, None, :] - z2 * u2)
+    offset = -(z2 / np.sqrt(2)) * (u2[2:] - 1j * u2[:2])
+    raw = _assemble_two_mode(chi, dirs, weights, R, wR, cfg, offset)
+    return _finish(raw, cfg.projection, len(dirs), 0, check_trace=True, dims=cfg.dims)
 
 
 def partial_trace(rho: st.FockDensityMatrix, keep: int = 1) -> st.FockDensityMatrix:

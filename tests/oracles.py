@@ -1,0 +1,190 @@
+"""Slow reference paths that the library's fast paths are tested against.
+
+Each function is the direct, unfactorised form of a computation the library
+performs faster: the explicit displacement-element series, the dense
+per-angle one-mode polar assembly, the per-direction two-mode einsum loops
+and the 4001-node trapezoid homodyne estimator.  None of them is used by the
+library itself.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from numpy.polynomial.legendre import leggauss
+from scipy.special import gammaln
+
+from symplectomo.errors import CutoffTooSmall, EmptyBatches, InvalidParameter
+from symplectomo.kernels import displacement_matrix
+from symplectomo.marginals import Tomogram
+from symplectomo.reconstruct import (
+    _angle_weights,
+    _empirical_characteristic,
+    _radial_nodes,
+    _tomogram_circle_data,
+    _trapezoid_weights,
+)
+
+
+def _displacement_element_series(m: int, n: int, zeta: complex) -> complex:
+    """Reference evaluation of <m|D|n> (m >= n) as the explicit normally-ordered sum.
+
+    Log-domain terms summed largest-first; reliable only while the alternating
+    cancellation stays well inside double precision, hence test-only.
+    """
+    if m < n:
+        raise InvalidParameter("series form expects m >= n")
+    d = m - n
+    A = zeta
+    B = -np.conj(zeta)
+    logs, phases = [], []
+    for l in range(n + 1):
+        logs.append(
+            0.5 * (gammaln(n + 1) + gammaln(m + 1))
+            - gammaln(n - l + 1)
+            - gammaln(l + d + 1)
+            - gammaln(l + 1)
+        )
+        phases.append(A ** (l + d) * B**l)
+    logs = np.array(logs)
+    mags = np.array([abs(ph) for ph in phases])
+    with np.errstate(divide="ignore"):
+        weight = logs + np.log(np.where(mags > 0, mags, 1.0))
+    order = np.argsort(weight)[::-1]
+    shift = weight[order[0]]
+    total = 0.0 + 0.0j
+    for idx in order:
+        if mags[idx] == 0:
+            continue
+        total += np.exp(weight[idx] - shift) * (phases[idx] / mags[idx])
+    return complex(np.exp(shift) * total * np.exp(-abs(zeta) ** 2 / 2))
+
+
+# ---------------------------------------------------------------------------
+# one mode: dense (n_phi, n_r, dim, dim) displacement table
+# ---------------------------------------------------------------------------
+
+
+def assemble_rho_dense(chi, phis, phi_weights, r, wr, scale, dim) -> np.ndarray:
+    """Sum ``w_phi w_r r chi (z^2/2pi) D(zeta)`` over the polar nodes."""
+    z = scale.z
+    mu = r[None, :] * np.cos(phis)[:, None]
+    nu = r[None, :] * np.sin(phis)[:, None]
+    zetas = -(z / np.sqrt(2)) * (nu - 1j * mu)
+    D = displacement_matrix(zetas, dim)
+    weights = phi_weights[:, None] * (wr * r)[None, :] * chi * (z**2 / (2 * np.pi))
+    return np.einsum("pr,prnm->nm", weights, D)
+
+
+# ---------------------------------------------------------------------------
+# two modes: per-direction einsum loops
+# ---------------------------------------------------------------------------
+
+
+def two_mode_tomogram_loop(tomo, cfg) -> np.ndarray:
+    """Raw two-mode matrix of a tilde tomogram, one einsum per radius."""
+    z1 = cfg.scale.z
+    r0 = float(np.mean([s.radius for s in tomo.settings]))
+    dirs = np.array([s.row1 / r0 for s in tomo.settings])
+    deltas = np.array([s.delta[0] for s in tomo.settings])
+    R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
+    tw = _trapezoid_weights(tomo.x1)
+    phase = np.exp(-1j * np.outer(tomo.x1, z1 * R / r0))
+    chi = (tomo.values * tw[None, :]) @ phase
+    chi = chi * np.exp(1j * np.outer(deltas, z1 * R / r0))
+    d1, d2 = cfg.dims
+    rho4 = np.zeros((d1, d1, d2, d2), dtype=complex)
+    for k, (Rv, wRv) in enumerate(zip(R, wR)):
+        rows_u = dirs * Rv
+        zeta = -(z1 / np.sqrt(2)) * (rows_u[:, 2:] - 1j * rows_u[:, :2])
+        D1 = displacement_matrix(zeta[:, 0], d1)
+        D2 = displacement_matrix(zeta[:, 1], d2)
+        coeff = tomo.direction_weights * chi[:, k] * (wRv * Rv**3 * z1**4 / (2 * np.pi) ** 2)
+        rho4 += np.einsum("s,snm,skl->nmkl", coeff, D1, D2)
+    return rho4.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
+
+
+def two_mode_grid_loop(chi_fn, cfg, off=(0.0, 0.0)) -> np.ndarray:
+    """Raw two-mode matrix over the radial x Hopf grid, one einsum per (R, t).
+
+    ``chi_fn(u_batch)`` returns the characteristic for a batch of first rows;
+    ``off`` is the constant per-mode displacement of a fixed second row.
+    """
+    z1 = cfg.scale.z
+    d1, d2 = cfg.dims
+    R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
+    tg, tw_ = leggauss(cfg.n_t)
+    t = 0.5 * (tg + 1.0)
+    wt = 0.5 * tw_
+    psi = 2 * np.pi * np.arange(cfg.n_psi) / cfg.n_psi
+    wpsi = 2 * np.pi / cfg.n_psi
+    cosp, sinp = np.cos(psi), np.sin(psi)
+
+    rho4 = np.zeros((d1, d1, d2, d2), dtype=complex)
+    for Rv, wRv in zip(R, wR):
+        for tv, wtv in zip(t, wt):
+            r1 = Rv * np.sqrt(tv)
+            r2 = Rv * np.sqrt(1.0 - tv)
+            zeta1 = -(z1 / np.sqrt(2)) * r1 * (sinp - 1j * cosp) + off[0]
+            zeta2 = -(z1 / np.sqrt(2)) * r2 * (sinp - 1j * cosp) + off[1]
+            D1 = displacement_matrix(zeta1, d1)
+            D2 = displacement_matrix(zeta2, d2)
+            u = np.empty((cfg.n_psi, cfg.n_psi, 4))
+            u[..., 0] = r1 * cosp[:, None]
+            u[..., 1] = r2 * cosp[None, :]
+            u[..., 2] = r1 * sinp[:, None]
+            u[..., 3] = r2 * sinp[None, :]
+            chi = chi_fn(u.reshape(-1, 4)).reshape(cfg.n_psi, cfg.n_psi)
+            T = chi * (wRv * Rv**3 * 0.5 * wtv * wpsi * wpsi * z1**4 / (2 * np.pi) ** 2)
+            inner = np.einsum("ab,bkl->akl", T, D2)
+            rho4 += np.einsum("anm,akl->nmkl", D1, inner)
+    return rho4.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
+
+
+# ---------------------------------------------------------------------------
+# homodyne: regularised 4001-node trapezoid over the radius
+# ---------------------------------------------------------------------------
+
+
+def homodyne_trapezoid(data, dim: int, r_cutoff: float = 12.0, regularizer_eps: float = 1e-4, n_r: int = 4001):
+    """Raw homodyne matrix from a circle Tomogram or ``(phi, samples)`` pairs."""
+    r = np.linspace(0.0, r_cutoff, n_r)
+    trw = _trapezoid_weights(r)
+    damp = trw * r * np.exp(-regularizer_eps * r**2)
+
+    if isinstance(data, Tomogram):
+        phis, r0 = _tomogram_circle_data(data)
+        tw = _trapezoid_weights(data.x)
+        # rows tabulate the density of r0 * x_phi; rescale frequencies to x_phi
+        phase_matrix = np.exp(1j * np.outer(data.x, r / r0))
+        payloads = [
+            ((data.values[j] * tw) @ phase_matrix) * np.exp(-1j * s.delta * r / r0)
+            for j, s in enumerate(data.settings)
+        ]
+    else:
+        pairs = [(float(phi), np.asarray(xs, dtype=float)) for phi, xs in data]
+        if not pairs or all(xs.size == 0 for _, xs in pairs):
+            raise EmptyBatches("no homodyne data")
+        phis = np.asarray([p for p, _ in pairs])
+        payloads = [_empirical_characteristic(xs, r) for _, xs in pairs]
+        span = (phis.max() - phis.min()) % (2 * np.pi)
+        if span < np.pi:
+            # extend [0, pi) coverage: x_(phi+pi) = -x_phi, so the mirrored
+            # characteristic is the complex conjugate
+            phis = np.concatenate([phis, (phis + np.pi) % (2 * np.pi)])
+            payloads = payloads + [np.conj(c) for c in payloads]
+
+    weights = _angle_weights(np.asarray(phis) % (2 * np.pi))
+    # the radial table at phase 0; other phases differ by the number-basis
+    # rotation D(|zeta| e^{i theta}) = e^{i(n-m) theta} D(|zeta|)
+    base = displacement_matrix(r / np.sqrt(2), dim)
+    boundary = float(np.max(np.abs(base[-1]))) * abs(damp[-1] / (r[1] - r[0]))
+    tail = 2 * boundary * max(abs(c[-1]) for c in payloads) / (2 * np.pi)
+    if tail > 1e-3 / (2 * np.pi):
+        raise CutoffTooSmall(f"radial tail estimate {tail:.3g} at r_cutoff {r_cutoff}")
+    n = np.arange(dim)
+    dgrid = n[:, None] - n[None, :]
+    raw = np.zeros((dim, dim), dtype=complex)
+    for j, phi in enumerate(phis):
+        radial = np.einsum("r,rnm->nm", damp * payloads[j], base)
+        raw += weights[j] / (2 * np.pi) * radial * np.exp(1j * dgrid * (phi - np.pi / 2))
+    return raw

@@ -296,3 +296,26 @@ def test_vector_tomogram_roundtrip(tmp_path):
     assert np.array_equal(back.values, tomo.values)
     assert np.array_equal(back.x1, x1) and np.array_equal(back.x2, x2)
     assert back.settings[0].is_vector
+
+
+def test_cli_reconstruct_nonfinite_tomogram_is_usage_error(tmp_path):
+    tomo_path = tmp_path / "t.csv"
+    cli.main(["tomogram", "--state", "vacuum", "--settings", "circle:4", "--x", "-6:6:101", "--out", str(tomo_path)])
+    lines = tomo_path.read_text().splitlines()
+    head = lines[5].rsplit(",", 1)[0]
+    lines[5] = f"{head},nan"
+    tomo_path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["reconstruct", "--input", str(tomo_path), "--dim", "4", "--out", str(tmp_path / "o.json")]) == 2
+
+
+def test_cli_reconstruct_has_no_seed(tmp_path):
+    tomo_path = tmp_path / "t.csv"
+    cli.main(["tomogram", "--state", "vacuum", "--settings", "circle:8", "--x", "-6:6:301", "--out", str(tomo_path)])
+    out = tmp_path / "rho.json"
+    base = ["reconstruct", "--input", str(tomo_path), "--dim", "4", "--out", str(out)]
+    assert cli.main(base + ["--seed", "3"]) == 2
+    assert cli.main(base) == 0
+    manifest = json.loads((tmp_path / "rho.json.manifest.json").read_text())
+    assert manifest["seed"] is None
+    report = json.loads((tmp_path / "rho.json.report.json").read_text())
+    assert report["density"] == json.loads(out.read_text())

@@ -190,3 +190,16 @@ def test_cat_marginal_extreme_amplitude_stays_finite():
     w = mg.marginal_analytic(state, x, s)
     assert np.all(np.isfinite(w))
     assert np.trapezoid(w, x) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_tomogram_rejects_nonfinite_data():
+    x = np.linspace(-3, 3, 7)
+    settings = mg.circle_settings(2)
+    rows = np.full((2, 7), 0.1)
+    bad_rows = rows.copy()
+    bad_rows[1, 3] = np.nan
+    bad_x = x.copy()
+    bad_x[-1] = np.inf
+    for xs, vs in ((x, bad_rows), (bad_x, rows)):
+        with pytest.raises(InvalidParameter):
+            mg.Tomogram(tuple(settings), xs, vs)

@@ -173,6 +173,20 @@ def test_campaign_empty_schedule():
         ms.importance_schedule(0)
 
 
+def test_campaign_rejects_nonpositive_sample_count():
+    for n in (-3, 0):
+        with pytest.raises(InvalidParameter):
+            ms.sample_campaign(st.Vacuum(), [QuadratureSetting(1, 0)], n, seed=0)
+
+
+def test_sample_marginal_is_the_one_setting_campaign():
+    setting = QuadratureSetting(0.6, -0.8, 0.5)
+    single = ms.sample_marginal(st.Thermal(0.5), setting, 300, seed=4, weight=0.5)
+    batch = ms.sample_campaign(st.Thermal(0.5), [(setting, 0.5)], 300, seed=4)[0]
+    assert np.array_equal(single.outcomes, batch.outcomes)
+    assert (single.setting, single.seed, single.weight) == (batch.setting, batch.seed, batch.weight)
+
+
 def test_importance_schedule_distribution():
     sched = ms.importance_schedule(4000, KernelScale(1.0), seed=2)
     radii = np.array([s.radius for s, _ in sched])

@@ -16,6 +16,7 @@ from symplectomo.reconstruct import (
     trace_distance,
     wigner_from_tomogram,
 )
+from symplectomo.reconstruct import _project
 
 
 def thermal_coherent_element(lam, alpha, beta):
@@ -261,3 +262,13 @@ def test_cat_z_invariance_and_exact_match():
         reps[z] = reconstruct_from_tomogram(tomo, cfg)
     assert fidelity(reps[0.5].rho, reps[2.0].rho) >= 0.999
     assert fidelity(reps[0.5].rho, st.density_matrix(cat, 14)) >= 0.9999
+
+
+def test_clip_projection_is_trace_preserving():
+    tomo = tabulate_tomogram(st.EvenCat(1.0, 1.0), circle_settings(8), num=1201)
+    rep = reconstruct_from_tomogram(tomo, ReconstructionConfig(dim=12, projection="clip"))
+    assert abs(rep.rho.trace() - 1.0) < 1e-12
+    assert rep.rho.min_eigenvalue() >= -1e-12
+    state = st.density_matrix(st.Coherent(0.5 + 0.3j), 12).entries
+    state = state / np.trace(state)
+    assert np.max(np.abs(_project(state, "clip") - state)) < 1e-12

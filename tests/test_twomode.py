@@ -387,3 +387,18 @@ def test_tilde_cat_extreme_amplitude_stays_finite():
     w = tm.tilde_marginal_cat(st.TwoModeCat(A), x, s)
     assert np.all(np.isfinite(w))
     assert np.trapezoid(w, x) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_two_mode_tomogram_rejects_nonfinite_data():
+    s = tm.TwoModeSetting(mu=[1.0, 0.0], nu=[0.0, 0.0])
+    x = np.linspace(-2, 2, 5)
+    bad = x.copy()
+    bad[2] = np.nan
+    values = np.full((1, 5), 0.1)
+    values[0, 2] = np.inf
+    with pytest.raises(InvalidParameter):
+        tm.TwoModeTomogram((s,), x, values)
+    with pytest.raises(InvalidParameter):
+        tm.TwoModeTomogram((s,), bad, np.full((1, 5), 0.1))
+    with pytest.raises(InvalidParameter):
+        tm.TwoModeTomogram((s,), x, np.full((1, 5, 5), 0.1), x2=bad)
