@@ -44,6 +44,7 @@ from .measure_sim import (
     squeezer_to_setting,
 )
 from .reconstruct import (
+    PROJECTIONS,
     PolarGrid,
     ReconstructionConfig,
     fidelity,
@@ -316,18 +317,18 @@ def cmd_reconstruct(args) -> int:
     grid = parse_polar_grid(args.grid) if args.grid else PolarGrid()
     scale = KernelScale(args.z)
 
-    if header == "mu,nu,delta,x,w":
+    if header == tio.TOMOGRAM_HEADER:
         tomo = tio.load_tomogram(args.input)
         if args.method == "homodyne":
             report = reconstruct_homodyne(tomo, dim=args.dim, projection=args.projection)
         else:
             cfg = ReconstructionConfig(scale=scale, dim=args.dim, grid=grid, projection=args.projection)
             report = reconstruct_from_tomogram(tomo, cfg)
-    elif header.startswith("mu1,") and header.endswith(",w"):
+    elif header in (tio.TILDE_HEADER, tio.VECTOR_HEADER):
         tomo2 = tio.load_two_mode_tomogram(args.input)
         cfg2 = TwoModeConfig(scale=scale, dims=(args.dim, args.dim), projection=args.projection)
         report = reconstruct_two_mode(tomo2, cfg2)
-    elif header == "mu,nu,delta,x":
+    elif header == tio.SAMPLES_HEADER:
         batches = tio.load_samples(args.input)
         cfg = ReconstructionConfig(scale=scale, dim=args.dim, grid=grid, projection=args.projection)
         report = reconstruct_from_samples(batches, cfg)
@@ -397,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=12, help="Fock truncation (per mode for two-mode input)")
     p.add_argument("--grid", default=None, help="polar grid r_max:n_r:n_phi")
     p.add_argument("--method", choices=["symplectic", "homodyne"], default="symplectic")
-    p.add_argument("--projection", choices=["none", "hermitize", "clip"], default="hermitize")
+    p.add_argument("--projection", choices=PROJECTIONS, default="hermitize")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)
 

@@ -7,7 +7,9 @@ written file round-trips bit-exactly through ``float``.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, asdict
+from itertools import repeat, zip_longest
 
 import numpy as np
 
@@ -37,74 +39,109 @@ def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _write_lines(path, lines):
+# ---------------------------------------------------------------------------
+# CSV files: a header line, then per row a setting's key columns and one
+# outcome's columns; each setting's rows are contiguous
+# ---------------------------------------------------------------------------
+
+_TWO_MODE_KEY = "mu1,mu2,nu1,nu2,mup1,mup2,nup1,nup2"
+TOMOGRAM_HEADER = "mu,nu,delta,x,w"
+TILDE_HEADER = _TWO_MODE_KEY + ",x1,w"
+VECTOR_HEADER = _TWO_MODE_KEY + ",x1,x2,w"
+SAMPLES_HEADER = "mu,nu,delta,x"
+TWO_MODE_SAMPLES_HEADER = _TWO_MODE_KEY + ",delta1,x1"
+
+
+def _write_csv(path, header: str, blocks) -> None:
+    """Write ``header``, then per ``(key, columns)`` block one row per element of
+    its equal-length column arrays, led by the key.  A column that is the
+    previous block's own object (a shared outcome grid) is formatted once."""
+    last_columns, last_text = (), ()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for key, columns in blocks:
+            text = [
+                old if col is last else list(map(format_float, col.tolist()))
+                for col, last, old in zip_longest(columns, last_columns, last_text)
+            ]
+            last_columns, last_text = columns, text
+            if text[0]:
+                head = ",".join(map(format_float, key))
+                fh.write("\n".join(map(",".join, zip(repeat(head), *text))) + "\n")
 
 
-# ---------------------------------------------------------------------------
-# one-mode tomograms: header mu,nu,delta,x,w
-# ---------------------------------------------------------------------------
+def _read_csv(path, *headers: str) -> tuple[str, np.ndarray]:
+    """Check the header line against ``headers``; parse the rows into a table."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header not in headers:
+            raise InvalidParameter(f"{path}: unexpected header {header!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # an empty body only warns
+            try:
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except (ValueError, UserWarning) as exc:
+                raise InvalidParameter(f"{path}: {exc}") from None
+    if table.shape[1] != header.count(",") + 1:
+        raise InvalidParameter(f"{path}: rows have {table.shape[1]} columns, the header {header.count(',') + 1}")
+    return header, table
+
+
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """Boundaries ``[0, ..., n]`` of the runs of consecutive equal key rows."""
+    starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+    return np.concatenate([[0], starts, [len(keys)]])
+
+
+def _grid_table(table: np.ndarray, n_key: int, n_grid: int):
+    """Per-setting keys, the shared ``(n_points, n_grid)`` outcome grid and the densities."""
+    lengths = np.diff(_runs(table[:, :n_key]))
+    if np.any(lengths != lengths[0]):
+        raise InvalidParameter("every setting needs the same number of rows")
+    blocks = table.reshape(lengths.size, lengths[0], -1)
+    grids = blocks[:, :, n_key : n_key + n_grid]
+    if np.any(grids != grids[0]):
+        raise InvalidParameter("every setting must use the first setting's outcome grid")
+    return blocks[:, 0, :n_key], grids[0].copy(), np.ascontiguousarray(blocks[:, :, -1])
+
+
+def _two_mode_key(s: TwoModeSetting) -> list:
+    second = [s.mu_p, s.nu_p] if s.is_vector else [np.zeros(2)] * 2
+    return np.concatenate([s.mu, s.nu, *second]).tolist()
+
+
+def _two_mode_setting(key, delta1: float) -> TwoModeSetting:
+    """Decode the eight setting columns; all-zero ``mup``/``nup`` mark a tilde setting."""
+    mu, nu, mup, nup = np.reshape(key, (4, 2))
+    second = (mup, nup) if np.any(mup) or np.any(nup) else (None, None)
+    return TwoModeSetting(mu, nu, *second, delta=np.array([delta1, 0.0]))
+
+
+def _read_sidecar(path) -> dict:
+    try:
+        with open(str(path) + ".meta.json", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        return {}
+    except json.JSONDecodeError as exc:
+        raise InvalidParameter(f"{path}.meta.json: {exc}") from None
 
 
 def save_tomogram(tomo: Tomogram, path) -> None:
-    lines = ["mu,nu,delta,x,w"]
-    for s, row in zip(tomo.settings, tomo.values):
-        head = ",".join(format_float(v) for v in (s.mu, s.nu, s.delta))
-        for x, w in zip(tomo.x, row):
-            lines.append(f"{head},{format_float(x)},{format_float(w)}")
-    _write_lines(path, lines)
+    blocks = (((s.mu, s.nu, s.delta), (tomo.x, row)) for s, row in zip(tomo.settings, tomo.values))
+    _write_csv(path, TOMOGRAM_HEADER, blocks)
 
 
 def load_tomogram(path) -> Tomogram:
-    settings: list[QuadratureSetting] = []
-    rows: list[list[float]] = []
-    xs: list[float] = []
-    current = None
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "mu,nu,delta,x,w":
-            raise InvalidParameter(f"not a tomogram file: header {header!r}")
-        for line in fh:
-            mu, nu, delta, x, w = (float(t) for t in line.split(","))
-            key = (mu, nu, delta)
-            if key != current:
-                settings.append(QuadratureSetting(mu, nu, delta))
-                rows.append([])
-                current = key
-            rows[-1].append(w)
-            if len(settings) == 1:
-                xs.append(x)
-    return Tomogram(tuple(settings), np.asarray(xs), np.asarray(rows))
-
-
-# ---------------------------------------------------------------------------
-# two-mode tomograms: mu1,mu2,nu1,nu2,mup1,mup2,nup1,nup2,x1[,x2],w
-# ---------------------------------------------------------------------------
-
-
-def _two_mode_setting_head(s: TwoModeSetting) -> tuple:
-    mup = s.mu_p if s.mu_p is not None else np.zeros(2)
-    nup = s.nu_p if s.nu_p is not None else np.zeros(2)
-    return (s.mu[0], s.mu[1], s.nu[0], s.nu[1], mup[0], mup[1], nup[0], nup[1])
+    keys, grid, values = _grid_table(_read_csv(path, TOMOGRAM_HEADER)[1], 3, 1)
+    return Tomogram(tuple(QuadratureSetting(*k) for k in keys.tolist()), grid[:, 0], values)
 
 
 def save_two_mode_tomogram(tomo: TwoModeTomogram, path) -> None:
     vector = tomo.kind == "vector"
-    header = "mu1,mu2,nu1,nu2,mup1,mup2,nup1,nup2,x1" + (",x2" if vector else "") + ",w"
-    lines = [header]
-    for idx, s in enumerate(tomo.settings):
-        head = ",".join(format_float(v) for v in _two_mode_setting_head(s))
-        if vector:
-            for i, x1 in enumerate(tomo.x1):
-                for j, x2 in enumerate(tomo.x2):
-                    lines.append(
-                        f"{head},{format_float(x1)},{format_float(x2)},{format_float(tomo.values[idx, i, j])}"
-                    )
-        else:
-            for x1, w in zip(tomo.x1, tomo.values[idx]):
-                lines.append(f"{head},{format_float(x1)},{format_float(w)}")
-    _write_lines(path, lines)
+    grid = (np.repeat(tomo.x1, tomo.x2.size), np.tile(tomo.x2, tomo.x1.size)) if vector else (tomo.x1,)
+    blocks = ((_two_mode_key(s), (*grid, v.ravel())) for s, v in zip(tomo.settings, tomo.values))
+    _write_csv(path, VECTOR_HEADER if vector else TILDE_HEADER, blocks)
     meta = {"kind": tomo.kind}
     if tomo.direction_weights is not None:
         meta["direction_weights"] = [float(w) for w in tomo.direction_weights]
@@ -113,73 +150,27 @@ def save_two_mode_tomogram(tomo: TwoModeTomogram, path) -> None:
 
 
 def load_two_mode_tomogram(path) -> TwoModeTomogram:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:9] != ["mu1", "mu2", "nu1", "nu2", "mup1", "mup2", "nup1", "nup2", "x1"]:
-            raise InvalidParameter("not a two-mode tomogram file")
-        vector = "x2" in header
-        settings: list[TwoModeSetting] = []
-        data: list[list[float]] = []
-        x1s: list[float] = []
-        x2s: list[float] = []
-        current = None
-        for line in fh:
-            vals = [float(t) for t in line.split(",")]
-            key = tuple(vals[:8])
-            if key != current:
-                mu = np.array(vals[0:2])
-                nu = np.array(vals[2:4])
-                mup = np.array(vals[4:6])
-                nup = np.array(vals[6:8])
-                if np.any(mup != 0) or np.any(nup != 0):
-                    settings.append(TwoModeSetting(mu=mu, nu=nu, mu_p=mup, nu_p=nup))
-                else:
-                    settings.append(TwoModeSetting(mu=mu, nu=nu))
-                data.append([])
-                current = key
-            data[-1].append(vals[-1])
-            if len(settings) == 1:
-                x1s.append(vals[8])
-                if vector:
-                    x2s.append(vals[9])
-    weights = None
-    try:
-        with open(str(path) + ".meta.json", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        if "direction_weights" in meta:
-            weights = np.asarray(meta["direction_weights"], dtype=float)
-    except FileNotFoundError:
-        pass
-    if vector:
-        x1 = np.asarray(sorted(set(x1s)))
-        x2 = np.asarray(sorted(set(x2s)))
-        values = np.asarray(data).reshape(len(settings), x1.size, x2.size)
-        return TwoModeTomogram(tuple(settings), x1, values, x2=x2, direction_weights=weights)
-    return TwoModeTomogram(tuple(settings), np.asarray(x1s), np.asarray(data), direction_weights=weights)
-
-
-# ---------------------------------------------------------------------------
-# samples: mu,nu,delta,x (one mode) / two-mode setting columns + x1
-# ---------------------------------------------------------------------------
+    header, table = _read_csv(path, TILDE_HEADER, VECTOR_HEADER)
+    keys, grid, values = _grid_table(table, 8, 2 if header == VECTOR_HEADER else 1)
+    settings = tuple(_two_mode_setting(k, 0.0) for k in keys)
+    weights = _read_sidecar(path).get("direction_weights")
+    if header == TILDE_HEADER:
+        return TwoModeTomogram(settings, grid[:, 0], values, direction_weights=weights)
+    # vector rows run over x1 (outer) by x2 (inner)
+    x1, x2 = np.unique(grid[:, 0]), np.unique(grid[:, 1])
+    if not np.array_equal(grid, np.column_stack([np.repeat(x1, x2.size), np.tile(x2, x1.size)])):
+        raise InvalidParameter("vector rows must run over the ascending x1 by x2 outcome grid")
+    return TwoModeTomogram(settings, x1, values.reshape(-1, x1.size, x2.size), x2=x2, direction_weights=weights)
 
 
 def save_samples(batches: list[SampleBatch], path, state_label: str = "") -> None:
-    first = batches[0].setting
-    two_mode = isinstance(first, TwoModeSetting)
-    if two_mode:
-        lines = ["mu1,mu2,nu1,nu2,mup1,mup2,nup1,nup2,delta1,x1"]
-        for b in batches:
-            head = ",".join(format_float(v) for v in _two_mode_setting_head(b.setting))
-            d1 = b.setting.delta[0]
-            for x in b.outcomes:
-                lines.append(f"{head},{format_float(d1)},{format_float(x)}")
+    if isinstance(batches[0].setting, TwoModeSetting):
+        header = TWO_MODE_SAMPLES_HEADER
+        keys = [_two_mode_key(b.setting) + [b.setting.delta[0]] for b in batches]
     else:
-        lines = ["mu,nu,delta,x"]
-        for b in batches:
-            head = ",".join(format_float(v) for v in (b.setting.mu, b.setting.nu, b.setting.delta))
-            for x in b.outcomes:
-                lines.append(f"{head},{format_float(x)}")
-    _write_lines(path, lines)
+        header = SAMPLES_HEADER
+        keys = [(b.setting.mu, b.setting.nu, b.setting.delta) for b in batches]
+    _write_csv(path, header, ((k, (b.outcomes,)) for k, b in zip(keys, batches)))
     sidecar = {
         "generator": batches[0].generator,
         "seed": batches[0].seed,
@@ -192,41 +183,29 @@ def save_samples(batches: list[SampleBatch], path, state_label: str = "") -> Non
 
 
 def load_samples(path) -> list[SampleBatch]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        two_mode = header.startswith("mu1,")
-        groups: dict[tuple, list[float]] = {}
-        order: list[tuple] = []
-        for line in fh:
-            vals = [float(t) for t in line.split(",")]
-            key = tuple(vals[:-1])
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(vals[-1])
-    try:
-        with open(str(path) + ".meta.json", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        seed = int(meta.get("seed", 0))
-        weights = meta.get("weights", [1.0] * len(order))
-    except FileNotFoundError:
-        seed, weights = 0, [1.0] * len(order)
-    batches = []
-    for key, weight in zip(order, weights):
-        if two_mode:
-            mu = np.array(key[0:2])
-            nu = np.array(key[2:4])
-            mup = np.array(key[4:6])
-            nup = np.array(key[6:8])
-            delta = np.array([key[8], 0.0])
-            if np.any(mup != 0) or np.any(nup != 0):
-                setting = TwoModeSetting(mu=mu, nu=nu, mu_p=mup, nu_p=nup, delta=delta)
-            else:
-                setting = TwoModeSetting(mu=mu, nu=nu, delta=delta)
-        else:
-            setting = QuadratureSetting(*key)
-        batches.append(SampleBatch(setting=setting, outcomes=np.asarray(groups[key]), seed=seed, weight=weight))
-    return batches
+    """Batches are delimited by the sidecar's ``n_per_batch``; without a
+    sidecar, each run of consecutive rows with one setting is a batch."""
+    header, table = _read_csv(path, SAMPLES_HEADER, TWO_MODE_SAMPLES_HEADER)
+    keys, outcomes = table[:, :-1], table[:, -1].copy()
+    meta = _read_sidecar(path)
+    if "n_per_batch" in meta:
+        bounds = np.concatenate([[0], np.cumsum(meta["n_per_batch"], dtype=int)])
+        if np.any(np.diff(bounds) < 1) or bounds[-1] != len(table):
+            raise InvalidParameter(f"sidecar batch sizes must be positive and sum to the {len(table)} rows")
+    else:
+        bounds = _runs(keys)
+    starts = bounds[:-1]
+    if np.any(keys != np.repeat(keys[starts], np.diff(bounds), axis=0)):
+        raise InvalidParameter("a sample batch mixes settings")
+    weights = meta.get("weights", [1.0] * starts.size)
+    if len(weights) != starts.size:
+        raise InvalidParameter(f"{len(weights)} weights for {starts.size} batches")
+    seed = int(meta.get("seed", 0))
+    two_mode = header == TWO_MODE_SAMPLES_HEADER
+    return [
+        SampleBatch(_two_mode_setting(k[:8], k[8]) if two_mode else QuadratureSetting(*k), outcomes[lo:hi], seed, w)
+        for k, lo, hi, w in zip(keys[starts].tolist(), starts, bounds[1:], weights)
+    ]
 
 
 # ---------------------------------------------------------------------------

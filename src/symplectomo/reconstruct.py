@@ -67,6 +67,14 @@ class PolarGrid:
         return self.r_max if self.r_max is not None else 8.0 / abs(z)
 
 
+PROJECTIONS = ("none", "hermitize", "clip")
+
+
+def _check_projection(projection: str) -> None:
+    if projection not in PROJECTIONS:
+        raise DegenerateConfig(f"unknown projection {projection!r}")
+
+
 @dataclass(frozen=True)
 class ReconstructionConfig:
     scale: KernelScale = field(default_factory=KernelScale)
@@ -78,8 +86,7 @@ class ReconstructionConfig:
     def __post_init__(self):
         if self.dim < 1 or int(self.dim) != self.dim:
             raise DegenerateConfig("dim must be a positive integer")
-        if self.projection not in ("none", "hermitize", "clip"):
-            raise DegenerateConfig(f"unknown projection {self.projection!r}")
+        _check_projection(self.projection)
         if self.grid.n_r < 4 or self.grid.n_phi < 4:
             raise DegenerateConfig("polar grid needs at least 4 nodes per axis")
         r_max = self.grid.resolve_r_max(self.scale.z)
@@ -306,6 +313,7 @@ def reconstruct_homodyne(
     ``(phi, samples)`` pairs.  Phases that only cover ``[0, pi)`` are
     mirrored to the full circle using ``x_(phi+pi) = -x_phi``.
     """
+    _check_projection(projection)
     r, wr = _radial_nodes(r_cutoff, PolarGrid.n_r)
     # one extra column at r_cutoff for the tail estimate: Gauss-Legendre
     # radii have no node on the boundary
@@ -316,8 +324,8 @@ def reconstruct_homodyne(
         settings_used = len(data.settings)
     else:
         pairs = [(float(phi), np.asarray(xs, dtype=float)) for phi, xs in data]
-        if not pairs or all(xs.size == 0 for _, xs in pairs):
-            raise EmptyBatches("no homodyne data")
+        if not pairs or any(xs.size == 0 for _, xs in pairs):
+            raise EmptyBatches("every homodyne phase needs samples")
         phis = np.asarray([p for p, _ in pairs])
         chi = np.array([_empirical_characteristic(xs, -radii) for _, xs in pairs])
         span = (phis.max() - phis.min()) % (2 * np.pi)

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedVariant,
 )
 from .kernels import KernelScale, displacement_matrix
-from .reconstruct import ReconstructionReport, _finish, _radial_nodes, _row_fourier, _trapezoid_weights
+from .reconstruct import ReconstructionReport, _check_projection, _finish, _radial_nodes, _row_fourier, _trapezoid_weights
 from . import states as st
 
 __all__ = [
@@ -521,8 +521,7 @@ class TwoModeConfig:
         d1, d2 = self.dims
         if d1 < 1 or d2 < 1:
             raise DegenerateConfig("per-mode dims must be positive")
-        if self.projection not in ("none", "hermitize", "clip"):
-            raise DegenerateConfig(f"unknown projection {self.projection!r}")
+        _check_projection(self.projection)
         r_max = self.resolve_r_max()
         if r_max * abs(self.scale.z) < 6.0:
             raise DegenerateConfig("r_max * |z1| must be >= 6")

@@ -2,20 +2,24 @@
 
 Each function is the direct, unfactorised form of a computation the library
 performs faster: the explicit displacement-element series, the dense
-per-angle one-mode polar assembly, the per-direction two-mode einsum loops
-and the 4001-node trapezoid homodyne estimator.  None of them is used by the
-library itself.
+per-angle one-mode polar assembly, the per-direction two-mode einsum loops,
+the 4001-node trapezoid homodyne estimator and the line-by-line CSV writers
+and readers.  None of them is used by the library itself.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from symplectomo.errors import CutoffTooSmall, EmptyBatches, InvalidParameter
+from symplectomo.io import format_float
 from symplectomo.kernels import displacement_matrix
-from symplectomo.marginals import Tomogram
+from symplectomo.marginals import QuadratureSetting, Tomogram
+from symplectomo.measure_sim import SampleBatch
 from symplectomo.reconstruct import (
     _angle_weights,
     _empirical_characteristic,
@@ -23,6 +27,7 @@ from symplectomo.reconstruct import (
     _tomogram_circle_data,
     _trapezoid_weights,
 )
+from symplectomo.twomode import TwoModeSetting, TwoModeTomogram
 
 
 def _displacement_element_series(m: int, n: int, zeta: complex) -> complex:
@@ -188,3 +193,185 @@ def homodyne_trapezoid(data, dim: int, r_cutoff: float = 12.0, regularizer_eps: 
         radial = np.einsum("r,rnm->nm", damp * payloads[j], base)
         raw += weights[j] / (2 * np.pi) * radial * np.exp(1j * dgrid * (phi - np.pi / 2))
     return raw
+
+
+# ---------------------------------------------------------------------------
+# CSV files: line-by-line writers and float() readers
+# ---------------------------------------------------------------------------
+
+
+def _write_lines(path, lines):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def save_tomogram_lines(tomo: Tomogram, path) -> None:
+    lines = ["mu,nu,delta,x,w"]
+    for s, row in zip(tomo.settings, tomo.values):
+        head = ",".join(format_float(v) for v in (s.mu, s.nu, s.delta))
+        for x, w in zip(tomo.x, row):
+            lines.append(f"{head},{format_float(x)},{format_float(w)}")
+    _write_lines(path, lines)
+
+
+def load_tomogram_lines(path) -> Tomogram:
+    settings: list[QuadratureSetting] = []
+    rows: list[list[float]] = []
+    xs: list[float] = []
+    current = None
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "mu,nu,delta,x,w":
+            raise InvalidParameter(f"not a tomogram file: header {header!r}")
+        for line in fh:
+            mu, nu, delta, x, w = (float(t) for t in line.split(","))
+            key = (mu, nu, delta)
+            if key != current:
+                settings.append(QuadratureSetting(mu, nu, delta))
+                rows.append([])
+                current = key
+            rows[-1].append(w)
+            if len(settings) == 1:
+                xs.append(x)
+    return Tomogram(tuple(settings), np.asarray(xs), np.asarray(rows))
+
+
+def _two_mode_setting_head(s: TwoModeSetting) -> tuple:
+    mup = s.mu_p if s.mu_p is not None else np.zeros(2)
+    nup = s.nu_p if s.nu_p is not None else np.zeros(2)
+    return (s.mu[0], s.mu[1], s.nu[0], s.nu[1], mup[0], mup[1], nup[0], nup[1])
+
+
+def save_two_mode_tomogram_lines(tomo: TwoModeTomogram, path) -> None:
+    vector = tomo.kind == "vector"
+    header = "mu1,mu2,nu1,nu2,mup1,mup2,nup1,nup2,x1" + (",x2" if vector else "") + ",w"
+    lines = [header]
+    for idx, s in enumerate(tomo.settings):
+        head = ",".join(format_float(v) for v in _two_mode_setting_head(s))
+        if vector:
+            for i, x1 in enumerate(tomo.x1):
+                for j, x2 in enumerate(tomo.x2):
+                    lines.append(
+                        f"{head},{format_float(x1)},{format_float(x2)},{format_float(tomo.values[idx, i, j])}"
+                    )
+        else:
+            for x1, w in zip(tomo.x1, tomo.values[idx]):
+                lines.append(f"{head},{format_float(x1)},{format_float(w)}")
+    _write_lines(path, lines)
+    meta = {"kind": tomo.kind}
+    if tomo.direction_weights is not None:
+        meta["direction_weights"] = [float(w) for w in tomo.direction_weights]
+    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=1)
+
+
+def load_two_mode_tomogram_lines(path) -> TwoModeTomogram:
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        if header[:9] != ["mu1", "mu2", "nu1", "nu2", "mup1", "mup2", "nup1", "nup2", "x1"]:
+            raise InvalidParameter("not a two-mode tomogram file")
+        vector = "x2" in header
+        settings: list[TwoModeSetting] = []
+        data: list[list[float]] = []
+        x1s: list[float] = []
+        x2s: list[float] = []
+        current = None
+        for line in fh:
+            vals = [float(t) for t in line.split(",")]
+            key = tuple(vals[:8])
+            if key != current:
+                mu = np.array(vals[0:2])
+                nu = np.array(vals[2:4])
+                mup = np.array(vals[4:6])
+                nup = np.array(vals[6:8])
+                if np.any(mup != 0) or np.any(nup != 0):
+                    settings.append(TwoModeSetting(mu=mu, nu=nu, mu_p=mup, nu_p=nup))
+                else:
+                    settings.append(TwoModeSetting(mu=mu, nu=nu))
+                data.append([])
+                current = key
+            data[-1].append(vals[-1])
+            if len(settings) == 1:
+                x1s.append(vals[8])
+                if vector:
+                    x2s.append(vals[9])
+    weights = None
+    try:
+        with open(str(path) + ".meta.json", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        if "direction_weights" in meta:
+            weights = np.asarray(meta["direction_weights"], dtype=float)
+    except FileNotFoundError:
+        pass
+    if vector:
+        x1 = np.asarray(sorted(set(x1s)))
+        x2 = np.asarray(sorted(set(x2s)))
+        values = np.asarray(data).reshape(len(settings), x1.size, x2.size)
+        return TwoModeTomogram(tuple(settings), x1, values, x2=x2, direction_weights=weights)
+    return TwoModeTomogram(tuple(settings), np.asarray(x1s), np.asarray(data), direction_weights=weights)
+
+
+def save_samples_lines(batches: list[SampleBatch], path, state_label: str = "") -> None:
+    first = batches[0].setting
+    two_mode = isinstance(first, TwoModeSetting)
+    if two_mode:
+        lines = ["mu1,mu2,nu1,nu2,mup1,mup2,nup1,nup2,delta1,x1"]
+        for b in batches:
+            head = ",".join(format_float(v) for v in _two_mode_setting_head(b.setting))
+            d1 = b.setting.delta[0]
+            for x in b.outcomes:
+                lines.append(f"{head},{format_float(d1)},{format_float(x)}")
+    else:
+        lines = ["mu,nu,delta,x"]
+        for b in batches:
+            head = ",".join(format_float(v) for v in (b.setting.mu, b.setting.nu, b.setting.delta))
+            for x in b.outcomes:
+                lines.append(f"{head},{format_float(x)}")
+    _write_lines(path, lines)
+    sidecar = {
+        "generator": batches[0].generator,
+        "seed": batches[0].seed,
+        "state": state_label,
+        "weights": [b.weight for b in batches],
+        "n_per_batch": [int(b.outcomes.size) for b in batches],
+    }
+    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh, indent=1)
+
+
+def load_samples_lines(path) -> list[SampleBatch]:
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        two_mode = header.startswith("mu1,")
+        groups: dict[tuple, list[float]] = {}
+        order: list[tuple] = []
+        for line in fh:
+            vals = [float(t) for t in line.split(",")]
+            key = tuple(vals[:-1])
+            if key not in groups:
+                groups[key] = []
+                order.append(key)
+            groups[key].append(vals[-1])
+    try:
+        with open(str(path) + ".meta.json", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        seed = int(meta.get("seed", 0))
+        weights = meta.get("weights", [1.0] * len(order))
+    except FileNotFoundError:
+        seed, weights = 0, [1.0] * len(order)
+    batches = []
+    for key, weight in zip(order, weights):
+        if two_mode:
+            mu = np.array(key[0:2])
+            nu = np.array(key[2:4])
+            mup = np.array(key[4:6])
+            nup = np.array(key[6:8])
+            delta = np.array([key[8], 0.0])
+            if np.any(mup != 0) or np.any(nup != 0):
+                setting = TwoModeSetting(mu=mu, nu=nu, mu_p=mup, nu_p=nup, delta=delta)
+            else:
+                setting = TwoModeSetting(mu=mu, nu=nu, delta=delta)
+        else:
+            setting = QuadratureSetting(*key)
+        batches.append(SampleBatch(setting=setting, outcomes=np.asarray(groups[key]), seed=seed, weight=weight))
+    return batches

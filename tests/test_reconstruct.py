@@ -272,3 +272,17 @@ def test_clip_projection_is_trace_preserving():
     state = st.density_matrix(st.Coherent(0.5 + 0.3j), 12).entries
     state = state / np.trace(state)
     assert np.max(np.abs(_project(state, "clip") - state)) < 1e-12
+
+
+def test_homodyne_rejects_any_empty_batch():
+    with pytest.raises(EmptyBatches):
+        reconstruct_homodyne([(0.0, [0.1, -0.2, 0.3]), (1.0, [])], dim=4)
+
+
+def test_homodyne_rejects_unknown_projection(vacuum_tomogram):
+    with pytest.raises(DegenerateConfig, match="bogus"):
+        reconstruct_homodyne(vacuum_tomogram, dim=4, projection="bogus")
+    with pytest.raises(DegenerateConfig, match="bogus"):
+        reconstruct_homodyne([(0.0, [0.1, -0.2, 0.3]), (1.0, [0.2])], dim=4, projection="bogus")
+    with pytest.raises(DegenerateConfig, match="bogus"):
+        sy.TwoModeConfig(projection="bogus")
