@@ -13,7 +13,7 @@ from itertools import repeat, zip_longest
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import EmptyBatches, InvalidParameter
 from .marginals import QuadratureSetting, Tomogram
 from .measure_sim import SampleBatch
 from .states import FockDensityMatrix
@@ -117,14 +117,33 @@ def _two_mode_setting(key, delta1: float) -> TwoModeSetting:
     return TwoModeSetting(mu, nu, *second, delta=np.array([delta1, 0.0]))
 
 
+# sidecar entries the loaders read, with the JSON types they must hold
+_SIDECAR_LISTS = {"n_per_batch": int, "weights": (int, float), "direction_weights": (int, float)}
+
+
 def _read_sidecar(path) -> dict:
+    """The JSON object in ``<path>.meta.json`` ({} when there is none)."""
+    name = f"{path}.meta.json"
     try:
-        with open(str(path) + ".meta.json", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(name, encoding="utf-8") as fh:
+            meta = json.load(fh)
     except FileNotFoundError:
         return {}
     except json.JSONDecodeError as exc:
-        raise InvalidParameter(f"{path}.meta.json: {exc}") from None
+        raise InvalidParameter(f"{name}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise InvalidParameter(f"{name}: expected a JSON object")
+
+    def typed(value, kind) -> bool:
+        return isinstance(value, kind) and not isinstance(value, bool)
+
+    for key, kind in _SIDECAR_LISTS.items():
+        values = meta.get(key, [])
+        if not (isinstance(values, list) and all(typed(v, kind) for v in values)):
+            raise InvalidParameter(f"{name}: {key} must be a list of {'integers' if kind is int else 'numbers'}")
+    if not typed(meta.get("seed", 0), int):
+        raise InvalidParameter(f"{name}: seed must be an integer")
+    return meta
 
 
 def save_tomogram(tomo: Tomogram, path) -> None:
@@ -164,6 +183,8 @@ def load_two_mode_tomogram(path) -> TwoModeTomogram:
 
 
 def save_samples(batches: list[SampleBatch], path, state_label: str = "") -> None:
+    if not batches:
+        raise EmptyBatches("a sample file needs at least one batch")
     if isinstance(batches[0].setting, TwoModeSetting):
         header = TWO_MODE_SAMPLES_HEADER
         keys = [_two_mode_key(b.setting) + [b.setting.delta[0]] for b in batches]

@@ -270,10 +270,14 @@ def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> Reconstructi
     Each batch must carry the plane density ``weight`` of its setting; the
     estimator is the batch mean of ``K / weight``, unbiased for settings
     drawn from that density.  The standard error scales as ``1/sqrt(N)``.
+    A campaign on fewer than two distinct ``(mu, nu)`` raises
+    ``InvalidParameter``.
     """
     batches = list(batches)
     if not batches or all(len(b.outcomes) == 0 for b in batches):
         raise EmptyBatches("no samples to average")
+    if len({(b.setting.mu, b.setting.nu) for b in batches}) < 2:
+        raise InvalidParameter("a campaign needs two or more distinct settings (mu, nu) to determine a state")
     z = cfg.scale.z
     raw = np.zeros((cfg.dim, cfg.dim), dtype=complex)
     total = 0

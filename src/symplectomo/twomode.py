@@ -14,8 +14,9 @@ the second row ``(mu_p, nu_p)`` is held constant while ``u`` sweeps the
 plane, for any Fourier pair ``(z1, z2)`` (the z2-dependent phases cancel for
 constant second row).  Physical joint tomograms constrain the pair to
 commute, so tabulated vector tomograms are reduced to their tilde marginal
-first; the z2 path is exposed for analytic-state input, where the
-quasi-joint characteristic function is available for every pair.
+first.  The vector-kernel z2 freedom is verified in ``tests/oracles.py``;
+the library reconstructs at ``z2 = 0`` on the Hopf grid of setting
+directions, where the direction sum factorises per mode.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "tabulate_tilde_tomogram",
     "TwoModeConfig",
     "reconstruct_two_mode",
-    "reconstruct_two_mode_vector",
     "partial_trace",
 ]
 
@@ -530,32 +530,26 @@ class TwoModeConfig:
         return self.r_max if self.r_max is not None else 8.0 / abs(self.scale.z)
 
 
+def _hopf_nodes(n_t: int, n_psi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre levels ``t`` on [0, 1] with their weights, and the uniform angles."""
+    tg, tw = leggauss(n_t)
+    return 0.5 * (tg + 1.0), 0.5 * tw, 2 * np.pi * np.arange(n_psi) / n_psi
+
+
 def hopf_directions(n_t: int, n_psi: int) -> tuple[np.ndarray, np.ndarray]:
     """Product quadrature on the 3-sphere of setting directions.
 
     Directions ``(mu1, mu2, nu1, nu2) = (sqrt(t) cos psi1, sqrt(1-t) cos psi2,
     sqrt(t) sin psi1, sqrt(1-t) sin psi2)`` with Gauss-Legendre ``t`` and
-    uniform angles; weights sum to the sphere area ``2 pi^2``.
+    uniform angles, ordered ``t``-major then ``psi1`` then ``psi2``; weights
+    sum to the sphere area ``2 pi^2``.
     """
-    tg, tw = leggauss(n_t)
-    t = 0.5 * (tg + 1.0)
-    wt = 0.5 * tw
-    psi = 2 * np.pi * np.arange(n_psi) / n_psi
+    t, wt, psi = _hopf_nodes(n_t, n_psi)
     wpsi = 2 * np.pi / n_psi
-    dirs, weights = [], []
-    for tv, twv in zip(t, wt):
-        for p1 in psi:
-            for p2 in psi:
-                dirs.append(
-                    [
-                        np.sqrt(tv) * np.cos(p1),
-                        np.sqrt(1 - tv) * np.cos(p2),
-                        np.sqrt(tv) * np.sin(p1),
-                        np.sqrt(1 - tv) * np.sin(p2),
-                    ]
-                )
-                weights.append(0.5 * twv * wpsi * wpsi)
-    return np.asarray(dirs), np.asarray(weights)
+    T, P1, P2 = np.meshgrid(t, psi, psi, indexing="ij")
+    r1, r2 = np.sqrt(T), np.sqrt(1 - T)
+    dirs = np.stack([r1 * np.cos(P1), r2 * np.cos(P2), r1 * np.sin(P1), r2 * np.sin(P2)], axis=-1)
+    return dirs.reshape(-1, 4), np.repeat(0.5 * wt * wpsi * wpsi, n_psi * n_psi)
 
 
 def _default_x1_grid(state, setting: TwoModeSetting, num: int = 1201) -> np.ndarray:
@@ -615,34 +609,69 @@ def tabulate_tilde_tomogram(
     return tomo
 
 
-def _assemble_two_mode(
+def _assemble_hopf(
     chi: np.ndarray,
-    dirs: np.ndarray,
     weights: np.ndarray,
+    n_t: int,
+    n_psi: int,
     R: np.ndarray,
     wR: np.ndarray,
     cfg: TwoModeConfig,
-    offset=0.0,
 ) -> np.ndarray:
-    """Sum ``w_s wR_k R_k^3 chi[s, k] (z1^4/(2pi)^2) D1 x D2`` over directions and radii.
+    """Sum ``w_s wR_k R_k^3 chi[s, k] (z1^4/(2pi)^2) D1 x D2`` over the radial x Hopf grid.
 
-    ``dirs`` are unit setting rows ``(mu1, mu2, nu1, nu2)`` with quadrature
-    ``weights``, ``chi[s, k]`` is the characteristic at the row ``R_k dirs[s]``
-    and ``offset`` the constant per-mode displacement of a fixed second row.
-    Per radius the direction sum is one GEMM ``D1^T (c D2)``.
+    ``chi[s, k]`` is the characteristic at the row ``R_k u_s`` for the
+    directions ``u_s`` of ``hopf_directions(n_t, n_psi)`` with quadrature
+    ``weights``.  There ``zeta_j = (z1 R r_j / sqrt 2) e^{i(psi_j + pi/2)}``
+    with ``r_1 = sqrt t`` and ``r_2 = sqrt(1 - t)``, so by
+    ``<m|D(a e^{i theta})|n> = e^{i(m-n) theta} <m|D(a)|n>`` the direction sum
+    is one real-axis table per ``(t, R)`` and mode, weighted by the 2-d angular
+    Fourier sum of ``chi`` at the orders ``(m1 - n1, m2 - n2)``.
     """
     z1 = cfg.scale.z
     d1, d2 = cfg.dims
-    unit_zetas = -(z1 / np.sqrt(2)) * (dirs[:, 2:] - 1j * dirs[:, :2])
-    rho4 = np.zeros((d1 * d1, d2 * d2), dtype=complex)
-    for k, (Rv, wRv) in enumerate(zip(R, wR)):
-        zetas = Rv * unit_zetas + offset
-        D1 = displacement_matrix(zetas[:, 0], d1).reshape(-1, d1 * d1)
-        D2 = displacement_matrix(zetas[:, 1], d2).reshape(-1, d2 * d2)
-        coeff = weights * chi[:, k] * (wRv * Rv**3 * z1**4 / (2 * np.pi) ** 2)
-        rho4 += D1.T @ (coeff[:, None] * D2)
-    # reorder (n1, m1, n2, m2) -> (n1, n2, m1, m2), flatten mode-1 major
+    t, _, psi = _hopf_nodes(n_t, n_psi)
+    coeff = (weights[:, None] * chi * (wR * R**3 * z1**4 / (2 * np.pi) ** 2)).reshape(n_t, n_psi, n_psi, -1)
+    # angular[t, k, o1, o2] = sum over (psi1, psi2) of coeff e^{i o1 (psi1 + pi/2)} e^{i o2 (psi2 + pi/2)}
+    e1 = np.exp(1j * np.outer(np.arange(1 - d1, d1), psi + np.pi / 2))
+    e2 = np.exp(1j * np.outer(np.arange(1 - d2, d2), psi + np.pi / 2))
+    angular = (e1 @ coeff.transpose(0, 3, 1, 2) @ e2.T).reshape(n_t * R.size, 2 * d1 - 1, 2 * d2 - 1)
+    a = z1 * R / np.sqrt(2)  # real arguments: the tables are real
+    T1 = displacement_matrix(np.outer(np.sqrt(t), a), d1).real.reshape(-1, d1, d1)
+    T2 = displacement_matrix(np.outer(np.sqrt(1 - t), a), d2).real.reshape(-1, d2 * d2)
+    n2 = np.arange(d2)
+    order2 = (n2[:, None] - n2[None, :] + d2 - 1).ravel()
+    # rho4[m1, n1, (m2, n2)], one GEMM over the (t, R) nodes per mode-1 order
+    rho4 = np.empty((d1, d1, d2 * d2), dtype=complex)
+    for o1 in range(1 - d1, d1):
+        m1 = np.arange(max(0, o1), min(d1, d1 + o1))
+        rho4[m1, m1 - o1] = T1[:, m1, m1 - o1].T @ (angular[:, o1 + d1 - 1, order2] * T2)
+    # reorder (m1, n1, m2, n2) -> (m1, m2, n1, n2), flatten mode-1 major
     return rho4.reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
+
+
+def _hopf_layout(tomo: TwoModeTomogram) -> tuple[int, int, float]:
+    """``(n_t, n_psi, r0)`` of a tomogram on ``hopf_directions(n_t, n_psi)`` scaled by ``r0``.
+
+    ``n_t`` is the number of distinct mode-1 levels ``(mu1^2 + nu1^2) / r0^2``;
+    the settings and direction weights must then equal the grid's in order to
+    a relative 1e-12.  Any other weighted tomogram raises ``InvalidParameter``.
+    """
+    rows = np.array([s.row1 for s in tomo.settings])
+    r0 = float(np.linalg.norm(rows, axis=1).mean())
+    levels = np.sort(rows[:, 0] ** 2 + rows[:, 2] ** 2) / r0**2
+    n_t = 1 + int(np.count_nonzero(np.diff(levels) > 1e-9))
+    n_psi = int(round(np.sqrt(len(rows) / n_t)))
+    if n_t * n_psi * n_psi == len(rows):
+        dirs, weights = hopf_directions(n_t, n_psi)
+        if np.max(np.abs(rows - r0 * dirs)) <= 1e-12 * r0 and np.allclose(
+            tomo.direction_weights, weights, rtol=1e-12, atol=0.0
+        ):
+            return n_t, n_psi, r0
+    raise InvalidParameter(
+        "a weighted two-mode tomogram must be the hopf_directions(n_t, n_psi) grid, "
+        "in its order and with its weights, on a common radius"
+    )
 
 
 def reconstruct_two_mode(source, cfg: TwoModeConfig) -> ReconstructionReport:
@@ -650,48 +679,28 @@ def reconstruct_two_mode(source, cfg: TwoModeConfig) -> ReconstructionReport:
 
     ``source`` is a TwoModeTomogram or an analytic TwoModeState.  Vector
     tomograms are first marginalized over x2 (their single-quadrature content
-    determines the state already); tilde tomograms need direction weights and
-    a common direction radius.  A state is the ``z2 = 0`` case of
-    ``reconstruct_two_mode_vector``.
+    determines the state already).  Tomograms need direction weights and must
+    lie on a Hopf grid of common radius, whose sizes they fix; a state is
+    sampled through its characteristic function on ``hopf_directions(cfg.n_t,
+    cfg.n_psi)``.
     """
-    if not isinstance(source, TwoModeTomogram):
-        return reconstruct_two_mode_vector(source, np.zeros(4), cfg, z2=0.0)
-    tomo = source
-    if tomo.direction_weights is None:
-        raise DegenerateConfig("two-mode reconstruction needs direction weights")
-    rows = tomo.values
-    if tomo.kind == "vector":
-        rows = np.trapezoid(rows, dx=tomo.x2[1] - tomo.x2[0], axis=2)
-    radii = np.array([s.radius for s in tomo.settings])
-    r0 = float(radii.mean())
-    if np.max(np.abs(radii - r0)) > 1e-9 * max(r0, 1.0):
-        raise DegenerateConfig("tilde settings must share a common radius")
-    dirs = np.array([s.row1 / r0 for s in tomo.settings])
-    deltas = np.array([s.delta[0] for s in tomo.settings])
     R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
-    chi = _row_fourier(rows, tomo.x1, deltas, cfg.scale.z * R / r0)
-    raw = _assemble_two_mode(chi, dirs, tomo.direction_weights, R, wR, cfg)
-    return _finish(raw, cfg.projection, len(dirs), 0, check_trace=True, dims=cfg.dims)
-
-
-def reconstruct_two_mode_vector(
-    state, second_row: np.ndarray, cfg: TwoModeConfig, z2: float = 1.0
-) -> ReconstructionReport:
-    """Vector-kernel reconstruction with a constant second quadrature row.
-
-    Sweeps the first row over the radial x Hopf grid while ``(mu_p, nu_p) =
-    second_row`` stays fixed, using the joint characteristic function of the
-    analytic state.  Exact for any ``z2`` (tested), which is the freedom the
-    vector kernel exposes.
-    """
-    u2 = np.asarray(second_row, dtype=float).reshape(4)
-    z1 = cfg.scale.z
-    R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
-    dirs, weights = hopf_directions(cfg.n_t, cfg.n_psi)
-    chi = characteristic_two_mode(state, -z1 * R[None, :, None] * dirs[:, None, :] - z2 * u2)
-    offset = -(z2 / np.sqrt(2)) * (u2[2:] - 1j * u2[:2])
-    raw = _assemble_two_mode(chi, dirs, weights, R, wR, cfg, offset)
-    return _finish(raw, cfg.projection, len(dirs), 0, check_trace=True, dims=cfg.dims)
+    if isinstance(source, TwoModeTomogram):
+        if source.direction_weights is None:
+            raise DegenerateConfig("two-mode reconstruction needs direction weights")
+        n_t, n_psi, r0 = _hopf_layout(source)
+        rows = source.values
+        if source.kind == "vector":
+            rows = np.trapezoid(rows, dx=source.x2[1] - source.x2[0], axis=2)
+        deltas = np.array([s.delta[0] for s in source.settings])
+        chi = _row_fourier(rows, source.x1, deltas, cfg.scale.z * R / r0)
+        weights = source.direction_weights
+    else:
+        n_t, n_psi = cfg.n_t, cfg.n_psi
+        dirs, weights = hopf_directions(n_t, n_psi)
+        chi = characteristic_two_mode(source, -cfg.scale.z * R[None, :, None] * dirs[:, None, :])
+    raw = _assemble_hopf(chi, weights, n_t, n_psi, R, wR, cfg)
+    return _finish(raw, cfg.projection, len(weights), 0, check_trace=True, dims=cfg.dims)
 
 
 def partial_trace(rho: st.FockDensityMatrix, keep: int = 1) -> st.FockDensityMatrix:

