@@ -332,6 +332,8 @@ def cmd_reconstruct(args) -> int:
         batches = tio.load_samples(args.input)
         cfg = ReconstructionConfig(scale=scale, dim=args.dim, grid=grid, projection=args.projection)
         report = reconstruct_from_samples(batches, cfg)
+    elif header == tio.TWO_MODE_SAMPLES_HEADER:
+        raise SpecError("two-mode sample reconstruction is not available yet; reconstruct a two-mode tomogram")
     else:
         raise SpecError(f"unrecognized input header {header!r}")
 

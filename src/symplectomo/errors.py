@@ -55,7 +55,3 @@ class DimMismatch(TomographyError):
 
 class NotSymplectic(TomographyError):
     """A two-mode setting does not define a pair of commuting quadratures."""
-
-
-class NonzeroMeansUnsupported(TomographyError):
-    """Closed-form Gaussian marginals are implemented for zero-mean states only."""

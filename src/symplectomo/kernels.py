@@ -21,8 +21,10 @@ tuples that bypass the setting validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from .errors import CutoffTooSmall, InvalidParameter
@@ -38,8 +40,11 @@ __all__ = [
     "kernel_coherent",
     "kernel_coordinate_phase",
     "kernel_homodyne_number",
-    "homodyne_displacement_table",
 ]
+
+# Gauss-Legendre radii of the homodyne radial integral, shared by the
+# per-element kernel and ``reconstruct_homodyne``
+HOMODYNE_RADII = 64
 
 
 @dataclass(frozen=True)
@@ -130,17 +135,15 @@ def displacement_matrix(zetas, dim: int) -> np.ndarray:
     return out
 
 
-def displacement_element(m: int, n: int, zeta: complex) -> complex:
-    """Single element ``<m|D(zeta)|n>``."""
+def _check_indices(m: int, n: int) -> None:
     if m < 0 or n < 0:
         raise InvalidParameter("number-state indices must be nonnegative")
-    zeta = complex(zeta)
-    y = abs(zeta) ** 2
-    p, d = (n, m - n) if m >= n else (m, n - m)
-    L = _laguerre_table(np.array(y), p + d + 1)[d][p]
-    pref = np.exp(0.5 * (gammaln(p + 1) - gammaln(p + d + 1)))
-    phase = zeta**d if m >= n else (-np.conj(zeta)) ** d
-    return complex(pref * phase * np.exp(-y / 2) * L)
+
+
+def displacement_element(m: int, n: int, zeta: complex) -> complex:
+    """Single element ``<m|D(zeta)|n>``."""
+    _check_indices(m, n)
+    return complex(displacement_matrix(complex(zeta), max(m, n) + 1)[m, n])
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +158,8 @@ def _prefactor(x: float, scale: KernelScale) -> complex:
 def kernel_number(
     n_row: int, n_col: int, x: float, setting, scale: KernelScale = KernelScale()
 ) -> complex:
-    """Number-basis kernel element ``<n_row| K(x; mu, nu, z) |n_col>``.
-
-    For ``n_row < n_col`` the conjugation identity
-    ``K(x, mu, nu)^dag = K(-x, -mu, -nu)`` is applied.
-    """
-    if n_row < 0 or n_col < 0:
-        raise InvalidParameter("number-state indices must be nonnegative")
-    mu, nu = _mu_nu(setting)
-    if n_row < n_col:
-        return np.conj(kernel_number(n_col, n_row, -x, (-mu, -nu), scale))
-    zeta = kernel_displacement_argument((mu, nu), scale)
+    """Number-basis kernel element ``<n_row| K(x; mu, nu, z) |n_col>``."""
+    zeta = kernel_displacement_argument(setting, scale)
     return _prefactor(x, scale) * displacement_element(n_row, n_col, zeta)
 
 
@@ -212,53 +206,50 @@ def kernel_coordinate_phase(
 # ---------------------------------------------------------------------------
 
 
-def homodyne_displacement_table(phi: float, dim: int, r_grid: np.ndarray) -> np.ndarray:
-    """``<n| exp(-i r x_phi) |m>`` for every r in ``r_grid``; shape (len(r), dim, dim).
-
-    ``exp(-i r x_phi)`` is the displacement ``D(-i r e^{i phi} / sqrt 2)``,
-    i.e. the z = 1 kernel exponential evaluated on the polar ray
-    ``(mu, nu) = -r (cos phi, sin phi)``.
-    """
-    zetas = -1j * r_grid * np.exp(1j * phi) / np.sqrt(2)
-    return displacement_matrix(zetas, dim)
+# the nodes cost milliseconds and every per-element homodyne kernel needs them
+_leggauss = lru_cache(maxsize=8)(leggauss)
 
 
-def kernel_homodyne_number(
-    n_row: int,
-    n_col: int,
-    homodyne: HomodyneSetting,
-    r_cutoff: float = 12.0,
-    regularizer_eps: float = 1e-4,
-    num: int = 4001,
-) -> complex:
-    """Homodyne kernel element via the regularized radial integral.
+def _radial_nodes(r_max: float, n_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre radii and weights over ``[0, r_max]``."""
+    t, w = _leggauss(n_r)
+    return 0.5 * r_max * (t + 1.0), 0.5 * r_max * w
 
-    The radial integral runs over the full line with ``|r|/2`` weight,
 
-    ``K_phi(x) = (1/4pi) int_{-R}^{R} dr |r| exp(i r (x - x_phi_hat))
-    exp(-eps r^2)``,
+def kernel_homodyne_number(n_row: int, n_col: int, homodyne: HomodyneSetting, r_cutoff: float = 12.0) -> complex:
+    """Homodyne kernel element: the z = 1 kernel integrated along its ray.
 
-    the Hermitian combination of the two half-line integrals.  Integrating
-    the half-line form over the full phase circle gives the same density
-    matrix, but only this combination satisfies
+    The phase ``phi`` is the unit setting ``(cos phi, sin phi)``, whose ray
+    ``r (cos phi, sin phi)`` has ``zeta = i r e^{i phi} / sqrt 2``; the
+    radial integral runs over the full line with ``|r|/2`` weight,
+
+    ``K_phi(x) = (1/4pi) int_{-R}^{R} dr |r| exp(-i r x) D(zeta_r)``,
+
+    on the Gauss-Legendre radii of ``reconstruct_homodyne``, so integrating
+    these elements against a tomogram reproduces that reconstruction.  The
+    full line is the Hermitian combination of the two half-line integrals:
+    integrating the half-line form over the full phase circle gives the same
+    density matrix, but only this combination satisfies
     ``conj(<n|K_phi(x)|m>) = <m|K_phi(x)|n>`` element by element.
-    ``CutoffTooSmall`` is raised when the Gaussian tail estimate at ``R``
-    exceeds ``1e-3`` of the element scale.
+    ``CutoffTooSmall`` is raised when the tail estimate at ``R`` exceeds
+    ``1e-3`` of the element scale.
     """
+    _check_indices(n_row, n_col)
     if r_cutoff <= 0:
         raise InvalidParameter("r_cutoff must be positive")
-    if regularizer_eps < 0:
-        raise InvalidParameter("regularizer_eps must be nonnegative")
-    dim = max(n_row, n_col) + 1
-    r = np.linspace(0.0, r_cutoff, num)
-    table = homodyne_displacement_table(homodyne.phi, dim, r)
-    damp = r * np.exp(-regularizer_eps * r**2) * np.exp(1j * r * homodyne.x_phi)
-    half_nm = np.trapezoid(damp * table[:, n_row, n_col], dx=r[1] - r[0]) / (2 * np.pi)
-    half_mn = np.trapezoid(damp * table[:, n_col, n_row], dx=r[1] - r[0]) / (2 * np.pi)
+    r, wr = _radial_nodes(r_cutoff, HOMODYNE_RADII)
+    # one extra radius at r_cutoff for the tail estimate
+    radii = np.append(r, r_cutoff)
+    table = displacement_matrix(1j * radii * np.exp(1j * homodyne.phi) / np.sqrt(2), max(n_row, n_col) + 1)
+    ray = radii * np.exp(-1j * radii * homodyne.x_phi) / (2 * np.pi)
+    half_nm = (wr * ray[:-1]) @ table[:-1, n_row, n_col]
+    half_mn = (wr * ray[:-1]) @ table[:-1, n_col, n_row]
     value = 0.5 * (half_nm + np.conj(half_mn))
-    # the integrand decays like exp(-r^2/4); bound the discarded tail by the
-    # boundary magnitude times int_R^inf r exp(-(r^2-R^2)/4) dr = 2
-    tail = 2.0 * abs(damp[-1] * table[-1, n_row, n_col]) / (2 * np.pi)
+    # were |T(r)| to fall like exp(-r^2/4) beyond R, the discarded tail would
+    # be |T(R)| int_R^inf r exp(-(r^2-R^2)/4) dr / 2pi = 2 |T(R)| / 2pi; the
+    # Laguerre factor slows the decay, so the estimate is R times that (for
+    # (11, 11) at R = 12: true tail 1.0e-4, Gaussian 6.7e-5, estimate 8.0e-4)
+    tail = 2.0 * abs(ray[-1] * table[-1, n_row, n_col])
     scale = max(abs(value), 1.0 / (2 * np.pi))
     if tail > 1e-3 * scale:
         raise CutoffTooSmall(f"radial tail estimate {tail:.3g} at r_cutoff {r_cutoff}")

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     CutoffTooSmall,
@@ -34,7 +33,7 @@ from .errors import (
     GridUnderresolved,
     InvalidParameter,
 )
-from .kernels import KernelScale, displacement_matrix, kernel_displacement_argument
+from .kernels import HOMODYNE_RADII, KernelScale, _radial_nodes, displacement_matrix, kernel_displacement_argument
 from .marginals import Tomogram, circle_settings, tabulate_tomogram
 from .states import FockDensityMatrix
 
@@ -110,11 +109,6 @@ class ReconstructionReport:
 # ---------------------------------------------------------------------------
 # shared assembly helpers
 # ---------------------------------------------------------------------------
-
-
-def _radial_nodes(r_max: float, n_r: int) -> tuple[np.ndarray, np.ndarray]:
-    t, w = leggauss(n_r)
-    return 0.5 * r_max * (t + 1.0), 0.5 * r_max * w
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -264,6 +258,10 @@ def reconstruct_from_tomogram(source, cfg: ReconstructionConfig) -> Reconstructi
 # ---------------------------------------------------------------------------
 
 
+# batches per displacement table: 256 settings at dim 80 are a 26 MB table
+_SAMPLE_CHUNK = 256
+
+
 def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> ReconstructionReport:
     """Kernel-averaging estimator over per-setting sample batches.
 
@@ -278,22 +276,23 @@ def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> Reconstructi
         raise EmptyBatches("no samples to average")
     if len({(b.setting.mu, b.setting.nu) for b in batches}) < 2:
         raise InvalidParameter("a campaign needs two or more distinct settings (mu, nu) to determine a state")
+    if any(len(b.outcomes) == 0 for b in batches):
+        raise EmptyBatches("encountered an empty batch")
+    weights = np.array([b.weight for b in batches], dtype=float)
+    if np.any(weights <= 0):
+        raise InvalidParameter("batch weight (setting density) must be positive")
     z = cfg.scale.z
+    # per batch: the mean kernel phase over its outcomes, over its setting density
+    coeffs = np.array(
+        [np.mean(np.exp(-1j * z * (np.asarray(b.outcomes, dtype=float) - b.setting.delta))) for b in batches]
+    ) * (z**2 / (2 * np.pi)) / weights
+    zetas = np.array([kernel_displacement_argument(b.setting, cfg.scale) for b in batches])
     raw = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-    total = 0
-    for b in batches:
-        outcomes = np.asarray(b.outcomes, dtype=float)
-        if outcomes.size == 0:
-            raise EmptyBatches("encountered an empty batch")
-        if b.weight <= 0:
-            raise InvalidParameter("batch weight (setting density) must be positive")
-        x = outcomes - b.setting.delta
-        mean_phase = np.mean(np.exp(-1j * z * x))
-        zeta = kernel_displacement_argument(b.setting, cfg.scale)
-        D = displacement_matrix(np.asarray(zeta), cfg.dim)
-        raw += (z**2 / (2 * np.pi)) * mean_phase * D / b.weight
-        total += outcomes.size
+    for start in range(0, len(batches), _SAMPLE_CHUNK):
+        chunk = slice(start, start + _SAMPLE_CHUNK)
+        raw += np.tensordot(coeffs[chunk], displacement_matrix(zetas[chunk], cfg.dim), axes=1)
     raw /= len(batches)
+    total = sum(len(b.outcomes) for b in batches)
     return _finish(raw, cfg.projection, len(batches), total, check_trace=False)
 
 
@@ -318,7 +317,7 @@ def reconstruct_homodyne(
     mirrored to the full circle using ``x_(phi+pi) = -x_phi``.
     """
     _check_projection(projection)
-    r, wr = _radial_nodes(r_cutoff, PolarGrid.n_r)
+    r, wr = _radial_nodes(r_cutoff, HOMODYNE_RADII)
     # one extra column at r_cutoff for the tail estimate: Gauss-Legendre
     # radii have no node on the boundary
     radii = np.append(r, r_cutoff)

@@ -31,12 +31,11 @@ from .errors import (
     DegenerateSetting,
     GridTooNarrow,
     InvalidParameter,
-    NonzeroMeansUnsupported,
     NotSymplectic,
     UnsupportedVariant,
 )
-from .kernels import KernelScale, displacement_matrix
-from .reconstruct import ReconstructionReport, _check_projection, _finish, _radial_nodes, _row_fourier, _trapezoid_weights
+from .kernels import KernelScale, _radial_nodes, displacement_matrix
+from .reconstruct import ReconstructionReport, _check_projection, _finish, _row_fourier, _trapezoid_weights
 from . import states as st
 
 __all__ = [
@@ -301,14 +300,12 @@ def _cat_term_characteristic(A: np.ndarray, B: np.ndarray, w: np.ndarray):
 
 
 def tilde_marginal_gaussian(state: st.GaussianTwoMode, x1, setting: TwoModeSetting):
-    """Closed-form Gaussian marginal; variance ``u M u^T`` (zero means only)."""
+    """Closed-form Gaussian marginal: mean ``u . means``, variance ``u M u^T``."""
     if not isinstance(state, st.GaussianTwoMode):
         raise UnsupportedVariant("tilde_marginal_gaussian expects a Gaussian state")
-    if np.any(state.means != 0):
-        raise NonzeroMeansUnsupported("closed form assumes zero means; use the numeric path")
     u = setting.row1
     s2 = float(u @ state.M.entries @ u)
-    x1 = np.asarray(x1, dtype=float)
+    x1 = np.asarray(x1, dtype=float) - float(u @ state.means)
     return np.exp(-(x1**2) / (2 * s2)) / np.sqrt(2 * np.pi * s2)
 
 
@@ -352,7 +349,7 @@ def tilde_marginal(state, x1, setting: TwoModeSetting):
     Dispatches to the closed forms where they exist, otherwise inverts the
     characteristic function along the setting direction.
     """
-    if isinstance(state, st.GaussianTwoMode) and not np.any(state.means != 0):
+    if isinstance(state, st.GaussianTwoMode):
         return tilde_marginal_gaussian(state, x1, setting)
     if isinstance(state, st.TwoModeCat) and state.parity == "plus":
         return tilde_marginal_cat(state, x1, setting)

@@ -2,10 +2,11 @@
 
 Each function is the direct, unfactorised form of a computation the library
 performs faster: the explicit displacement-element series, the dense
-per-angle one-mode polar assembly, the per-direction two-mode einsum loops
-and per-radius GEMM, the vector-kernel reconstruction with a fixed second
-row, the 4001-node trapezoid homodyne estimator and the line-by-line CSV
-writers and readers.  None of them is used by the library itself.
+per-angle one-mode polar assembly, the per-batch campaign estimator, the
+per-direction two-mode einsum loops and per-radius GEMM, the vector-kernel
+reconstruction with a fixed second row, the 4001-node trapezoid homodyne
+estimator and kernel element, and the line-by-line CSV writers and readers.
+None of them is used by the library itself.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from scipy.special import gammaln
 
 from symplectomo.errors import CutoffTooSmall, EmptyBatches, InvalidParameter
 from symplectomo.io import format_float
-from symplectomo.kernels import displacement_matrix
+from symplectomo.kernels import displacement_matrix, kernel_displacement_argument
 from symplectomo.marginals import QuadratureSetting, Tomogram
 from symplectomo.measure_sim import SampleBatch
 from symplectomo.reconstruct import (
@@ -80,6 +81,26 @@ def assemble_rho_dense(chi, phis, phi_weights, r, wr, scale, dim) -> np.ndarray:
     D = displacement_matrix(zetas, dim)
     weights = phi_weights[:, None] * (wr * r)[None, :] * chi * (z**2 / (2 * np.pi))
     return np.einsum("pr,prnm->nm", weights, D)
+
+
+# ---------------------------------------------------------------------------
+# one mode: campaign estimator, one displacement table per batch
+# ---------------------------------------------------------------------------
+
+
+def samples_loop(batches, cfg):
+    """Batch mean of ``K / weight``, accumulated batch by batch."""
+    z = cfg.scale.z
+    raw = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+    total = 0
+    for b in batches:
+        outcomes = np.asarray(b.outcomes, dtype=float)
+        mean_phase = np.mean(np.exp(-1j * z * (outcomes - b.setting.delta)))
+        D = displacement_matrix(np.asarray(kernel_displacement_argument(b.setting, cfg.scale)), cfg.dim)
+        raw += (z**2 / (2 * np.pi)) * mean_phase * D / b.weight
+        total += outcomes.size
+    raw /= len(batches)
+    return _finish(raw, cfg.projection, len(batches), total, check_trace=False)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +216,7 @@ def reconstruct_two_mode_vector(state, second_row, cfg, z2: float = 1.0):
 
 
 # ---------------------------------------------------------------------------
-# homodyne: regularised 4001-node trapezoid over the radius
+# homodyne: 4001-node trapezoids over the radius
 # ---------------------------------------------------------------------------
 
 
@@ -242,6 +263,20 @@ def homodyne_trapezoid(data, dim: int, r_cutoff: float = 12.0, regularizer_eps: 
         radial = np.einsum("r,rnm->nm", damp * payloads[j], base)
         raw += weights[j] / (2 * np.pi) * radial * np.exp(1j * dgrid * (phi - np.pi / 2))
     return raw
+
+
+def kernel_homodyne_trapezoid(n_row: int, n_col: int, homodyne, r_cutoff: float = 12.0, num: int = 4001) -> complex:
+    """Homodyne kernel element by a ``num``-node trapezoid over ``[0, r_cutoff]``.
+
+    The same Hermitian full-line integral as ``kernel_homodyne_number``,
+    written over the mirrored ray ``zeta = -i r e^{i phi} / sqrt 2``.
+    """
+    r = np.linspace(0.0, r_cutoff, num)
+    table = displacement_matrix(-1j * r * np.exp(1j * homodyne.phi) / np.sqrt(2), max(n_row, n_col) + 1)
+    ray = r * np.exp(1j * r * homodyne.x_phi)
+    half_nm = np.trapezoid(ray * table[:, n_row, n_col], dx=r[1] - r[0]) / (2 * np.pi)
+    half_mn = np.trapezoid(ray * table[:, n_col, n_row], dx=r[1] - r[0]) / (2 * np.pi)
+    return complex(0.5 * (half_nm + np.conj(half_mn)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The polar assemblers and the homodyne estimator against their slow paths."""
+"""The polar assemblers and the homodyne and campaign estimators against their slow paths."""
 
 import json
 
@@ -12,7 +12,7 @@ from symplectomo import states as st
 from symplectomo import twomode as tm
 from symplectomo.errors import InvalidParameter
 from symplectomo.kernels import KernelScale
-from symplectomo.measure_sim import sample_campaign
+from symplectomo.measure_sim import importance_schedule, sample_campaign
 from symplectomo.reconstruct import _assemble_rho, _circle_chi, _radial_nodes, _row_fourier, reconstruct_homodyne
 
 from oracles import (
@@ -20,6 +20,7 @@ from oracles import (
     assemble_rho_dense,
     homodyne_trapezoid,
     reconstruct_two_mode_vector,
+    samples_loop,
     two_mode_grid_loop,
     two_mode_tomogram_loop,
 )
@@ -155,3 +156,16 @@ def test_homodyne_matches_trapezoid_estimator_on_samples():
     pairs = [(p, b.outcomes) for p, b in zip(phases, batches)]
     got = reconstruct_homodyne(pairs, dim=8).rho.entries
     assert np.max(np.abs(got - _hermitized(homodyne_trapezoid(pairs, 8)))) <= 2e-3
+
+
+@pytest.mark.parametrize("n_settings", [300, 1000])
+def test_samples_estimator_matches_per_batch_loop(n_settings):
+    # 300 and 1000 batches cross the estimator's 256-batch chunk boundary
+    batches = sample_campaign(st.EvenCat(1.0, 1.0), importance_schedule(n_settings, seed=5), 20, seed=6)
+    cfg = sy.ReconstructionConfig(dim=8, projection="none")
+    got = sy.reconstruct_from_samples(batches, cfg)
+    want = samples_loop(batches, cfg)
+    assert np.max(np.abs(got.rho.entries - want.rho.entries)) <= 1e-12
+    assert abs(got.trace_error - want.trace_error) <= 1e-12
+    assert abs(got.hermiticity_residual - want.hermiticity_residual) <= 1e-12
+    assert (got.settings_used, got.samples_used) == (want.settings_used, want.samples_used) == (n_settings, 20 * n_settings)

@@ -173,6 +173,16 @@ def test_cli_sample_heterodyne_two_mode(tmp_path):
     assert batch.outcomes.size == 200
 
 
+def test_cli_reconstruct_names_two_mode_samples_as_unsupported(tmp_path, capsys):
+    samples = tmp_path / "het.csv"
+    scheme = "heterodyne:E1=1,E2=1,phi=0,th1=0,th2=1.57"
+    rc = cli.main(["sample", "--state", "gauss2:M=diag:0.5,0.5,0.5,0.5", "--scheme", scheme, "--n", "200", "--seed", "4", "--out", str(samples)])
+    assert rc == 0
+    assert cli.main(["reconstruct", "--input", str(samples), "--dim", "3", "--out", str(tmp_path / "r.json")]) == 2
+    assert "two-mode sample reconstruction is not available yet" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_reconstruct_tomogram_and_compare(tmp_path):
     tomo_path = tmp_path / "vac.csv"
     cli.main(["tomogram", "--state", "vacuum", "--settings", "circle:16", "--x", "-6:6:601", "--out", str(tomo_path)])

@@ -8,7 +8,7 @@ from symplectomo.errors import CutoffTooSmall, InvalidParameter
 from symplectomo.marginals import QuadratureSetting
 
 from conftest import dense_ladder
-from oracles import _displacement_element_series
+from oracles import _displacement_element_series, kernel_homodyne_trapezoid
 
 
 def dense_kernel_element(n, m, x, mu, nu, z, dim=None):
@@ -195,13 +195,26 @@ def test_homodyne_hermiticity():
         assert abs(lhs - rhs) < 1e-10
 
 
+def test_homodyne_kernel_matches_trapezoid_oracle(rng):
+    for _ in range(40):
+        n, m = (int(v) for v in rng.integers(0, 11, size=2))
+        if n + m > 19:  # (10, 10) trips the tail guard at r_cutoff 12
+            continue
+        h = kn.HomodyneSetting(rng.uniform(0, 2 * np.pi), rng.normal() * 1.5)
+        assert abs(kn.kernel_homodyne_number(n, m, h) - kernel_homodyne_trapezoid(n, m, h)) <= 1e-6
+
+
 def test_homodyne_cutoff_guard():
     with pytest.raises(CutoffTooSmall):
         kn.kernel_homodyne_number(0, 0, kn.HomodyneSetting(0.0, 0.0), r_cutoff=1.5)
     with pytest.raises(InvalidParameter):
         kn.kernel_homodyne_number(0, 0, kn.HomodyneSetting(0.0, 0.0), r_cutoff=-1.0)
+    with pytest.raises(InvalidParameter):
+        kn.kernel_homodyne_number(-1, 2, kn.HomodyneSetting(0.0, 0.0))
 
 
 def test_kernel_scale_validation():
     with pytest.raises(InvalidParameter):
         kn.KernelScale(0.0)
+    with pytest.raises(InvalidParameter):
+        kn.kernel_number(-1, 0, 0.0, (1.0, 0.0))

@@ -8,7 +8,6 @@ from symplectomo import twomode as tm
 from symplectomo.errors import (
     DegenerateSetting,
     InvalidParameter,
-    NonzeroMeansUnsupported,
     NotSymplectic,
     UnsupportedVariant,
 )
@@ -107,13 +106,30 @@ def test_tilde_gaussian_matches_wigner_reduction(rng):
             assert abs(got - oracle) < 1e-6
 
 
-def test_tilde_gaussian_nonzero_means_rejected():
+def test_tilde_gaussian_nonzero_means_closed_form(rng):
     state = st.GaussianTwoMode(np.eye(4) * 0.5, means=[0.3, 0, 0, 0])
-    with pytest.raises(NonzeroMeansUnsupported):
-        tm.tilde_marginal_gaussian(state, 0.0, tm.TwoModeSetting(mu=[1, 0], nu=[0, 0]))
-    # the characteristic-function path still covers it
+    x = np.linspace(-2.0, 2.0, 9)
+    got = tm.tilde_marginal_gaussian(state, x, tm.TwoModeSetting(mu=[1, 0], nu=[0, 0]))
+    assert np.max(np.abs(got - np.exp(-((x - 0.3) ** 2)) / np.sqrt(np.pi))) <= 1e-15
     val = tm.tilde_marginal(state, 0.3, tm.TwoModeSetting(mu=[1, 0], nu=[0, 0]))
     assert val == pytest.approx(1 / np.sqrt(np.pi), rel=1e-9)  # peak moved to x = 0.3
+    # random means: the characteristic-function inversion is the oracle
+    for _ in range(4):
+        state = st.GaussianTwoMode(random_covariance(rng), means=rng.normal(size=4))
+        u = rng.normal(size=4)
+        s = tm.TwoModeSetting(mu=u[:2], nu=u[2:])
+        x = u @ state.means + np.linspace(-2.0, 2.0, 9) * np.sqrt(u @ state.M.entries @ u)
+        oracle = tm._tilde_from_characteristic(state, x, s)
+        assert np.max(np.abs(tm.tilde_marginal_gaussian(state, x, s) - oracle)) <= 1e-12
+
+
+def test_tilde_product_state_matches_wigner_reduction():
+    # product states have no closed form: the characteristic-function path
+    state = st.ProductState(st.Thermal(0.5), st.Coherent(0.4 - 0.3j))
+    s = tm.TwoModeSetting(mu=[0.8, -0.4], nu=[0.3, 0.6])
+    for x1 in (-0.7, 0.2, 1.1):
+        got = tm.tilde_marginal(state, x1, s)
+        assert abs(got - tm.tilde_marginal_numeric(state, x1, s)) < 1e-10
 
 
 def test_tilde_cat_degenerate_is_two_mode_vacuum():
