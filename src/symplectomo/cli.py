@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -82,8 +81,11 @@ def _parse_kv(body: str) -> dict[str, str]:
     return out
 
 
-def _take(kv: dict, key: str, conv=float):
+def _take(kv: dict, key: str, conv=float, default=None):
+    """Pop and convert ``kv[key]``; a missing key gives ``default`` or, without one, an error."""
     if key not in kv:
+        if default is not None:
+            return default
         raise SpecError(f"missing required parameter {key!r}")
     try:
         return conv(kv.pop(key))
@@ -153,29 +155,25 @@ def parse_state(spec: str):
 
 def parse_settings(spec: str):
     """``circle:8`` | ``circle:8:r=2`` | ``MU,NU[,DELTA]`` (';'-separated) | ``hopf:nt:npsi``."""
-    if spec.startswith("circle:"):
-        parts = spec.split(":")
-        n = int(parts[1])
-        radius = 1.0
-        for extra in parts[2:]:
-            kv = _parse_kv(extra)
-            radius = _take(kv, "r")
-            _done(kv, "circle")
-        return circle_settings(n, radius)
-    if spec.startswith("hopf:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
+    name, _, body = spec.partition(":")
+    if name == "circle":
+        count, _, extra = body.partition(":")
+        kv = _parse_kv(extra)
+        radius = _take(kv, "r", default=1.0)
+        _done(kv, "circle")
+        return circle_settings(_take({"n": count}, "n", int), radius)
+    if name == "hopf":
+        if body.count(":") != 1:
             raise SpecError("hopf grid is hopf:<n_t>:<n_psi>")
-        return ("hopf", int(parts[1]), int(parts[2]))
+        kv = dict(zip(("n_t", "n_psi"), body.split(":")))
+        return ("hopf", _take(kv, "n_t", int), _take(kv, "n_psi", int))
     settings = []
     for chunk in spec.split(";"):
-        vals = [float(v) for v in chunk.split(",")]
-        if len(vals) == 2:
-            settings.append(QuadratureSetting(vals[0], vals[1]))
-        elif len(vals) == 3:
-            settings.append(QuadratureSetting(vals[0], vals[1], vals[2]))
-        else:
+        values = chunk.split(",")
+        if len(values) not in (2, 3):
             raise SpecError(f"setting needs mu,nu[,delta]: {chunk!r}")
+        kv = dict(zip(("mu", "nu", "delta"), values))
+        settings.append(QuadratureSetting(_take(kv, "mu"), _take(kv, "nu"), _take(kv, "delta", default=0.0)))
     return settings
 
 
@@ -185,7 +183,7 @@ def parse_scheme(spec: str):
     if name == "direct":
         mu = _take(kv, "mu")
         nu = _take(kv, "nu")
-        delta = float(kv.pop("delta", 0.0))
+        delta = _take(kv, "delta", default=0.0)
         _done(kv, "direct")
         return QuadratureSetting(mu, nu, delta)
     if name == "squeezer":
@@ -197,13 +195,13 @@ def parse_scheme(spec: str):
         E1 = _take(kv, "E1")
         E2 = _take(kv, "E2")
         phi = _take(kv, "phi")
-        th1 = float(kv.pop("th1", 0.0))
-        th2 = float(kv.pop("th2", 0.0))
+        th1 = _take(kv, "th1", default=0.0)
+        th2 = _take(kv, "th2", default=0.0)
         _done(kv, "heterodyne")
         return heterodyne_to_setting(HeterodyneSettingTwoMode(E1, E2, phi, th1, th2))
     if name == "importance":
         n = _take(kv, "n", int)
-        z = float(kv.pop("z", 1.0))
+        z = _take(kv, "z", default=1.0)
         _done(kv, "importance")
         return ("importance", n, z)
     raise SpecError(f"unknown scheme {name!r}")
@@ -223,13 +221,6 @@ def parse_polar_grid(spec: str) -> PolarGrid:
         return PolarGrid(float(r_max), int(n_r), int(n_phi))
     except ValueError as exc:
         raise SpecError(f"grid is r_max:n_r:n_phi, got {spec!r}") from exc
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SYMPLECTOMO_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _manifest(args, command, inputs, outputs, started, seed=None):
@@ -276,7 +267,7 @@ def cmd_tomogram(args) -> int:
     else:
         if isinstance(settings, tuple):
             raise SpecError("hopf grids apply to two-mode states only")
-        tomo = tabulate_tomogram(state, settings, x_grid=x_grid, threads=_threads(args))
+        tomo = tabulate_tomogram(state, settings, x_grid=x_grid)
         tio.save_tomogram(tomo, args.out)
         integrals = tomo.row_integrals()
 
@@ -376,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="symplectomo",
         description="Quadrature tomography pipeline: tabulate, sample, reconstruct, compare.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="cap worker threads (env SYMPLECTOMO_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tomogram", help="tabulate marginal distributions to CSV")

@@ -121,18 +121,25 @@ def _two_mode_setting(key, delta1: float) -> TwoModeSetting:
 _SIDECAR_LISTS = {"n_per_batch": int, "weights": (int, float), "direction_weights": (int, float)}
 
 
+def _read_json_object(name) -> dict:
+    """The JSON object in file ``name``; text that is not one raises ``InvalidParameter``."""
+    with open(name, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise InvalidParameter(f"{name}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise InvalidParameter(f"{name}: expected a JSON object")
+    return payload
+
+
 def _read_sidecar(path) -> dict:
     """The JSON object in ``<path>.meta.json`` ({} when there is none)."""
     name = f"{path}.meta.json"
     try:
-        with open(name, encoding="utf-8") as fh:
-            meta = json.load(fh)
+        meta = _read_json_object(name)
     except FileNotFoundError:
         return {}
-    except json.JSONDecodeError as exc:
-        raise InvalidParameter(f"{name}: {exc}") from None
-    if not isinstance(meta, dict):
-        raise InvalidParameter(f"{name}: expected a JSON object")
 
     def typed(value, kind) -> bool:
         return isinstance(value, kind) and not isinstance(value, bool)
@@ -252,9 +259,13 @@ def save_density(rho: FockDensityMatrix, path) -> None:
 
 
 def load_density(path) -> FockDensityMatrix:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    entries = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
+    payload = _read_json_object(path)
+    if not {"dim", "re", "im"} <= payload.keys():
+        raise InvalidParameter(f"{path}: a density file needs dim, re and im")
+    try:
+        entries = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"{path}: re and im must be square tables of numbers ({exc})") from None
     if entries.shape != (payload["dim"], payload["dim"]):
         raise InvalidParameter("density file entries do not match its dim")
     dims = tuple(payload["dims"]) if "dims" in payload else None

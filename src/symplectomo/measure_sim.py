@@ -21,12 +21,13 @@ import numpy as np
 from .errors import (
     DegenerateSetting,
     EmptySchedule,
+    GridTooNarrow,
     InvalidParameter,
     PhaseLockRequired,
 )
 from .kernels import KernelScale
-from .marginals import QuadratureSetting, _marginal_any, default_x_grid
-from .twomode import TwoModeSetting, tilde_marginal, _default_x1_grid
+from .marginals import QuadratureSetting, _as_setting, _half_width, _marginal_any
+from .twomode import TwoModeSetting, tilde_marginal, _half_width as _tilde_half_width
 
 __all__ = [
     "GENERATOR_NAME",
@@ -141,18 +142,16 @@ def heterodyne_to_setting(h: HeterodyneSettingTwoMode) -> TwoModeSetting:
 
 def _marginal_table(state, setting, num: int) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(setting, TwoModeSetting):
-        x = _default_x1_grid(state, setting, num)
-        w = np.asarray(tilde_marginal(state, x, setting), dtype=float)
+        half, marginal = _tilde_half_width(state, setting), tilde_marginal
     else:
-        x = default_x_grid(state, setting, num)
-        w = np.asarray(_marginal_any(state, x, setting), dtype=float)
-    return x, w
+        setting = _as_setting(setting)
+        half, marginal = _half_width(state, setting), _marginal_any
+    x = np.linspace(-half, half, num)
+    return x, np.asarray(marginal(state, x, setting), dtype=float)
 
 
 def tabulated_cdf(state, setting, num: int = CDF_POINTS) -> tuple[np.ndarray, np.ndarray]:
     """(x, CDF) table used by the sampler; also handy for KS checks."""
-    from .errors import GridTooNarrow
-
     x, w = _marginal_table(state, setting, num)
     w = np.clip(w, 0.0, None)
     dx = x[1] - x[0]

@@ -35,6 +35,7 @@ from .errors import (
     UnsupportedVariant,
 )
 from .kernels import KernelScale, _radial_nodes, displacement_matrix
+from .marginals import QuadratureSetting, _sigma_and_span
 from .reconstruct import ReconstructionReport, _check_projection, _finish, _row_fourier, _trapezoid_weights
 from . import states as st
 
@@ -366,10 +367,9 @@ def _tilde_from_characteristic(state, x1, setting: TwoModeSetting, k_points: int
     k = np.linspace(-k_max, k_max, k_points)
     phi = characteristic_two_mode(state, k[:, None] * u[None, :])
     x1 = np.asarray(x1, dtype=float)
-    kernel = np.exp(-1j * np.outer(x1, k))
-    vals = (kernel @ (phi * _trapezoid_weights(k))) / (2 * np.pi)
-    out = vals.real
-    return out if out.shape else float(out)
+    kernel = np.exp(-1j * np.multiply.outer(x1, k))
+    out = ((kernel @ (phi * _trapezoid_weights(k))) / (2 * np.pi)).real
+    return out if out.ndim else float(out)
 
 
 def tilde_marginal_numeric(state, x1, setting: TwoModeSetting, extent: float = 9.0, num: int = 81):
@@ -529,6 +529,8 @@ class TwoModeConfig:
 
 def _hopf_nodes(n_t: int, n_psi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre levels ``t`` on [0, 1] with their weights, and the uniform angles."""
+    if n_t < 1 or n_psi < 1:
+        raise InvalidParameter("a Hopf grid needs n_t >= 1 and n_psi >= 1")
     tg, tw = leggauss(n_t)
     return 0.5 * (tg + 1.0), 0.5 * tw, 2 * np.pi * np.arange(n_psi) / n_psi
 
@@ -549,33 +551,27 @@ def hopf_directions(n_t: int, n_psi: int) -> tuple[np.ndarray, np.ndarray]:
     return dirs.reshape(-1, 4), np.repeat(0.5 * wt * wpsi * wpsi, n_psi * n_psi)
 
 
-def _default_x1_grid(state, setting: TwoModeSetting, num: int = 1201) -> np.ndarray:
-    from .marginals import _sigma_and_span
-
+def _half_width(state, setting: TwoModeSetting) -> float:
+    """Half-width of the centered x1 grid: 8 standard deviations plus displacements."""
     u = setting.row1
     if isinstance(state, st.GaussianTwoMode):
         s2 = float(u @ state.M.entries @ u)
-        half = 8.0 * np.sqrt(s2) + abs(float(u @ state.means))
-    elif isinstance(state, st.TwoModeCat):
+        return float(8.0 * np.sqrt(s2) + abs(float(u @ state.means)))
+    if isinstance(state, st.TwoModeCat):
         r = np.linalg.norm(u)
         shift = np.sqrt(2) * float(np.sum(np.abs(setting.mu * state.A.real)) + np.sum(np.abs(setting.nu * state.A.imag)))
-        half = 8.0 * r / np.sqrt(2) + 2 * shift
-    elif isinstance(state, st.ProductState):
+        return float(8.0 * r / np.sqrt(2) + 2 * shift)
+    if isinstance(state, st.ProductState):
         # per-mode widths of the one-mode marginals add in quadrature
         var, span = 0.0, 0.0
-        for mode, j in ((state.mode1, 0), (state.mode2, 1)):
-            rj = float(np.hypot(setting.mu[j], setting.nu[j]))
-            if rj == 0.0:
+        for mode, mu, nu in zip((state.mode1, state.mode2), setting.mu, setting.nu):
+            if np.hypot(mu, nu) == 0.0:
                 continue
-            from .marginals import QuadratureSetting as _QS
-
-            sj, spj = _sigma_and_span(mode, _QS(setting.mu[j], setting.nu[j]))
+            sj, spj = _sigma_and_span(mode, QuadratureSetting(mu, nu))
             var += sj**2
             span += spj
-        half = 8.0 * np.sqrt(var) + span
-    else:
-        half = 10.0 * np.linalg.norm(u)
-    return np.linspace(-half, half, num)
+        return float(8.0 * np.sqrt(var) + span)
+    return float(10.0 * np.linalg.norm(u))
 
 
 def tabulate_tilde_tomogram(
@@ -598,7 +594,7 @@ def tabulate_tilde_tomogram(
         settings = list(settings)
         weights = None
     if x_grid is None:
-        half = max(float(_default_x1_grid(state, s, 3)[-1]) for s in settings)
+        half = max(_half_width(state, s) + abs(s.delta[0]) for s in settings)
         x_grid = np.linspace(-half, half, num)
     rows = np.asarray([tilde_marginal(state, x_grid - s.delta[0], s) for s in settings])
     tomo = TwoModeTomogram(tuple(settings), x_grid, rows, direction_weights=weights)

@@ -6,7 +6,9 @@ per-angle one-mode polar assembly, the per-batch campaign estimator, the
 per-direction two-mode einsum loops and per-radius GEMM, the vector-kernel
 reconstruction with a fixed second row, the 4001-node trapezoid homodyne
 estimator and kernel element, and the line-by-line CSV writers and readers.
-None of them is used by the library itself.
+It also holds exact forms the library does not evaluate, such as the
+Hermite-function marginal of a number state.  None of them is used by the
+library itself.
 """
 
 from __future__ import annotations
@@ -70,6 +72,18 @@ def _displacement_element_series(m: int, n: int, zeta: complex) -> complex:
 # ---------------------------------------------------------------------------
 # one mode: dense (n_phi, n_r, dim, dim) displacement table
 # ---------------------------------------------------------------------------
+
+
+def number_state_marginal(n: int, x, r: float) -> np.ndarray:
+    """Exact marginal ``|psi_n(x / r)|^2 / r`` of ``|n>`` at setting radius ``r``.
+
+    ``psi_n`` is the Hermite function from its normalised three-term recurrence.
+    """
+    t = np.asarray(x, dtype=float) / r
+    psi, prev = np.pi**-0.25 * np.exp(-t * t / 2), np.zeros_like(t)
+    for k in range(n):
+        psi, prev = np.sqrt(2 / (k + 1)) * t * psi - np.sqrt(k / (k + 1)) * prev, psi
+    return psi**2 / r
 
 
 def assemble_rho_dense(chi, phis, phi_weights, r, wr, scale, dim) -> np.ndarray:

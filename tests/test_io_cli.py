@@ -110,6 +110,35 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert cli.main(["nosuchcommand"]) == 2
 
 
+SAMPLE = ["sample", "--state", "vacuum", "--n", "40", "--seed", "1", "--scheme"]
+MALFORMED_INPUT = {
+    "circle count": (["tomogram", "--state", "vacuum", "--settings", "circle:abc"], None),
+    "setting value": (["tomogram", "--state", "vacuum", "--settings", "1,abc"], None),
+    "hopf size": (["tomogram", "--state", "vacuum", "--settings", "hopf:a:3"], None),
+    "empty hopf grid": (["tomogram", "--state", "cat2:q1=1,p1=0,q2=0,p2=1", "--settings", "hopf:0:3"], None),
+    "direct delta": (SAMPLE + ["direct:mu=1,nu=0,delta=x"], None),
+    "heterodyne th1": (SAMPLE + ["heterodyne:E1=1,E2=1,phi=0,th1=x"], None),
+    "heterodyne th2": (SAMPLE + ["heterodyne:E1=1,E2=1,phi=0,th2=x"], None),
+    "importance z": (SAMPLE + ["importance:n=4,z=x"], None),
+    "threads flag": (["--threads", "2", "tomogram", "--state", "vacuum", "--settings", "circle:4"], None),
+    "density without re": (["compare", "--a", "{rho}", "--b", "{rho}"], '{"dim": 2}'),
+    "density not JSON": (["compare", "--a", "{rho}", "--b", "{rho}"], "not json"),
+    "density not an object": (["compare", "--a", "{rho}", "--b", "{rho}"], "[1, 2]"),
+    "density entry not a number": (["compare", "--a", "{rho}", "--b", "{rho}"], '{"dim": 1, "re": [["a"]], "im": [[0]]}'),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUT))
+def test_cli_malformed_input_exits_2(tmp_path, capsys, case):
+    argv, density = MALFORMED_INPUT[case]
+    rho = tmp_path / "rho.json"
+    if density is not None:
+        rho.write_text(density)
+    argv = [a.format(rho=rho) for a in argv] + ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_grid_too_narrow_exit_code(tmp_path):
     rc = cli.main(
         ["tomogram", "--state", "thermal:lambda=0.3", "--settings", "1,0", "--x", "-1:1:101", "--out", str(tmp_path / "x.csv")]
@@ -251,18 +280,6 @@ def test_cli_rerun_reproduces_outputs(tmp_path):
     for out in (out1, out2):
         cli.main(["reconstruct", "--input", str(tomo_path), "--dim", "4", "--out", str(out)])
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_cli_threads_flag_and_env(tmp_path, monkeypatch):
-    base = tmp_path / "base.csv"
-    threaded = tmp_path / "thr.csv"
-    enved = tmp_path / "env.csv"
-    args = ["tomogram", "--state", "cat:a=1,b=0.5", "--settings", "circle:6", "--x", "-8:8:301"]
-    assert cli.main(args + ["--out", str(base)]) == 0
-    assert cli.main(["--threads", "2"] + args + ["--out", str(threaded)]) == 0
-    monkeypatch.setenv("SYMPLECTOMO_THREADS", "3")
-    assert cli.main(args + ["--out", str(enved)]) == 0
-    assert base.read_bytes() == threaded.read_bytes() == enved.read_bytes()
 
 
 def test_report_embeds_density_schema(tmp_path):

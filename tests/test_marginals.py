@@ -5,6 +5,8 @@ from symplectomo import marginals as mg
 from symplectomo import states as st
 from symplectomo.errors import DegenerateSetting, GridTooNarrow, InvalidParameter, UnsupportedVariant
 
+from oracles import number_state_marginal
+
 
 def test_vacuum_marginal_value_and_normalization():
     s = mg.QuadratureSetting(1.0, 0.0)
@@ -166,11 +168,23 @@ def test_numeric_fallback_for_number_state():
     assert np.max(np.abs(tomo.values[0] - expected)) < 1e-7
 
 
-def test_threaded_tabulation_identical():
-    settings = mg.circle_settings(6)
-    a = mg.tabulate_tomogram(st.EvenCat(1.0, 0.5), settings, threads=1)
-    b = mg.tabulate_tomogram(st.EvenCat(1.0, 0.5), settings, threads=2)
-    assert np.array_equal(a.values, b.values)
+@pytest.mark.parametrize("setting", [(1.0, 0.0, 0.0), (0.3, -1.7, 0.4), (2.5, 0.4, 0.0)])
+def test_tabulation_line_integral_matches_exact_number_marginal(setting):
+    # the 201-node line of the tabulation path against the exact Hermite-function
+    # marginal and against the default 2001-node line integral
+    s = mg.QuadratureSetting(*setting)
+    for n in range(15):
+        state = st.NumberState(n)
+        x = mg.default_x_grid(state, s, 401)
+        exact = number_state_marginal(n, x, s.radius)
+        fast = mg._marginal_any(state, x, s)
+        slow = mg.marginal_numeric(state, x, s)
+        peak = exact.max()
+        if n <= 10:
+            assert np.max(np.abs(fast - exact)) < 1e-13 * peak
+            assert np.max(np.abs(fast - slow)) < 1e-13 * peak
+        else:
+            assert np.max(np.abs(fast - exact)) <= 2 * np.max(np.abs(slow - exact))
 
 
 def test_tomogram_container_validation():

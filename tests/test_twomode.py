@@ -129,6 +129,7 @@ def test_tilde_product_state_matches_wigner_reduction():
     s = tm.TwoModeSetting(mu=[0.8, -0.4], nu=[0.3, 0.6])
     for x1 in (-0.7, 0.2, 1.1):
         got = tm.tilde_marginal(state, x1, s)
+        assert np.shape(got) == ()
         assert abs(got - tm.tilde_marginal_numeric(state, x1, s)) < 1e-10
 
 
@@ -400,10 +401,20 @@ def test_two_mode_scaling_and_parity(rng):
 def test_tilde_cat_extreme_amplitude_stays_finite():
     A = np.array([12j, 0.0])
     s = tm.TwoModeSetting(mu=[0.0, 0.0], nu=[1.0, 0.3])
-    x = tm._default_x1_grid(st.TwoModeCat(A), s, 2001)
+    half = tm._half_width(st.TwoModeCat(A), s)
+    x = np.linspace(-half, half, 2001)
     w = tm.tilde_marginal_cat(st.TwoModeCat(A), x, s)
     assert np.all(np.isfinite(w))
     assert np.trapezoid(w, x) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_tilde_default_grid_covers_the_first_mode_shift():
+    # the default x1 grid widens by |delta1|, as the one-mode grid does by |delta|
+    state = st.GaussianTwoMode(np.diag([0.7, 0.6, 0.7, 0.6]))
+    settings = [tm.TwoModeSetting(mu=[1, 0.2], nu=[0, 0.3], delta=[d, 0]) for d in (0, 5)]
+    tomo = tm.tabulate_tilde_tomogram(state, settings=settings)
+    integrals = np.trapezoid(tomo.values, tomo.x1, axis=1)
+    assert np.max(np.abs(integrals - 1.0)) < 1e-9
 
 
 def test_two_mode_tomogram_rejects_nonfinite_data():
