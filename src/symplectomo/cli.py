@@ -217,10 +217,10 @@ def parse_x_grid(spec: str) -> np.ndarray:
 
 def parse_polar_grid(spec: str) -> PolarGrid:
     try:
-        r_max, n_r, n_phi = spec.split(":")
-        return PolarGrid(float(r_max), int(n_r), int(n_phi))
+        r_max, n_r = spec.split(":")
+        return PolarGrid(float(r_max), int(n_r))
     except ValueError as exc:
-        raise SpecError(f"grid is r_max:n_r:n_phi, got {spec!r}") from exc
+        raise SpecError(f"grid is r_max:n_r, got {spec!r}") from exc
 
 
 def _manifest(args, command, inputs, outputs, started, seed=None):
@@ -305,23 +305,31 @@ def _sniff_header(path) -> str:
 def cmd_reconstruct(args) -> int:
     started = time.monotonic()
     header = _sniff_header(args.input)
-    grid = parse_polar_grid(args.grid) if args.grid else PolarGrid()
-    scale = KernelScale(args.z)
+    grid = parse_polar_grid(args.grid) if args.grid else None
+    scale = KernelScale(1.0 if args.z is None else args.z)
+    if args.method == "homodyne":
+        if args.z is not None or grid is not None:
+            raise SpecError("--method homodyne is the z = 1 kernel on its own radii: it takes no --z or --grid")
+        if header != tio.TOMOGRAM_HEADER:
+            raise SpecError("--method homodyne needs a one-mode tomogram")
+    if grid is not None and header == tio.SAMPLES_HEADER:
+        raise SpecError("sample reconstruction averages over the measured settings: it takes no --grid")
 
     if header == tio.TOMOGRAM_HEADER:
         tomo = tio.load_tomogram(args.input)
         if args.method == "homodyne":
             report = reconstruct_homodyne(tomo, dim=args.dim, projection=args.projection)
         else:
-            cfg = ReconstructionConfig(scale=scale, dim=args.dim, grid=grid, projection=args.projection)
+            cfg = ReconstructionConfig(scale=scale, dim=args.dim, grid=grid or PolarGrid(), projection=args.projection)
             report = reconstruct_from_tomogram(tomo, cfg)
     elif header in (tio.TILDE_HEADER, tio.VECTOR_HEADER):
         tomo2 = tio.load_two_mode_tomogram(args.input)
-        cfg2 = TwoModeConfig(scale=scale, dims=(args.dim, args.dim), projection=args.projection)
+        radial = {"r_max": grid.r_max, "n_r": grid.n_r} if grid else {}
+        cfg2 = TwoModeConfig(scale=scale, dims=(args.dim, args.dim), projection=args.projection, **radial)
         report = reconstruct_two_mode(tomo2, cfg2)
     elif header == tio.SAMPLES_HEADER:
         batches = tio.load_samples(args.input)
-        cfg = ReconstructionConfig(scale=scale, dim=args.dim, grid=grid, projection=args.projection)
+        cfg = ReconstructionConfig(scale=scale, dim=args.dim, projection=args.projection)
         report = reconstruct_from_samples(batches, cfg)
     elif header == tio.TWO_MODE_SAMPLES_HEADER:
         raise SpecError("two-mode sample reconstruction is not available yet; reconstruct a two-mode tomogram")
@@ -386,9 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="reconstruct a density matrix from tomogram or sample CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--z", type=float, default=1.0, help="kernel Fourier component")
+    p.add_argument("--z", type=float, default=None, help="kernel Fourier component (default 1; not with --method homodyne)")
     p.add_argument("--dim", type=int, default=12, help="Fock truncation (per mode for two-mode input)")
-    p.add_argument("--grid", default=None, help="polar grid r_max:n_r:n_phi")
+    p.add_argument("--grid", default=None, help="radial grid r_max:n_r (the angles come from the tomogram's settings)")
     p.add_argument("--method", choices=["symplectic", "homodyne"], default="symplectic")
     p.add_argument("--projection", choices=PROJECTIONS, default="hermitize")
     p.add_argument("--out", required=True)

@@ -118,7 +118,7 @@ def _two_mode_setting(key, delta1: float) -> TwoModeSetting:
 
 
 # sidecar entries the loaders read, with the JSON types they must hold
-_SIDECAR_LISTS = {"n_per_batch": int, "weights": (int, float), "direction_weights": (int, float)}
+_SIDECAR_LISTS = {"n_per_batch": int, "weights": (int, float)}
 
 
 def _read_json_object(name) -> dict:
@@ -168,25 +168,20 @@ def save_two_mode_tomogram(tomo: TwoModeTomogram, path) -> None:
     grid = (np.repeat(tomo.x1, tomo.x2.size), np.tile(tomo.x2, tomo.x1.size)) if vector else (tomo.x1,)
     blocks = ((_two_mode_key(s), (*grid, v.ravel())) for s, v in zip(tomo.settings, tomo.values))
     _write_csv(path, VECTOR_HEADER if vector else TILDE_HEADER, blocks)
-    meta = {"kind": tomo.kind}
-    if tomo.direction_weights is not None:
-        meta["direction_weights"] = [float(w) for w in tomo.direction_weights]
-    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1)
 
 
 def load_two_mode_tomogram(path) -> TwoModeTomogram:
+    """The header fixes the kind; a ``<path>.meta.json`` next to the file is not read."""
     header, table = _read_csv(path, TILDE_HEADER, VECTOR_HEADER)
     keys, grid, values = _grid_table(table, 8, 2 if header == VECTOR_HEADER else 1)
     settings = tuple(_two_mode_setting(k, 0.0) for k in keys)
-    weights = _read_sidecar(path).get("direction_weights")
     if header == TILDE_HEADER:
-        return TwoModeTomogram(settings, grid[:, 0], values, direction_weights=weights)
+        return TwoModeTomogram(settings, grid[:, 0], values)
     # vector rows run over x1 (outer) by x2 (inner)
     x1, x2 = np.unique(grid[:, 0]), np.unique(grid[:, 1])
     if not np.array_equal(grid, np.column_stack([np.repeat(x1, x2.size), np.tile(x2, x1.size)])):
         raise InvalidParameter("vector rows must run over the ascending x1 by x2 outcome grid")
-    return TwoModeTomogram(settings, x1, values.reshape(-1, x1.size, x2.size), x2=x2, direction_weights=weights)
+    return TwoModeTomogram(settings, x1, values.reshape(-1, x1.size, x2.size), x2=x2)
 
 
 def save_samples(batches: list[SampleBatch], path, state_label: str = "") -> None:

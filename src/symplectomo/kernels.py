@@ -235,8 +235,8 @@ def kernel_homodyne_number(n_row: int, n_col: int, homodyne: HomodyneSetting, r_
     ``1e-3`` of the element scale.
     """
     _check_indices(n_row, n_col)
-    if r_cutoff <= 0:
-        raise InvalidParameter("r_cutoff must be positive")
+    if not 0.0 < r_cutoff < np.inf:
+        raise InvalidParameter(f"r_cutoff must be a positive finite radius, got {r_cutoff!r}")
     r, wr = _radial_nodes(r_cutoff, HOMODYNE_RADII)
     # one extra radius at r_cutoff for the tail estimate
     radii = np.append(r, r_cutoff)

@@ -80,6 +80,22 @@ def circle_settings(n: int, radius: float = 1.0, delta: float = 0.0) -> list[Qua
     return [QuadratureSetting(radius * np.cos(p), radius * np.sin(p), delta) for p in phis]
 
 
+def _outcome_grid(x, name: str) -> np.ndarray:
+    """``x`` as a read-only array after checking it is a finite, 1-d, uniform and
+    ascending grid of two or more points: the row integrals and Fourier
+    transforms use the trapezoid rule of spacing ``x[1] - x[0]``."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameter(f"{name} grid must be finite")
+    if x.ndim != 1 or x.size < 2:
+        raise InvalidParameter(f"{name} grid must be a 1-d array with >= 2 points")
+    dx = np.diff(x)
+    if dx[0] <= 0 or not np.allclose(dx, dx[0], rtol=1e-9, atol=1e-12):
+        raise InvalidParameter(f"{name} grid must be uniform and ascending")
+    x.flags.writeable = False
+    return x
+
+
 @dataclass(frozen=True)
 class Tomogram:
     """Tabulated marginals over a shared uniform grid of raw outcomes X.
@@ -94,20 +110,14 @@ class Tomogram:
 
     def __post_init__(self):
         object.__setattr__(self, "settings", tuple(self.settings))
-        x = np.asarray(self.x, dtype=float)
+        x = _outcome_grid(self.x, "x")
         v = np.asarray(self.values, dtype=float)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise InvalidParameter("tomogram grid and densities must be finite")
-        if x.ndim != 1 or x.size < 2:
-            raise InvalidParameter("x grid must be a 1-d array with >= 2 points")
-        dx = np.diff(x)
-        if not np.allclose(dx, dx[0], rtol=1e-9, atol=1e-12):
-            raise InvalidParameter("x grid must be uniform")
+        if not np.all(np.isfinite(v)):
+            raise InvalidParameter("tomogram densities must be finite")
         if v.shape != (len(self.settings), x.size):
             raise InvalidParameter("values must have shape (n_settings, n_points)")
         if np.any(v < -1e-12):
             raise InvalidParameter("marginal densities must be nonnegative")
-        x.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", v)

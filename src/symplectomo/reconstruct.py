@@ -5,7 +5,7 @@ Two estimators are provided for the symplectic scheme::
     rho = integral dx dmu dnu  w(x, mu, nu) K(x; mu, nu, z)
 
 * deterministic quadrature over a polar (mu, nu) grid, fed by a tabulated
-  tomogram (a state is tabulated first);
+  tomogram whose settings fix the angles and the circle radius;
 * kernel averaging over simulated measurement samples drawn with
   importance-weighted settings.
 
@@ -34,7 +34,7 @@ from .errors import (
     InvalidParameter,
 )
 from .kernels import HOMODYNE_RADII, KernelScale, _radial_nodes, displacement_matrix, kernel_displacement_argument
-from .marginals import Tomogram, circle_settings, tabulate_tomogram
+from .marginals import Tomogram
 from .states import FockDensityMatrix
 
 __all__ = [
@@ -54,13 +54,13 @@ __all__ = [
 class PolarGrid:
     """Polar quadrature grid over the (mu, nu) plane.
 
-    ``r_max = None`` defaults to ``8 / |z|``, sized so the kernel damping
-    ``exp(-z^2 r^2 / 4)`` is ~1e-7 at the boundary.
+    Only the radii are set here: the angles are those of the tomogram's
+    settings.  ``r_max = None`` defaults to ``8 / |z|``, sized so the kernel
+    damping ``exp(-z^2 r^2 / 4)`` is ~1e-7 at the boundary.
     """
 
     r_max: float | None = None
     n_r: int = 64
-    n_phi: int = 64
 
     def resolve_r_max(self, z: float) -> float:
         return self.r_max if self.r_max is not None else 8.0 / abs(z)
@@ -74,25 +74,32 @@ def _check_projection(projection: str) -> None:
         raise DegenerateConfig(f"unknown projection {projection!r}")
 
 
+def _check_count(value, least: int, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DegenerateConfig(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_config(dims, projection: str, r_max: float, n_r, z: float) -> None:
+    """Checks shared by the one- and two-mode configs: positive integer Fock
+    truncations, and ``n_r >= 4`` radii over a finite ``[0, r_max]`` on which the
+    kernel damping ``exp(-z^2 r^2 / 4)`` has decayed."""
+    for dim in dims:
+        _check_count(dim, 1, "dim")
+    _check_projection(projection)
+    _check_count(n_r, 4, "n_r")
+    if not (np.isfinite(r_max) and r_max * abs(z) >= 6.0):
+        raise DegenerateConfig(f"r_max must be finite with r_max * |z| >= 6, got r_max = {r_max!r}")
+
+
 @dataclass(frozen=True)
 class ReconstructionConfig:
     scale: KernelScale = field(default_factory=KernelScale)
     dim: int = 12
     grid: PolarGrid = field(default_factory=PolarGrid)
-    x_points: int = 1201
     projection: str = "hermitize"  # none | hermitize | clip
 
     def __post_init__(self):
-        if self.dim < 1 or int(self.dim) != self.dim:
-            raise DegenerateConfig("dim must be a positive integer")
-        _check_projection(self.projection)
-        if self.grid.n_r < 4 or self.grid.n_phi < 4:
-            raise DegenerateConfig("polar grid needs at least 4 nodes per axis")
-        r_max = self.grid.resolve_r_max(self.scale.z)
-        if r_max * abs(self.scale.z) < 6.0:
-            raise DegenerateConfig(
-                "r_max * |z| must be >= 6 so the kernel damping has decayed at the boundary"
-            )
+        _check_config((self.dim,), self.projection, self.grid.resolve_r_max(self.scale.z), self.grid.n_r, self.scale.z)
 
 
 @dataclass(frozen=True)
@@ -173,14 +180,10 @@ def _tomogram_circle_data(tomo: Tomogram) -> tuple[np.ndarray, float]:
     return phis, r0
 
 
-def _as_tomogram(source, n_phi: int, x_points: int) -> Tomogram:
-    if isinstance(source, Tomogram):
-        return source
-    return tabulate_tomogram(source, circle_settings(n_phi), num=x_points)
-
-
 def _circle_chi(tomo: Tomogram, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Angles, angle weights and ``chi[p, k]`` at ``freqs[k]`` times the unit radius."""
+    if not isinstance(tomo, Tomogram):
+        raise InvalidParameter(f"expected a Tomogram, got {type(tomo).__name__}: tabulate it with tabulate_tomogram")
     phis, r0 = _tomogram_circle_data(tomo)
     deltas = np.array([s.delta for s in tomo.settings])
     return phis, _angle_weights(phis), _row_fourier(tomo.values, tomo.x, deltas, freqs / r0)
@@ -238,14 +241,13 @@ def _finish(
 # ---------------------------------------------------------------------------
 
 
-def reconstruct_from_tomogram(source, cfg: ReconstructionConfig) -> ReconstructionReport:
-    """Reconstruct a one-mode density matrix from exact marginal data.
+def reconstruct_from_tomogram(tomo: Tomogram, cfg: ReconstructionConfig) -> ReconstructionReport:
+    """Reconstruct a one-mode density matrix from a circle Tomogram.
 
-    ``source`` is a circle Tomogram or a one-mode state.  A state is first
-    tabulated on a unit circle of ``cfg.grid.n_phi`` angles with
-    ``cfg.x_points`` outcomes; tomograms bring their own angles and radius.
+    The angles and the circle radius are the tomogram's; ``cfg.grid`` sets
+    only the radii.  A state must be tabulated first with
+    ``tabulate_tomogram``.
     """
-    tomo = _as_tomogram(source, cfg.grid.n_phi, cfg.x_points)
     z = cfg.scale.z
     r, wr = _radial_nodes(cfg.grid.resolve_r_max(z), cfg.grid.n_r)
     phis, phi_weights, chi = _circle_chi(tomo, z * r)
@@ -316,7 +318,10 @@ def reconstruct_homodyne(
     ``(phi, samples)`` pairs.  Phases that only cover ``[0, pi)`` are
     mirrored to the full circle using ``x_(phi+pi) = -x_phi``.
     """
+    _check_count(dim, 1, "dim")
     _check_projection(projection)
+    if not 0.0 < r_cutoff < np.inf:
+        raise InvalidParameter(f"r_cutoff must be a positive finite radius, got {r_cutoff!r}")
     r, wr = _radial_nodes(r_cutoff, HOMODYNE_RADII)
     # one extra column at r_cutoff for the tail estimate: Gauss-Legendre
     # radii have no node on the boundary
@@ -403,28 +408,27 @@ def trace_distance(rho_a, rho_b) -> float:
 
 
 def wigner_from_tomogram(
-    source,
+    tomo: Tomogram,
     q,
     p,
     scale: KernelScale = KernelScale(),
     grid: PolarGrid = PolarGrid(),
-    x_points: int = 1201,
 ) -> np.ndarray:
-    """Recover ``W(q, p)`` from marginal data by a 3-d Fourier inversion.
+    """Recover ``W(q, p)`` from a circle Tomogram by a 3-d Fourier inversion.
 
     ``W(q, p) = (z^2 / 2 pi) integral dx dmu dnu w(x, mu, nu)
-    exp(-i z (x - mu q - nu p))``, evaluated on the polar grid with the same
-    circle-plus-scaling representation as the density reconstruction.
+    exp(-i z (x - mu q - nu p))``, evaluated on the tomogram's angles and the
+    radii of ``grid`` with the same circle-plus-scaling representation as the
+    density reconstruction.
     """
-    tomo = _as_tomogram(source, grid.n_phi, x_points)
     z = scale.z
     r, wr = _radial_nodes(grid.resolve_r_max(z), grid.n_r)
-    phis, phi_weights, chi = _circle_chi(tomo, z * r)  # (n_phi, n_r)
+    phis, phi_weights, chi = _circle_chi(tomo, z * r)  # (n_angles, n_r)
 
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     proj = np.cos(phis)[:, None] * q[None, :] + np.sin(phis)[:, None] * p[None, :]
-    phase = np.exp(1j * z * r[None, :, None] * proj[:, None, :])  # (n_phi, n_r, n_pts)
+    phase = np.exp(1j * z * r[None, :, None] * proj[:, None, :])  # (n_angles, n_r, n_pts)
     integrand = (phi_weights[:, None] * (wr * r)[None, :] * chi)[..., None] * phase
     w = (z**2 / (2 * np.pi)) * integrand.sum(axis=(0, 1))
     return w.real if w.size > 1 else float(w.real[0])

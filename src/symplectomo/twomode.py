@@ -15,8 +15,9 @@ plane, for any Fourier pair ``(z1, z2)`` (the z2-dependent phases cancel for
 constant second row).  Physical joint tomograms constrain the pair to
 commute, so tabulated vector tomograms are reduced to their tilde marginal
 first.  The vector-kernel z2 freedom is verified in ``tests/oracles.py``;
-the library reconstructs at ``z2 = 0`` on the Hopf grid of setting
-directions, where the direction sum factorises per mode.
+the library reconstructs at ``z2 = 0`` from a tabulated tomogram on the Hopf
+grid of setting directions, whose levels, angles and radius it reads from the
+settings; there the direction sum factorises per mode.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .errors import (
     UnsupportedVariant,
 )
 from .kernels import KernelScale, _radial_nodes, displacement_matrix
-from .marginals import QuadratureSetting, _sigma_and_span
-from .reconstruct import ReconstructionReport, _check_projection, _finish, _row_fourier, _trapezoid_weights
+from .marginals import QuadratureSetting, _outcome_grid, _sigma_and_span
+from .reconstruct import ReconstructionReport, _check_config, _finish, _row_fourier, _trapezoid_weights
 from . import states as st
 
 __all__ = [
@@ -190,30 +191,24 @@ class TwoModeTomogram:
     """Tabulated two-mode marginals.
 
     Tilde variant: ``values[s, i]`` over ``x1``;  vector variant additionally
-    carries ``x2`` and ``values[s, i, j]`` over the outcome plane.
-    ``direction_weights`` (tilde only) are the quadrature weights of the
-    setting directions on the 3-sphere, required for reconstruction.
+    carries ``x2`` and ``values[s, i, j]`` over the outcome plane.  Both
+    outcome grids are uniform, as for the one-mode ``Tomogram``.
     """
 
     settings: tuple[TwoModeSetting, ...]
     x1: np.ndarray
     values: np.ndarray
     x2: np.ndarray | None = None
-    direction_weights: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "settings", tuple(self.settings))
-        x1 = np.asarray(self.x1, dtype=float)
+        x1 = _outcome_grid(self.x1, "x1")
         v = np.asarray(self.values, dtype=float)
-        if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(v))):
-            raise InvalidParameter("tomogram grid and densities must be finite")
-        x1.flags.writeable = False
+        if not np.all(np.isfinite(v)):
+            raise InvalidParameter("tomogram densities must be finite")
         object.__setattr__(self, "x1", x1)
         if self.x2 is not None:
-            x2 = np.asarray(self.x2, dtype=float)
-            if not np.all(np.isfinite(x2)):
-                raise InvalidParameter("tomogram grid and densities must be finite")
-            x2.flags.writeable = False
+            x2 = _outcome_grid(self.x2, "x2")
             object.__setattr__(self, "x2", x2)
             if v.shape != (len(self.settings), x1.size, x2.size):
                 raise InvalidParameter("vector tomogram values must be (n, nx1, nx2)")
@@ -223,12 +218,6 @@ class TwoModeTomogram:
             raise InvalidParameter("densities must be nonnegative")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-        if self.direction_weights is not None:
-            w = np.asarray(self.direction_weights, dtype=float)
-            if w.shape != (len(self.settings),):
-                raise InvalidParameter("one direction weight per setting")
-            w.flags.writeable = False
-            object.__setattr__(self, "direction_weights", w)
 
     @property
     def kind(self) -> str:
@@ -499,29 +488,23 @@ def kernel_two_mode_number(
 
 @dataclass(frozen=True)
 class TwoModeConfig:
-    """Quadrature sizes for the 4-d (mu_vec, nu_vec) integration.
+    """Radial quadrature of the 4-d (mu_vec, nu_vec) integration.
 
-    The radial/Hopf product grid covers the 3-sphere of directions times the
-    radius, with the radial extent again set by the kernel damping
-    ``exp(-z1^2 R^2 / 4)``.
+    The tomogram's Hopf grid covers the 3-sphere of directions; ``r_max`` and
+    ``n_r`` set the radii, with the radial extent again set by the kernel
+    damping ``exp(-z1^2 R^2 / 4)``.
     """
 
     scale: KernelScale = field(default_factory=KernelScale)
     dims: tuple[int, int] = (12, 12)
     r_max: float | None = None
     n_r: int = 48
-    n_t: int = 12
-    n_psi: int = 12
     projection: str = "hermitize"
 
     def __post_init__(self):
-        d1, d2 = self.dims
-        if d1 < 1 or d2 < 1:
-            raise DegenerateConfig("per-mode dims must be positive")
-        _check_projection(self.projection)
-        r_max = self.resolve_r_max()
-        if r_max * abs(self.scale.z) < 6.0:
-            raise DegenerateConfig("r_max * |z1| must be >= 6")
+        if len(self.dims) != 2:
+            raise DegenerateConfig(f"dims must be a pair of per-mode truncations, got {self.dims!r}")
+        _check_config(self.dims, self.projection, self.resolve_r_max(), self.n_r, self.scale.z)
 
     def resolve_r_max(self) -> float:
         return self.r_max if self.r_max is not None else 8.0 / abs(self.scale.z)
@@ -582,22 +565,22 @@ def tabulate_tilde_tomogram(
     n_t: int = 12,
     n_psi: int = 12,
 ) -> TwoModeTomogram:
-    """Tabulate tilde marginals, by default on the Hopf direction grid.
+    """Tabulate tilde marginals, by default on ``hopf_directions(n_t, n_psi)``.
 
-    The returned tomogram carries the direction weights needed by
-    ``reconstruct_two_mode``.
+    ``reconstruct_two_mode`` needs the settings of a Hopf grid, in its order,
+    on a common radius; other settings tabulate but do not reconstruct.
     """
     if settings is None:
-        dirs, weights = hopf_directions(n_t, n_psi)
-        settings = [TwoModeSetting(mu=d[:2], nu=d[2:]) for d in dirs]
+        settings = [TwoModeSetting(mu=d[:2], nu=d[2:]) for d in hopf_directions(n_t, n_psi)[0]]
     else:
         settings = list(settings)
-        weights = None
+        if not settings:
+            raise InvalidParameter("need at least one setting")
     if x_grid is None:
         half = max(_half_width(state, s) + abs(s.delta[0]) for s in settings)
         x_grid = np.linspace(-half, half, num)
     rows = np.asarray([tilde_marginal(state, x_grid - s.delta[0], s) for s in settings])
-    tomo = TwoModeTomogram(tuple(settings), x_grid, rows, direction_weights=weights)
+    tomo = TwoModeTomogram(tuple(settings), x_grid, rows)
     tomo.validate_normalization()
     return tomo
 
@@ -643,12 +626,13 @@ def _assemble_hopf(
     return rho4.reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
 
 
-def _hopf_layout(tomo: TwoModeTomogram) -> tuple[int, int, float]:
-    """``(n_t, n_psi, r0)`` of a tomogram on ``hopf_directions(n_t, n_psi)`` scaled by ``r0``.
+def _hopf_layout(tomo: TwoModeTomogram) -> tuple[int, int, float, np.ndarray]:
+    """``(n_t, n_psi, r0, weights)`` of a tomogram on ``hopf_directions(n_t, n_psi)`` scaled by ``r0``.
 
     ``n_t`` is the number of distinct mode-1 levels ``(mu1^2 + nu1^2) / r0^2``;
-    the settings and direction weights must then equal the grid's in order to
-    a relative 1e-12.  Any other weighted tomogram raises ``InvalidParameter``.
+    the settings must then equal the grid's in order to a relative 1e-12, and
+    the grid's quadrature weights are returned.  Any other tomogram raises
+    ``InvalidParameter``.
     """
     rows = np.array([s.row1 for s in tomo.settings])
     r0 = float(np.linalg.norm(rows, axis=1).mean())
@@ -657,41 +641,33 @@ def _hopf_layout(tomo: TwoModeTomogram) -> tuple[int, int, float]:
     n_psi = int(round(np.sqrt(len(rows) / n_t)))
     if n_t * n_psi * n_psi == len(rows):
         dirs, weights = hopf_directions(n_t, n_psi)
-        if np.max(np.abs(rows - r0 * dirs)) <= 1e-12 * r0 and np.allclose(
-            tomo.direction_weights, weights, rtol=1e-12, atol=0.0
-        ):
-            return n_t, n_psi, r0
+        if np.max(np.abs(rows - r0 * dirs)) <= 1e-12 * r0:
+            return n_t, n_psi, r0, weights
     raise InvalidParameter(
-        "a weighted two-mode tomogram must be the hopf_directions(n_t, n_psi) grid, "
-        "in its order and with its weights, on a common radius"
+        "a two-mode tomogram must be the hopf_directions(n_t, n_psi) grid, in its order, on a common radius"
     )
 
 
-def reconstruct_two_mode(source, cfg: TwoModeConfig) -> ReconstructionReport:
+def reconstruct_two_mode(tomo: TwoModeTomogram, cfg: TwoModeConfig) -> ReconstructionReport:
     """Two-mode density matrix from tilde data (or the tilde reduction of vector data).
 
-    ``source`` is a TwoModeTomogram or an analytic TwoModeState.  Vector
-    tomograms are first marginalized over x2 (their single-quadrature content
-    determines the state already).  Tomograms need direction weights and must
-    lie on a Hopf grid of common radius, whose sizes they fix; a state is
-    sampled through its characteristic function on ``hopf_directions(cfg.n_t,
-    cfg.n_psi)``.
+    Vector tomograms are first marginalized over x2 (their single-quadrature
+    content determines the state already).  The tomogram must lie on a Hopf
+    grid of common radius, whose sizes and weights its settings fix; ``cfg``
+    sets the radii.  A state must be tabulated first with
+    ``tabulate_tilde_tomogram``.
     """
+    if not isinstance(tomo, TwoModeTomogram):
+        raise InvalidParameter(
+            f"expected a TwoModeTomogram, got {type(tomo).__name__}: tabulate it with tabulate_tilde_tomogram"
+        )
+    n_t, n_psi, r0, weights = _hopf_layout(tomo)
     R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
-    if isinstance(source, TwoModeTomogram):
-        if source.direction_weights is None:
-            raise DegenerateConfig("two-mode reconstruction needs direction weights")
-        n_t, n_psi, r0 = _hopf_layout(source)
-        rows = source.values
-        if source.kind == "vector":
-            rows = np.trapezoid(rows, dx=source.x2[1] - source.x2[0], axis=2)
-        deltas = np.array([s.delta[0] for s in source.settings])
-        chi = _row_fourier(rows, source.x1, deltas, cfg.scale.z * R / r0)
-        weights = source.direction_weights
-    else:
-        n_t, n_psi = cfg.n_t, cfg.n_psi
-        dirs, weights = hopf_directions(n_t, n_psi)
-        chi = characteristic_two_mode(source, -cfg.scale.z * R[None, :, None] * dirs[:, None, :])
+    rows = tomo.values
+    if tomo.kind == "vector":
+        rows = np.trapezoid(rows, dx=tomo.x2[1] - tomo.x2[0], axis=2)
+    deltas = np.array([s.delta[0] for s in tomo.settings])
+    chi = _row_fourier(rows, tomo.x1, deltas, cfg.scale.z * R / r0)
     raw = _assemble_hopf(chi, weights, n_t, n_psi, R, wR, cfg)
     return _finish(raw, cfg.projection, len(weights), 0, check_trace=True, dims=cfg.dims)
 

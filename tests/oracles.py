@@ -122,8 +122,8 @@ def samples_loop(batches, cfg):
 # ---------------------------------------------------------------------------
 
 
-def two_mode_tomogram_loop(tomo, cfg) -> np.ndarray:
-    """Raw two-mode matrix of a tilde tomogram, one einsum per radius."""
+def two_mode_tomogram_loop(tomo, weights, cfg) -> np.ndarray:
+    """Raw two-mode matrix of a tilde tomogram with direction ``weights``, one einsum per radius."""
     z1 = cfg.scale.z
     r0 = float(np.mean([s.radius for s in tomo.settings]))
     dirs = np.array([s.row1 / r0 for s in tomo.settings])
@@ -140,13 +140,13 @@ def two_mode_tomogram_loop(tomo, cfg) -> np.ndarray:
         zeta = -(z1 / np.sqrt(2)) * (rows_u[:, 2:] - 1j * rows_u[:, :2])
         D1 = displacement_matrix(zeta[:, 0], d1)
         D2 = displacement_matrix(zeta[:, 1], d2)
-        coeff = tomo.direction_weights * chi[:, k] * (wRv * Rv**3 * z1**4 / (2 * np.pi) ** 2)
+        coeff = weights * chi[:, k] * (wRv * Rv**3 * z1**4 / (2 * np.pi) ** 2)
         rho4 += np.einsum("s,snm,skl->nmkl", coeff, D1, D2)
     return rho4.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
 
 
-def two_mode_grid_loop(chi_fn, cfg, off=(0.0, 0.0)) -> np.ndarray:
-    """Raw two-mode matrix over the radial x Hopf grid, one einsum per (R, t).
+def two_mode_grid_loop(chi_fn, cfg, n_t, n_psi, off=(0.0, 0.0)) -> np.ndarray:
+    """Raw two-mode matrix over the radial x ``hopf_directions(n_t, n_psi)`` grid, one einsum per (R, t).
 
     ``chi_fn(u_batch)`` returns the characteristic for a batch of first rows;
     ``off`` is the constant per-mode displacement of a fixed second row.
@@ -154,11 +154,11 @@ def two_mode_grid_loop(chi_fn, cfg, off=(0.0, 0.0)) -> np.ndarray:
     z1 = cfg.scale.z
     d1, d2 = cfg.dims
     R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
-    tg, tw_ = leggauss(cfg.n_t)
+    tg, tw_ = leggauss(n_t)
     t = 0.5 * (tg + 1.0)
     wt = 0.5 * tw_
-    psi = 2 * np.pi * np.arange(cfg.n_psi) / cfg.n_psi
-    wpsi = 2 * np.pi / cfg.n_psi
+    psi = 2 * np.pi * np.arange(n_psi) / n_psi
+    wpsi = 2 * np.pi / n_psi
     cosp, sinp = np.cos(psi), np.sin(psi)
 
     rho4 = np.zeros((d1, d1, d2, d2), dtype=complex)
@@ -170,12 +170,12 @@ def two_mode_grid_loop(chi_fn, cfg, off=(0.0, 0.0)) -> np.ndarray:
             zeta2 = -(z1 / np.sqrt(2)) * r2 * (sinp - 1j * cosp) + off[1]
             D1 = displacement_matrix(zeta1, d1)
             D2 = displacement_matrix(zeta2, d2)
-            u = np.empty((cfg.n_psi, cfg.n_psi, 4))
+            u = np.empty((n_psi, n_psi, 4))
             u[..., 0] = r1 * cosp[:, None]
             u[..., 1] = r2 * cosp[None, :]
             u[..., 2] = r1 * sinp[:, None]
             u[..., 3] = r2 * sinp[None, :]
-            chi = chi_fn(u.reshape(-1, 4)).reshape(cfg.n_psi, cfg.n_psi)
+            chi = chi_fn(u.reshape(-1, 4)).reshape(n_psi, n_psi)
             T = chi * (wRv * Rv**3 * 0.5 * wtv * wpsi * wpsi * z1**4 / (2 * np.pi) ** 2)
             inner = np.einsum("ab,bkl->akl", T, D2)
             rho4 += np.einsum("anm,akl->nmkl", D1, inner)
@@ -210,10 +210,10 @@ def _assemble_two_mode(chi, dirs, weights, R, wR, cfg, offset=0.0) -> np.ndarray
     return rho4.reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
 
 
-def reconstruct_two_mode_vector(state, second_row, cfg, z2: float = 1.0):
+def reconstruct_two_mode_vector(state, second_row, cfg, n_t, n_psi, z2: float = 1.0):
     """Vector-kernel reconstruction with a constant second quadrature row.
 
-    Sweeps the first row over the radial x Hopf grid while ``(mu_p, nu_p) =
+    Sweeps the first row over the radial x ``hopf_directions(n_t, n_psi)`` grid while ``(mu_p, nu_p) =
     second_row`` stays fixed, using the joint characteristic function of the
     analytic state.  Exact for any ``z2``, which is the freedom the vector
     kernel exposes; the constant zeta offset of the second row rules out the
@@ -222,7 +222,7 @@ def reconstruct_two_mode_vector(state, second_row, cfg, z2: float = 1.0):
     u2 = np.asarray(second_row, dtype=float).reshape(4)
     z1 = cfg.scale.z
     R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
-    dirs, weights = hopf_directions(cfg.n_t, cfg.n_psi)
+    dirs, weights = hopf_directions(n_t, n_psi)
     chi = characteristic_two_mode(state, -z1 * R[None, :, None] * dirs[:, None, :] - z2 * u2)
     offset = -(z2 / np.sqrt(2)) * (u2[2:] - 1j * u2[:2])
     raw = _assemble_two_mode(chi, dirs, weights, R, wR, cfg, offset)
@@ -356,11 +356,6 @@ def save_two_mode_tomogram_lines(tomo: TwoModeTomogram, path) -> None:
             for x1, w in zip(tomo.x1, tomo.values[idx]):
                 lines.append(f"{head},{format_float(x1)},{format_float(w)}")
     _write_lines(path, lines)
-    meta = {"kind": tomo.kind}
-    if tomo.direction_weights is not None:
-        meta["direction_weights"] = [float(w) for w in tomo.direction_weights]
-    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1)
 
 
 def load_two_mode_tomogram_lines(path) -> TwoModeTomogram:
@@ -393,20 +388,12 @@ def load_two_mode_tomogram_lines(path) -> TwoModeTomogram:
                 x1s.append(vals[8])
                 if vector:
                     x2s.append(vals[9])
-    weights = None
-    try:
-        with open(str(path) + ".meta.json", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        if "direction_weights" in meta:
-            weights = np.asarray(meta["direction_weights"], dtype=float)
-    except FileNotFoundError:
-        pass
     if vector:
         x1 = np.asarray(sorted(set(x1s)))
         x2 = np.asarray(sorted(set(x2s)))
         values = np.asarray(data).reshape(len(settings), x1.size, x2.size)
-        return TwoModeTomogram(tuple(settings), x1, values, x2=x2, direction_weights=weights)
-    return TwoModeTomogram(tuple(settings), np.asarray(x1s), np.asarray(data), direction_weights=weights)
+        return TwoModeTomogram(tuple(settings), x1, values, x2=x2)
+    return TwoModeTomogram(tuple(settings), np.asarray(x1s), np.asarray(data))
 
 
 def save_samples_lines(batches: list[SampleBatch], path, state_label: str = "") -> None:

@@ -75,7 +75,7 @@ def test_criterion_02_cat_reconstruction():
     started = time.monotonic()
     a = b = 1.0
     tomo = tabulate_tomogram(st.EvenCat(a, b), circle_settings(64))
-    cfg = ReconstructionConfig(scale=KernelScale(1.0), dim=14, grid=PolarGrid(8.0, 96, 64))
+    cfg = ReconstructionConfig(scale=KernelScale(1.0), dim=14, grid=PolarGrid(8.0, 96))
     rep = reconstruct_from_tomogram(tomo, cfg)
 
     A = a + 1j * b

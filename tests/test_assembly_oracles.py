@@ -1,7 +1,5 @@
 """The polar assemblers and the homodyne and campaign estimators against their slow paths."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -48,25 +46,30 @@ def test_two_mode_assembler_matches_loop_on_tomogram():
     tomo = tm.tabulate_tilde_tomogram(state, num=601, n_t=6, n_psi=6)
     cfg = tm.TwoModeConfig(dims=(4, 3), n_r=24)
     got = tm.reconstruct_two_mode(tomo, cfg).rho.entries
-    assert np.max(np.abs(got - _hermitized(two_mode_tomogram_loop(tomo, cfg)))) <= 1e-10
+    weights = tm.hopf_directions(6, 6)[1]
+    assert np.max(np.abs(got - _hermitized(two_mode_tomogram_loop(tomo, weights, cfg)))) <= 1e-10
 
 
 def test_two_mode_assembler_matches_loop_on_state():
+    # the exact characteristic on a non-square Hopf grid (n_t != n_psi)
     state = st.TwoModeCat(np.array([1.0, 0.5j]) / np.sqrt(2))
-    cfg = tm.TwoModeConfig(dims=(4, 3), n_r=24, n_t=6, n_psi=8)
-    got = tm.reconstruct_two_mode(state, cfg).rho.entries
-    oracle = two_mode_grid_loop(lambda u: tm.characteristic_two_mode(state, -u), cfg)
-    assert np.max(np.abs(got - _hermitized(oracle))) <= 1e-10
+    cfg = tm.TwoModeConfig(dims=(4, 3), n_r=24)
+    R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
+    dirs, weights = tm.hopf_directions(6, 8)
+    chi = tm.characteristic_two_mode(state, -R[None, :, None] * dirs[:, None, :])
+    got = tm._assemble_hopf(chi, weights, 6, 8, R, wR, cfg)
+    oracle = two_mode_grid_loop(lambda u: tm.characteristic_two_mode(state, -u), cfg, 6, 8)
+    assert np.max(np.abs(got - oracle)) <= 1e-10
 
 
 @pytest.mark.parametrize("z2", [0.0, 0.7])
 def test_two_mode_assembler_matches_loop_on_vector_kernel(z2):
     state = st.GaussianTwoMode(np.diag([0.7, 0.5, 0.45, 0.6]))
-    cfg = tm.TwoModeConfig(dims=(3, 3), n_r=32, n_t=8, n_psi=8)
+    cfg = tm.TwoModeConfig(dims=(3, 3), n_r=32)
     u2 = np.array([0.0, 1.0, 0.0, 0.0])
-    got = reconstruct_two_mode_vector(state, u2, cfg, z2=z2).rho.entries
+    got = reconstruct_two_mode_vector(state, u2, cfg, 8, 8, z2=z2).rho.entries
     off = -(z2 / np.sqrt(2)) * (u2[2:] - 1j * u2[:2])
-    oracle = two_mode_grid_loop(lambda u: tm.characteristic_two_mode(state, -u - z2 * u2), cfg, off)
+    oracle = two_mode_grid_loop(lambda u: tm.characteristic_two_mode(state, -u - z2 * u2), cfg, 8, 8, off)
     assert np.max(np.abs(got - _hermitized(oracle))) <= 1e-10
 
 
@@ -85,11 +88,10 @@ def test_hopf_assembler_matches_gemm(dims, z):
 
 def _scaled_hopf_tomogram():
     """A cat tomogram on the hopf(6, 8) grid of radius 1.7 with per-setting offsets delta."""
-    dirs, weights = tm.hopf_directions(6, 8)
+    dirs = tm.hopf_directions(6, 8)[0]
     deltas = np.random.default_rng(5).uniform(-0.5, 0.5, len(dirs))
     settings = [tm.TwoModeSetting(1.7 * d[:2], 1.7 * d[2:], delta=[dl, 0.0]) for d, dl in zip(dirs, deltas)]
-    tomo = tm.tabulate_tilde_tomogram(st.TwoModeCat(np.array([0.8, 0.4j])), settings=settings, num=801)
-    return tm.TwoModeTomogram(tomo.settings, tomo.x1, tomo.values, direction_weights=weights)
+    return tm.tabulate_tilde_tomogram(st.TwoModeCat(np.array([0.8, 0.4j])), settings=settings, num=801)
 
 
 def test_hopf_reconstruction_matches_gemm_on_scaled_sphere_with_offsets():
@@ -104,41 +106,37 @@ def test_hopf_reconstruction_matches_gemm_on_scaled_sphere_with_offsets():
     assert np.max(np.abs(got - _hermitized(oracle))) <= 1e-10
 
 
-def _uniform_weights(tomo):
-    w = np.full(len(tomo.settings), 2 * np.pi**2 / len(tomo.settings))
-    return tm.TwoModeTomogram(tomo.settings, tomo.x1, tomo.values, direction_weights=w)
-
-
 def _shuffled(tomo):
-    # the grid's weights stay in place, so only the order of the directions is wrong
     order = np.random.default_rng(0).permutation(len(tomo.settings))
     settings = tuple(tomo.settings[i] for i in order)
-    return tm.TwoModeTomogram(settings, tomo.x1, tomo.values[order], direction_weights=tomo.direction_weights)
+    return tm.TwoModeTomogram(settings, tomo.x1, tomo.values[order])
 
 
 def _one_dropped(tomo):
     keep = slice(1, None)
-    return tm.TwoModeTomogram(
-        tomo.settings[keep], tomo.x1, tomo.values[keep], direction_weights=tomo.direction_weights[keep]
-    )
+    return tm.TwoModeTomogram(tomo.settings[keep], tomo.x1, tomo.values[keep])
 
 
-@pytest.mark.parametrize("edit", [_uniform_weights, _shuffled, _one_dropped], ids=["uniform", "shuffled", "dropped"])
+@pytest.mark.parametrize("edit", [_shuffled, _one_dropped], ids=["shuffled", "dropped"])
 def test_non_hopf_weighted_tomogram_is_rejected(edit):
     tomo = edit(_scaled_hopf_tomogram())
     with pytest.raises(InvalidParameter, match="hopf_directions"):
         tm.reconstruct_two_mode(tomo, tm.TwoModeConfig(dims=(3, 3), n_r=24))
 
 
-def test_cli_reconstruct_rejects_edited_direction_weights(tmp_path, capsys):
+def test_cli_reconstruct_rejects_an_edited_hopf_setting(tmp_path, capsys):
     path = tmp_path / "t2.csv"
     tio.save_two_mode_tomogram(tm.tabulate_tilde_tomogram(st.GaussianTwoMode(np.eye(4) * 0.5), num=301, n_t=4, n_psi=4), path)
     out = str(tmp_path / "rho.json")
     assert cli.main(["reconstruct", "--input", str(path), "--dim", "3", "--out", out]) == 0
-    sidecar = tmp_path / "t2.csv.meta.json"
-    meta = json.loads(sidecar.read_text())
-    meta["direction_weights"][3] *= 1.001
-    sidecar.write_text(json.dumps(meta))
+    # scale the fourth setting's columns by 1 + 1e-6, far beyond the grid's 1e-12 match
+    header, *rows = path.read_text().splitlines()
+    block = slice(3 * 301, 4 * 301)
+    for i in range(block.start, block.stop):
+        cols = rows[i].split(",")
+        cols[:8] = [tio.format_float(float(c) * (1 + 1e-6)) for c in cols[:8]]
+        rows[i] = ",".join(cols)
+    path.write_text("\n".join([header, *rows]) + "\n")
     assert cli.main(["reconstruct", "--input", str(path), "--dim", "3", "--out", out]) == 2
     assert "hopf_directions" in capsys.readouterr().err
 

@@ -8,8 +8,8 @@ import symplectomo.io as tio
 from symplectomo import cli
 from symplectomo import states as st
 from symplectomo.marginals import QuadratureSetting, circle_settings, tabulate_tomogram
-from symplectomo.measure_sim import sample_marginal
-from symplectomo.twomode import TwoModeSetting, tabulate_tilde_tomogram
+from symplectomo.measure_sim import importance_schedule, sample_campaign, sample_marginal
+from symplectomo.twomode import TwoModeSetting, hopf_directions, tabulate_tilde_tomogram
 
 
 # ---------------------------------------------------------------------------
@@ -36,8 +36,8 @@ def test_two_mode_tomogram_roundtrip(tmp_path):
     tio.save_two_mode_tomogram(tomo, path)
     back = tio.load_two_mode_tomogram(path)
     assert np.array_equal(back.values, tomo.values)
-    assert np.allclose(back.direction_weights, tomo.direction_weights)
     assert back.kind == "tilde"
+    assert not (tmp_path / "t2.csv.meta.json").exists()
 
 
 def test_samples_roundtrip(tmp_path):
@@ -110,7 +110,30 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert cli.main(["nosuchcommand"]) == 2
 
 
+def _tomogram_csv(path):
+    tio.save_tomogram(tabulate_tomogram(st.Vacuum(), circle_settings(8), x_grid=np.linspace(-6, 6, 101)), path)
+
+
+def _tilde_csv(path):
+    tio.save_two_mode_tomogram(tabulate_tilde_tomogram(st.GaussianTwoMode(np.eye(4) * 0.5), n_t=3, n_psi=4, num=101), path)
+
+
+def _warped_tilde_csv(path):
+    """A tilde CSV whose shared x1 column is warped by 0.02 sin(pi x1 / x1_max)."""
+    _tilde_csv(path)
+    header, *rows = path.read_text().splitlines()
+    table = np.array([row.split(",") for row in rows], dtype=float)
+    table[:, 8] += 0.02 * np.sin(np.pi * table[:, 8] / table[:, 8].max())
+    path.write_text("\n".join([header, *(",".join(map(tio.format_float, row)) for row in table)]) + "\n")
+
+
+def _samples_csv(path):
+    tio.save_samples(sample_campaign(st.Vacuum(), importance_schedule(4, seed=1), 20, seed=2), path)
+
+
+INPUT_FILES = {"tomogram": _tomogram_csv, "tilde": _tilde_csv, "warped": _warped_tilde_csv, "samples": _samples_csv}
 SAMPLE = ["sample", "--state", "vacuum", "--n", "40", "--seed", "1", "--scheme"]
+RECONSTRUCT = ["reconstruct", "--input"]
 MALFORMED_INPUT = {
     "circle count": (["tomogram", "--state", "vacuum", "--settings", "circle:abc"], None),
     "setting value": (["tomogram", "--state", "vacuum", "--settings", "1,abc"], None),
@@ -125,6 +148,16 @@ MALFORMED_INPUT = {
     "density not JSON": (["compare", "--a", "{rho}", "--b", "{rho}"], "not json"),
     "density not an object": (["compare", "--a", "{rho}", "--b", "{rho}"], "[1, 2]"),
     "density entry not a number": (["compare", "--a", "{rho}", "--b", "{rho}"], '{"dim": 1, "re": [["a"]], "im": [[0]]}'),
+    "grid third field": (RECONSTRUCT + ["{tomogram}", "--grid", "8:64:2"], None),
+    "tilde grid third field": (RECONSTRUCT + ["{tilde}", "--grid", "1:2:4"], None),
+    "tilde grid too small": (RECONSTRUCT + ["{tilde}", "--grid", "1:2"], None),
+    "homodyne with z and grid": (RECONSTRUCT + ["{tomogram}", "--method", "homodyne", "--z", "0.3", "--grid", "1:4:4"], None),
+    "homodyne with z": (RECONSTRUCT + ["{tomogram}", "--method", "homodyne", "--z", "0.3"], None),
+    "homodyne with grid": (RECONSTRUCT + ["{tomogram}", "--method", "homodyne", "--grid", "8:64"], None),
+    "homodyne on samples": (RECONSTRUCT + ["{samples}", "--method", "homodyne", "--dim", "4"], None),
+    "homodyne on tilde": (RECONSTRUCT + ["{tilde}", "--method", "homodyne", "--dim", "3"], None),
+    "grid on samples": (RECONSTRUCT + ["{samples}", "--grid", "8:64", "--dim", "4"], None),
+    "non-uniform x1": (RECONSTRUCT + ["{warped}", "--dim", "3"], None),
 }
 
 
@@ -134,7 +167,11 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, case):
     rho = tmp_path / "rho.json"
     if density is not None:
         rho.write_text(density)
-    argv = [a.format(rho=rho) for a in argv] + ["--out", str(tmp_path / "out")]
+    files = {name: tmp_path / f"{name}.csv" for name in INPUT_FILES}
+    for name, write in INPUT_FILES.items():
+        if f"{{{name}}}" in argv:
+            write(files[name])
+    argv = [a.format(rho=rho, **files) for a in argv] + ["--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
 
@@ -224,7 +261,7 @@ def test_cli_reconstruct_tomogram_and_compare(tmp_path):
     assert report["trace_error"] < 1e-3
 
     rho_b = tmp_path / "b.json"
-    cli.main(["reconstruct", "--input", str(tomo_path), "--z", "0.5", "--grid", "16:64:64", "--dim", "5", "--out", str(rho_b)])
+    cli.main(["reconstruct", "--input", str(tomo_path), "--z", "0.5", "--grid", "16:64", "--dim", "5", "--out", str(rho_b)])
     rc = cli.main(["compare", "--a", str(rho_a), "--b", str(rho_b), "--out", str(tmp_path / "cmp.json")])
     assert rc == 0
     cmp_result = json.loads((tmp_path / "cmp.json").read_text())
@@ -265,6 +302,18 @@ def test_cli_reconstruct_two_mode_tomogram(tmp_path):
     rho = tio.load_density(out)
     assert rho.dims == (3, 3)
     assert abs(rho.entries[0, 0] - 1.0) < 5e-3
+
+
+def test_cli_reconstruct_ignores_a_two_mode_sidecar(tmp_path):
+    # files written with a {"kind", "direction_weights"} sidecar still load, and the sidecar is not read
+    path = tmp_path / "t2.csv"
+    _tilde_csv(path)
+    argv = ["reconstruct", "--input", str(path), "--dim", "3", "--grid", "8:24", "--out"]
+    assert cli.main(argv + [str(tmp_path / "bare.json")]) == 0
+    sidecar = {"kind": "tilde", "direction_weights": hopf_directions(3, 4)[1].tolist()}
+    (tmp_path / "t2.csv.meta.json").write_text(json.dumps(sidecar, indent=1))
+    assert cli.main(argv + [str(tmp_path / "sidecar.json")]) == 0
+    assert (tmp_path / "bare.json").read_bytes() == (tmp_path / "sidecar.json").read_bytes()
 
 
 def test_cli_io_error_exit_code(tmp_path):

@@ -210,6 +210,8 @@ def test_homodyne_cutoff_guard():
     with pytest.raises(InvalidParameter):
         kn.kernel_homodyne_number(0, 0, kn.HomodyneSetting(0.0, 0.0), r_cutoff=-1.0)
     with pytest.raises(InvalidParameter):
+        kn.kernel_homodyne_number(0, 0, kn.HomodyneSetting(0.0, 0.0), r_cutoff=np.nan)
+    with pytest.raises(InvalidParameter):
         kn.kernel_homodyne_number(-1, 2, kn.HomodyneSetting(0.0, 0.0))
 
 

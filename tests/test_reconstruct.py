@@ -55,13 +55,6 @@ def test_thermal_reconstruction_coherent_elements(thermal_tomogram):
         assert abs(got - thermal_coherent_element(0.5, alpha, beta)) < 1e-3
 
 
-def test_evaluator_path_matches_tomogram_path(thermal_tomogram):
-    cfg = ReconstructionConfig(scale=KernelScale(1.0), dim=8, grid=PolarGrid(8.0, 64, 32))
-    rep_t = reconstruct_from_tomogram(thermal_tomogram, cfg)
-    rep_e = reconstruct_from_tomogram(st.Thermal(0.5), cfg)
-    assert np.max(np.abs(rep_t.rho.entries - rep_e.rho.entries)) < 1e-8
-
-
 def test_z_invariance(thermal_tomogram):
     reps = {
         z: reconstruct_from_tomogram(thermal_tomogram, ReconstructionConfig(scale=KernelScale(z), dim=10))
@@ -92,13 +85,47 @@ def test_grid_underresolved_raises():
         reconstruct_from_tomogram(tomo, ReconstructionConfig(dim=4))
 
 
-def test_config_validation():
-    with pytest.raises(DegenerateConfig):
-        ReconstructionConfig(scale=KernelScale(1.0), grid=PolarGrid(4.0, 64, 64))
-    with pytest.raises(DegenerateConfig):
-        ReconstructionConfig(dim=0)
-    with pytest.raises(DegenerateConfig):
-        ReconstructionConfig(projection="renormalize")
+BAD_CONFIGS = {
+    "r_max * z < 6": (DegenerateConfig, lambda tomo: ReconstructionConfig(scale=KernelScale(1.0), grid=PolarGrid(4.0, 64))),
+    "dim 0": (DegenerateConfig, lambda tomo: ReconstructionConfig(dim=0)),
+    "dim 2.5": (DegenerateConfig, lambda tomo: ReconstructionConfig(dim=2.5)),
+    "projection": (DegenerateConfig, lambda tomo: ReconstructionConfig(projection="renormalize")),
+    "r_max nan": (DegenerateConfig, lambda tomo: ReconstructionConfig(grid=PolarGrid(np.nan))),
+    "r_max inf": (DegenerateConfig, lambda tomo: ReconstructionConfig(grid=PolarGrid(np.inf))),
+    "n_r 3": (DegenerateConfig, lambda tomo: ReconstructionConfig(grid=PolarGrid(8.0, 3))),
+    "homodyne dim 0": (DegenerateConfig, lambda tomo: reconstruct_homodyne(tomo, dim=0)),
+    "homodyne dim 2.5": (DegenerateConfig, lambda tomo: reconstruct_homodyne(tomo, dim=2.5)),
+    "homodyne r_cutoff -1": (InvalidParameter, lambda tomo: reconstruct_homodyne(tomo, dim=4, r_cutoff=-1.0)),
+    "homodyne r_cutoff nan": (InvalidParameter, lambda tomo: reconstruct_homodyne(tomo, dim=4, r_cutoff=np.nan)),
+}
+
+
+def test_config_validation(vacuum_tomogram):
+    accepted = []
+    for case, (error, make) in BAD_CONFIGS.items():
+        try:
+            make(vacuum_tomogram)
+        except error:
+            continue
+        accepted.append(case)
+    assert not accepted
+
+
+@pytest.mark.parametrize(
+    "call, tabulator",
+    [
+        (lambda: reconstruct_from_tomogram(st.Thermal(0.5), ReconstructionConfig(dim=4)), "tabulate_tomogram"),
+        (lambda: wigner_from_tomogram(st.Thermal(0.5), 0.0, 0.0), "tabulate_tomogram"),
+        (
+            lambda: sy.reconstruct_two_mode(st.GaussianTwoMode(np.eye(4) * 0.5), sy.TwoModeConfig(dims=(3, 3))),
+            "tabulate_tilde_tomogram",
+        ),
+    ],
+    ids=["reconstruct_from_tomogram", "wigner_from_tomogram", "reconstruct_two_mode"],
+)
+def test_state_input_is_refused(call, tabulator):
+    with pytest.raises(InvalidParameter, match=tabulator):
+        call()
 
 
 def test_projection_modes(vacuum_tomogram):
@@ -283,7 +310,7 @@ def test_cat_z_invariance_and_exact_match():
     tomo = tabulate_tomogram(cat, circle_settings(64), num=1201)
     reps = {}
     for z in (0.5, 2.0):
-        cfg = ReconstructionConfig(scale=KernelScale(z), dim=14, grid=PolarGrid(None, 96, 64))
+        cfg = ReconstructionConfig(scale=KernelScale(z), dim=14, grid=PolarGrid(None, 96))
         reps[z] = reconstruct_from_tomogram(tomo, cfg)
     assert fidelity(reps[0.5].rho, reps[2.0].rho) >= 0.999
     assert fidelity(reps[0.5].rho, st.density_matrix(cat, 14)) >= 0.9999

@@ -6,6 +6,7 @@ import symplectomo as sy
 from symplectomo import states as st
 from symplectomo import twomode as tm
 from symplectomo.errors import (
+    DegenerateConfig,
     DegenerateSetting,
     InvalidParameter,
     NotSymplectic,
@@ -315,16 +316,66 @@ def test_hopf_directions_cover_sphere():
 def test_reconstruct_two_mode_vacuum_tilde_tomogram():
     state = st.GaussianTwoMode(np.eye(4) * 0.5)
     tomo = tm.tabulate_tilde_tomogram(state, n_t=8, n_psi=8, num=801)
-    cfg = tm.TwoModeConfig(dims=(3, 3), n_r=40, n_t=8, n_psi=8)
+    cfg = tm.TwoModeConfig(dims=(3, 3), n_r=40)
     rep = tm.reconstruct_two_mode(tomo, cfg)
     assert abs(rep.rho.entries[0, 0] - 1.0) < 5e-3
     assert rep.rho.dims == (3, 3)
 
 
+def test_explicit_hopf_settings_reconstruct_like_the_default_grid():
+    # the grid's weights follow from the settings alone
+    state = st.GaussianTwoMode(np.diag([0.7, 0.6, 0.7, 0.6]))
+    settings = [tm.TwoModeSetting(mu=d[:2], nu=d[2:]) for d in tm.hopf_directions(6, 8)[0]]
+    cfg = tm.TwoModeConfig(dims=(3, 3), n_r=24)
+    explicit = tm.reconstruct_two_mode(tm.tabulate_tilde_tomogram(state, settings=settings, num=401), cfg)
+    default = tm.reconstruct_two_mode(tm.tabulate_tilde_tomogram(state, num=401, n_t=6, n_psi=8), cfg)
+    assert np.array_equal(explicit.rho.entries, default.rho.entries)
+
+
+GAUSS = st.GaussianTwoMode(np.eye(4) * 0.5)
+BAD_TWO_MODE_CONFIGS = {
+    "n_r 0": (DegenerateConfig, lambda: tm.TwoModeConfig(n_r=0)),
+    "dims 2.5": (DegenerateConfig, lambda: tm.TwoModeConfig(dims=(2.5, 2))),
+    "dims 0": (DegenerateConfig, lambda: tm.TwoModeConfig(dims=(3, 0))),
+    "one dim": (DegenerateConfig, lambda: tm.TwoModeConfig(dims=(3,))),
+    "r_max nan": (DegenerateConfig, lambda: tm.TwoModeConfig(r_max=np.nan)),
+    "r_max * z < 6": (DegenerateConfig, lambda: tm.TwoModeConfig(r_max=2.0)),
+    "no settings": (InvalidParameter, lambda: tm.tabulate_tilde_tomogram(GAUSS, settings=[])),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TWO_MODE_CONFIGS))
+def test_two_mode_config_validation(case):
+    error, make = BAD_TWO_MODE_CONFIGS[case]
+    with pytest.raises(error):
+        make()
+
+
+def _warped(x):
+    return x + 0.02 * np.sin(np.pi * x / x.max())
+
+
+S0 = tm.TwoModeSetting(mu=[1.0, 0.0], nu=[0.0, 0.0], mu_p=[0.0, 1.0], nu_p=[0.0, 0.0])
+X = np.linspace(-4, 4, 41)
+BAD_OUTCOME_GRIDS = {
+    "x1 one point": lambda: tm.TwoModeTomogram((S0,), X[:1], np.full((1, 1), 0.1)),
+    "x1 non-uniform": lambda: tm.TwoModeTomogram((S0,), _warped(X), np.full((1, 41), 0.1)),
+    "x1 descending": lambda: tm.TwoModeTomogram((S0,), X[::-1], np.full((1, 41), 0.1)),
+    "x2 non-uniform": lambda: tm.TwoModeTomogram((S0,), X, np.full((1, 41, 41), 0.1), x2=_warped(X)),
+    "tabulated on one point": lambda: tm.tabulate_tilde_tomogram(GAUSS, num=1, n_t=2, n_psi=2),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_OUTCOME_GRIDS))
+def test_two_mode_tomogram_rejects_a_bad_outcome_grid(case):
+    with pytest.raises(InvalidParameter, match="grid"):
+        BAD_OUTCOME_GRIDS[case]()
+
+
 def test_reconstruct_two_mode_gaussian_vector_tomogram():
     # vacuum joint tomogram on commuting per-mode pairs, marginalized internally
     state = st.GaussianTwoMode(np.eye(4) * 0.5)
-    dirs, weights = tm.hopf_directions(6, 6)
+    dirs = tm.hopf_directions(6, 6)[0]
     settings = [tm.TwoModeSetting(mu=d[:2], nu=d[2:]) for d in dirs]
     x1 = np.linspace(-6, 6, 241)
     x2 = np.linspace(-6, 6, 241)
@@ -342,9 +393,9 @@ def test_reconstruct_two_mode_gaussian_vector_tomogram():
         X1, X2 = np.meshgrid(x1, x2, indexing="ij")
         quad = cov_inv[0, 0] * X1**2 + 2 * cov_inv[0, 1] * X1 * X2 + cov_inv[1, 1] * X2**2
         values[i] = np.exp(-0.5 * quad) / (2 * np.pi * np.sqrt(np.linalg.det(cov)))
-    tomo = tm.TwoModeTomogram(tuple(settings), x1, values, x2=x2, direction_weights=weights)
+    tomo = tm.TwoModeTomogram(tuple(settings), x1, values, x2=x2)
     tomo.validate_normalization()
-    rep = tm.reconstruct_two_mode(tomo, tm.TwoModeConfig(dims=(3, 3), n_r=40, n_t=6, n_psi=6))
+    rep = tm.reconstruct_two_mode(tomo, tm.TwoModeConfig(dims=(3, 3), n_r=40))
     target = np.zeros((9, 9))
     target[0, 0] = 1.0
     assert sy.fidelity(rep.rho, target) >= 0.995
@@ -353,7 +404,8 @@ def test_reconstruct_two_mode_gaussian_vector_tomogram():
 def test_reconstruct_two_mode_cat_partial_trace():
     A = np.array([1.0 + 0j, 0.0 + 0j])
     state = st.TwoModeCat(A, parity="plus")
-    rep = tm.reconstruct_two_mode(state, tm.TwoModeConfig(dims=(8, 3), n_r=48, n_t=10, n_psi=12))
+    tomo = tm.tabulate_tilde_tomogram(state, n_t=10, n_psi=12)
+    rep = tm.reconstruct_two_mode(tomo, tm.TwoModeConfig(dims=(8, 3), n_r=48))
     reduced = tm.partial_trace(rep.rho, keep=1)
     # expected reduced state: one-mode antipodal cat |1> + |-1>
     v = st.coherent_amplitudes(1.0, 8)
@@ -368,10 +420,10 @@ def test_reconstruct_two_mode_vector_kernel_z2_invariance():
     # the shifted kernel center needs the denser angular grid
     M = np.diag([0.7, 0.5, 0.45, 0.6])
     state = st.GaussianTwoMode(M)
-    cfg = tm.TwoModeConfig(dims=(3, 3), n_r=48, n_t=16, n_psi=16)
+    cfg = tm.TwoModeConfig(dims=(3, 3), n_r=48)
     u2 = np.array([0.0, 1.0, 0.0, 0.0])
-    reps = {z2: reconstruct_two_mode_vector(state, u2, cfg, z2=z2) for z2 in (0.0, 0.3, 0.7)}
-    base = tm.reconstruct_two_mode(state, cfg)
+    reps = {z2: reconstruct_two_mode_vector(state, u2, cfg, 16, 16, z2=z2) for z2 in (0.0, 0.3, 0.7)}
+    base = tm.reconstruct_two_mode(tm.tabulate_tilde_tomogram(state, n_t=16, n_psi=16), cfg)
     for z2, rep in reps.items():
         assert np.max(np.abs(rep.rho.entries - base.rho.entries)) < 1e-6, f"z2={z2}"
 
