@@ -49,7 +49,6 @@ from .reconstruct import (
     fidelity,
     reconstruct_from_samples,
     reconstruct_from_tomogram,
-    reconstruct_homodyne,
     trace_distance,
 )
 from .twomode import TwoModeConfig, TwoModeSetting, reconstruct_two_mode, tabulate_tilde_tomogram
@@ -257,7 +256,7 @@ def cmd_tomogram(args) -> int:
             if isinstance(settings, tuple):
                 raise SpecError("two-mode tomograms need hopf:<n_t>:<n_psi> or explicit settings")
             two_settings = [
-                TwoModeSetting(mu=np.array([s.mu, 0.0]), nu=np.array([s.nu, 0.0])) if isinstance(s, QuadratureSetting) else s
+                TwoModeSetting(mu=np.array([s.mu, 0.0]), nu=np.array([s.nu, 0.0]), delta=np.array([s.delta, 0.0]))
                 for s in settings
             ]
             tomo = tabulate_tilde_tomogram(state, settings=two_settings, x_grid=x_grid)
@@ -306,31 +305,21 @@ def cmd_reconstruct(args) -> int:
     started = time.monotonic()
     header = _sniff_header(args.input)
     grid = parse_polar_grid(args.grid) if args.grid else None
-    scale = KernelScale(1.0 if args.z is None else args.z)
-    if args.method == "homodyne":
-        if args.z is not None or grid is not None:
-            raise SpecError("--method homodyne is the z = 1 kernel on its own radii: it takes no --z or --grid")
-        if header != tio.TOMOGRAM_HEADER:
-            raise SpecError("--method homodyne needs a one-mode tomogram")
+    scale = KernelScale(args.z)
     if grid is not None and header == tio.SAMPLES_HEADER:
-        raise SpecError("sample reconstruction averages over the measured settings: it takes no --grid")
+        raise SpecError("sample files take no --grid: circle records use the default radii, campaigns their settings")
 
-    if header == tio.TOMOGRAM_HEADER:
-        tomo = tio.load_tomogram(args.input)
-        if args.method == "homodyne":
-            report = reconstruct_homodyne(tomo, dim=args.dim, projection=args.projection)
+    if header in (tio.TOMOGRAM_HEADER, tio.SAMPLES_HEADER):
+        cfg = ReconstructionConfig(scale=scale, dim=args.dim, grid=grid or PolarGrid(), projection=args.projection)
+        if header == tio.TOMOGRAM_HEADER:
+            report = reconstruct_from_tomogram(tio.load_tomogram(args.input), cfg)
         else:
-            cfg = ReconstructionConfig(scale=scale, dim=args.dim, grid=grid or PolarGrid(), projection=args.projection)
-            report = reconstruct_from_tomogram(tomo, cfg)
+            report = reconstruct_from_samples(tio.load_samples(args.input), cfg)
     elif header in (tio.TILDE_HEADER, tio.VECTOR_HEADER):
         tomo2 = tio.load_two_mode_tomogram(args.input)
         radial = {"r_max": grid.r_max, "n_r": grid.n_r} if grid else {}
         cfg2 = TwoModeConfig(scale=scale, dims=(args.dim, args.dim), projection=args.projection, **radial)
         report = reconstruct_two_mode(tomo2, cfg2)
-    elif header == tio.SAMPLES_HEADER:
-        batches = tio.load_samples(args.input)
-        cfg = ReconstructionConfig(scale=scale, dim=args.dim, projection=args.projection)
-        report = reconstruct_from_samples(batches, cfg)
     elif header == tio.TWO_MODE_SAMPLES_HEADER:
         raise SpecError("two-mode sample reconstruction is not available yet; reconstruct a two-mode tomogram")
     else:
@@ -394,10 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="reconstruct a density matrix from tomogram or sample CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--z", type=float, default=None, help="kernel Fourier component (default 1; not with --method homodyne)")
+    p.add_argument("--z", type=float, default=1.0, help="kernel Fourier component (homodyne: --z 1 --grid 12:64)")
     p.add_argument("--dim", type=int, default=12, help="Fock truncation (per mode for two-mode input)")
     p.add_argument("--grid", default=None, help="radial grid r_max:n_r (the angles come from the tomogram's settings)")
-    p.add_argument("--method", choices=["symplectic", "homodyne"], default="symplectic")
     p.add_argument("--projection", choices=PROJECTIONS, default="hermitize")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)

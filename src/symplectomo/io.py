@@ -164,6 +164,8 @@ def load_tomogram(path) -> Tomogram:
 
 
 def save_two_mode_tomogram(tomo: TwoModeTomogram, path) -> None:
+    if any(np.any(s.delta) for s in tomo.settings):
+        raise InvalidParameter("two-mode tomogram CSVs have no delta column: every setting needs delta = 0")
     vector = tomo.kind == "vector"
     grid = (np.repeat(tomo.x1, tomo.x2.size), np.tile(tomo.x2, tomo.x1.size)) if vector else (tomo.x1,)
     blocks = ((_two_mode_key(s), (*grid, v.ravel())) for s, v in zip(tomo.settings, tomo.values))

@@ -81,10 +81,10 @@ def circle_settings(n: int, radius: float = 1.0, delta: float = 0.0) -> list[Qua
 
 
 def _outcome_grid(x, name: str) -> np.ndarray:
-    """``x`` as a read-only array after checking it is a finite, 1-d, uniform and
+    """A read-only copy of ``x`` after checking it is a finite, 1-d, uniform and
     ascending grid of two or more points: the row integrals and Fourier
     transforms use the trapezoid rule of spacing ``x[1] - x[0]``."""
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InvalidParameter(f"{name} grid must be finite")
     if x.ndim != 1 or x.size < 2:
@@ -110,8 +110,10 @@ class Tomogram:
 
     def __post_init__(self):
         object.__setattr__(self, "settings", tuple(self.settings))
+        if not self.settings:
+            raise InvalidParameter("a tomogram needs at least one setting")
         x = _outcome_grid(self.x, "x")
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if not np.all(np.isfinite(v)):
             raise InvalidParameter("tomogram densities must be finite")
         if v.shape != (len(self.settings), x.size):
@@ -264,8 +266,9 @@ def tabulate_tomogram(state, settings, x_grid: np.ndarray | None = None, num: in
         half = max(_half_width(state, s) + abs(s.delta) for s in settings)
         x_grid = np.linspace(-half, half, num)
     x_grid = np.asarray(x_grid, dtype=float)
+    # the constructor copies what it gets: hand it the rows, so the table is built once
     rows = [_marginal_any(state, x_grid - s.delta, s) for s in settings]
-    tomo = Tomogram(tuple(settings), x_grid, np.asarray(rows, dtype=float))
+    tomo = Tomogram(tuple(settings), x_grid, rows)
     tomo.validate_normalization()
     return tomo
 

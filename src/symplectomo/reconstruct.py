@@ -4,19 +4,16 @@ Two estimators are provided for the symplectic scheme::
 
     rho = integral dx dmu dnu  w(x, mu, nu) K(x; mu, nu, z)
 
-* deterministic quadrature over a polar (mu, nu) grid, fed by a tabulated
-  tomogram whose settings fix the angles and the circle radius;
+* deterministic quadrature over a polar (mu, nu) grid, fed by a record on one
+  circle of settings: a tabulated tomogram or a homodyne sample record;
 * kernel averaging over simulated measurement samples drawn with
   importance-weighted settings.
 
-Homodyne reconstruction is the z = 1 polar quadrature restricted to the
-rotation subgroup: its phase distributions fix the characteristic function
-on every ray, so it shares the one-mode assembler.
-
-Tabulated tomograms are expected on a common circle of settings: the exact
-scaling property ``w(x, r u) = (r0/r) w(x r0 / r, r0 u)`` extends them over
-the whole plane, so the x-integral at radius r is just the row's Fourier
-transform evaluated at frequency ``z r / r0``.
+``_circle_chi`` turns every circle record into angles, angle weights and
+characteristic function, mirroring a record on less than half the circle by
+``x_(phi+pi) = -x_phi``.  The exact scaling ``w(x, r u) = (r0/r) w(x r0 / r,
+r0 u)`` extends it over the plane: the x-integral at radius r is its Fourier
+transform at frequency ``z r / r0``.  Homodyne is the z = 1 case.
 """
 
 from __future__ import annotations
@@ -131,7 +128,7 @@ def _angle_weights(phis: np.ndarray) -> np.ndarray:
     sorted_phis = phis[order]
     gaps = np.diff(np.concatenate([sorted_phis, [sorted_phis[0] + 2 * np.pi]]))
     if np.any(gaps <= 0):
-        raise DegenerateConfig("tomogram settings must have distinct angles")
+        raise DegenerateConfig("a record on one circle needs distinct angles (one batch per setting)")
     w = 0.5 * (gaps + np.roll(gaps, 1))
     out = np.empty_like(w)
     out[order] = w
@@ -171,22 +168,37 @@ def _row_fourier(values: np.ndarray, x: np.ndarray, deltas: np.ndarray, freqs: n
     return chi * np.exp(1j * np.outer(deltas, freqs))
 
 
-def _tomogram_circle_data(tomo: Tomogram) -> tuple[np.ndarray, float]:
-    radii = np.array([s.radius for s in tomo.settings])
+def _circle_radius(settings) -> float | None:
+    """The radius every setting shares to a relative 1e-9, or None when they differ."""
+    radii = np.array([s.radius for s in settings])
     r0 = float(radii.mean())
-    if np.max(np.abs(radii - r0)) > 1e-9 * max(r0, 1.0):
-        raise DegenerateConfig("tomogram settings must lie on a common circle")
-    phis = np.array([s.angle for s in tomo.settings]) % (2 * np.pi)
-    return phis, r0
+    return r0 if np.max(np.abs(radii - r0)) <= 1e-9 * max(r0, 1.0) else None
 
 
-def _circle_chi(tomo: Tomogram, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Angles, angle weights and ``chi[p, k]`` at ``freqs[k]`` times the unit radius."""
-    if not isinstance(tomo, Tomogram):
-        raise InvalidParameter(f"expected a Tomogram, got {type(tomo).__name__}: tabulate it with tabulate_tomogram")
-    phis, r0 = _tomogram_circle_data(tomo)
-    deltas = np.array([s.delta for s in tomo.settings])
-    return phis, _angle_weights(phis), _row_fourier(tomo.values, tomo.x, deltas, freqs / r0)
+def _circle_chi(data, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angles, angle weights and ``chi[p, k]`` at ``freqs[k]`` times the unit radius.
+
+    ``data`` is a circle Tomogram or a list of ``(phi, xs)`` pairs of centred
+    unit-circle outcomes; angles on less than half the circle gain antipodes.
+    """
+    if isinstance(data, Tomogram):
+        r0 = _circle_radius(data.settings)
+        if r0 is None:
+            raise DegenerateConfig("tomogram settings must lie on a common circle")
+        phis = np.array([s.angle for s in data.settings])
+        chi = _row_fourier(data.values, data.x, np.array([s.delta for s in data.settings]), freqs / r0)
+    elif isinstance(data, (list, tuple)):
+        if not data or any(np.size(xs) == 0 for _, xs in data):
+            raise EmptyBatches("every phase needs samples")
+        phis = np.array([float(phi) for phi, _ in data])
+        chi = np.array([_empirical_characteristic(xs, -freqs) for _, xs in data])
+    else:
+        raise InvalidParameter(f"need a Tomogram or (phi, x) pairs, not {type(data).__name__}: use tabulate_tomogram")
+    phis = phis % (2 * np.pi)
+    if np.max(np.diff(np.sort(phis), append=phis.min() + 2 * np.pi)) > np.pi:
+        phis = np.concatenate([phis, (phis + np.pi) % (2 * np.pi)])
+        chi = np.concatenate([chi, chi.conj()])
+    return phis, _angle_weights(phis), chi
 
 
 def _diagnostics(raw: np.ndarray) -> tuple[float, float]:
@@ -267,11 +279,12 @@ _SAMPLE_CHUNK = 256
 def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> ReconstructionReport:
     """Kernel-averaging estimator over per-setting sample batches.
 
-    Each batch must carry the plane density ``weight`` of its setting; the
-    estimator is the batch mean of ``K / weight``, unbiased for settings
-    drawn from that density.  The standard error scales as ``1/sqrt(N)``.
-    A campaign on fewer than two distinct ``(mu, nu)`` raises
-    ``InvalidParameter``.
+    A record on one circle of radius ``r0`` (homodyne) has no plane density:
+    its outcomes, centred and over ``r0``, go through the circle path on the
+    radii of ``cfg.grid``.  Other campaigns carry each setting's plane density
+    ``weight``; the batch mean of ``K / weight`` is unbiased for settings drawn
+    from it, with standard error ``~ 1/sqrt(N)``.  A campaign on fewer than two
+    distinct ``(mu, nu)`` raises ``InvalidParameter``.
     """
     batches = list(batches)
     if not batches or all(len(b.outcomes) == 0 for b in batches):
@@ -280,10 +293,18 @@ def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> Reconstructi
         raise InvalidParameter("a campaign needs two or more distinct settings (mu, nu) to determine a state")
     if any(len(b.outcomes) == 0 for b in batches):
         raise EmptyBatches("encountered an empty batch")
+    total = sum(len(b.outcomes) for b in batches)
+    z = cfg.scale.z
+    r0 = _circle_radius([b.setting for b in batches])
+    if r0 is not None:
+        r, wr = _radial_nodes(cfg.grid.resolve_r_max(z), cfg.grid.n_r)
+        pairs = [(b.setting.angle, (b.outcomes - b.setting.delta) / r0) for b in batches]
+        phis, phi_weights, chi = _circle_chi(pairs, z * r)
+        raw = _assemble_rho(chi, phis, phi_weights, r, wr, z, cfg.dim)
+        return _finish(raw, cfg.projection, len(batches), total, check_trace=False)
     weights = np.array([b.weight for b in batches], dtype=float)
     if np.any(weights <= 0):
         raise InvalidParameter("batch weight (setting density) must be positive")
-    z = cfg.scale.z
     # per batch: the mean kernel phase over its outcomes, over its setting density
     coeffs = np.array(
         [np.mean(np.exp(-1j * z * (np.asarray(b.outcomes, dtype=float) - b.setting.delta))) for b in batches]
@@ -294,7 +315,6 @@ def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> Reconstructi
         chunk = slice(start, start + _SAMPLE_CHUNK)
         raw += np.tensordot(coeffs[chunk], displacement_matrix(zetas[chunk], cfg.dim), axes=1)
     raw /= len(batches)
-    total = sum(len(b.outcomes) for b in batches)
     return _finish(raw, cfg.projection, len(batches), total, check_trace=False)
 
 
@@ -314,8 +334,8 @@ def reconstruct_homodyne(
     The phases ``phi`` are the settings ``(cos phi, sin phi)`` of the unit
     circle, so the estimate is the z = 1 symplectic quadrature on
     Gauss-Legendre radii over ``[0, r_cutoff]``.  ``data`` is either a circle
-    Tomogram (rows become exact phase distributions) or an iterable of
-    ``(phi, samples)`` pairs.  Phases that only cover ``[0, pi)`` are
+    Tomogram (rows become exact phase distributions) or a list of
+    ``(phi, samples)`` pairs.  Phases on less than half the circle are
     mirrored to the full circle using ``x_(phi+pi) = -x_phi``.
     """
     _check_count(dim, 1, "dim")
@@ -326,25 +346,7 @@ def reconstruct_homodyne(
     # one extra column at r_cutoff for the tail estimate: Gauss-Legendre
     # radii have no node on the boundary
     radii = np.append(r, r_cutoff)
-    if isinstance(data, Tomogram):
-        phis, phi_weights, chi = _circle_chi(data, radii)
-        samples_used = 0
-        settings_used = len(data.settings)
-    else:
-        pairs = [(float(phi), np.asarray(xs, dtype=float)) for phi, xs in data]
-        if not pairs or any(xs.size == 0 for _, xs in pairs):
-            raise EmptyBatches("every homodyne phase needs samples")
-        phis = np.asarray([p for p, _ in pairs])
-        chi = np.array([_empirical_characteristic(xs, -radii) for _, xs in pairs])
-        span = (phis.max() - phis.min()) % (2 * np.pi)
-        if span < np.pi:
-            # extend [0, pi) coverage: x_(phi+pi) = -x_phi, so the mirrored
-            # characteristic is the complex conjugate
-            phis = np.concatenate([phis, (phis + np.pi) % (2 * np.pi)])
-            chi = np.concatenate([chi, chi.conj()])
-        phi_weights = _angle_weights(phis % (2 * np.pi))
-        samples_used = sum(xs.size for _, xs in pairs)
-        settings_used = len(pairs)
+    phis, phi_weights, chi = _circle_chi(data, radii)
 
     # beyond the boundary the integrand decays like exp(-r^2/4), so the
     # discarded part is about the boundary integrand times
@@ -354,7 +356,9 @@ def reconstruct_homodyne(
     if tail > 1e-3:
         raise CutoffTooSmall(f"radial tail estimate {tail:.3g} at r_cutoff {r_cutoff}")
     raw = _assemble_rho(chi[:, :-1], phis, phi_weights, r, wr, 1.0, dim)
-    return _finish(raw, projection, settings_used, samples_used, check_trace=False)
+    if isinstance(data, Tomogram):
+        return _finish(raw, projection, len(data.settings), 0, check_trace=False)
+    return _finish(raw, projection, len(data), sum(np.size(xs) for _, xs in data), check_trace=False)
 
 
 def _empirical_characteristic(xs: np.ndarray, r: np.ndarray, chunk: int = 512) -> np.ndarray:

@@ -202,8 +202,10 @@ class TwoModeTomogram:
 
     def __post_init__(self):
         object.__setattr__(self, "settings", tuple(self.settings))
+        if not self.settings:
+            raise InvalidParameter("a tomogram needs at least one setting")
         x1 = _outcome_grid(self.x1, "x1")
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if not np.all(np.isfinite(v)):
             raise InvalidParameter("tomogram densities must be finite")
         object.__setattr__(self, "x1", x1)
@@ -579,7 +581,8 @@ def tabulate_tilde_tomogram(
     if x_grid is None:
         half = max(_half_width(state, s) + abs(s.delta[0]) for s in settings)
         x_grid = np.linspace(-half, half, num)
-    rows = np.asarray([tilde_marginal(state, x_grid - s.delta[0], s) for s in settings])
+    # the constructor copies what it gets: hand it the rows, so the table is built once
+    rows = [tilde_marginal(state, x_grid - s.delta[0], s) for s in settings]
     tomo = TwoModeTomogram(tuple(settings), x_grid, rows)
     tomo.validate_normalization()
     return tomo

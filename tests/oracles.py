@@ -26,10 +26,10 @@ from symplectomo.marginals import QuadratureSetting, Tomogram
 from symplectomo.measure_sim import SampleBatch
 from symplectomo.reconstruct import (
     _angle_weights,
+    _circle_radius,
     _empirical_characteristic,
     _finish,
     _radial_nodes,
-    _tomogram_circle_data,
     _trapezoid_weights,
 )
 from symplectomo.twomode import TwoModeSetting, TwoModeTomogram, characteristic_two_mode, hopf_directions
@@ -241,7 +241,7 @@ def homodyne_trapezoid(data, dim: int, r_cutoff: float = 12.0, regularizer_eps: 
     damp = trw * r * np.exp(-regularizer_eps * r**2)
 
     if isinstance(data, Tomogram):
-        phis, r0 = _tomogram_circle_data(data)
+        phis, r0 = np.array([s.angle for s in data.settings]) % (2 * np.pi), _circle_radius(data.settings)
         tw = _trapezoid_weights(data.x)
         # rows tabulate the density of r0 * x_phi; rescale frequencies to x_phi
         phase_matrix = np.exp(1j * np.outer(data.x, r / r0))

@@ -1,15 +1,26 @@
-"""Every ```python block of README.md runs as written, so an API change cannot leave it stale."""
+"""Every ```python block and every CLI line of README.md runs as written, so an API change cannot leave it stale."""
 
 import contextlib
 import io
 import pathlib
 import re
+import shlex
 import time
 
 import pytest
 
+from symplectomo import cli
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
+# each `symplectomo ...` command of the ```bash blocks, continuation lines joined
+CLI_LINES = [
+    line
+    for block in re.findall(r"^```bash\n(.*?)^```", TEXT, flags=re.M | re.S)
+    for line in block.replace("\\\n", " ").splitlines()
+    if line.startswith("symplectomo ")
+]
 
 
 def test_readme_has_python_blocks():
@@ -22,3 +33,13 @@ def test_readme_python_block_runs(index):
     with contextlib.redirect_stdout(io.StringIO()):
         exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
     assert time.monotonic() - started < 3.0
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    assert CLI_LINES
+    monkeypatch.chdir(tmp_path)
+    started = time.monotonic()
+    with contextlib.redirect_stdout(io.StringIO()):
+        for line in CLI_LINES:
+            assert cli.main(shlex.split(line)[1:]) == 0, line
+    assert time.monotonic() - started < 10.0

@@ -7,6 +7,7 @@ import symplectomo as sy
 import symplectomo.io as tio
 from symplectomo import cli
 from symplectomo import states as st
+from symplectomo.errors import InvalidParameter
 from symplectomo.marginals import QuadratureSetting, circle_settings, tabulate_tomogram
 from symplectomo.measure_sim import importance_schedule, sample_campaign, sample_marginal
 from symplectomo.twomode import TwoModeSetting, hopf_directions, tabulate_tilde_tomogram
@@ -38,6 +39,19 @@ def test_two_mode_tomogram_roundtrip(tmp_path):
     assert np.array_equal(back.values, tomo.values)
     assert back.kind == "tilde"
     assert not (tmp_path / "t2.csv.meta.json").exists()
+
+
+def test_two_mode_tomogram_with_a_delta_is_not_saved(tmp_path):
+    # the tilde and vector headers have no delta column: a saved file would reload with delta = 0
+    dirs = hopf_directions(4, 4)[0]
+    settings = [TwoModeSetting(mu=d[:2], nu=d[2:], delta=np.array([0.7, 0.0])) for d in dirs]
+    tomo = tabulate_tilde_tomogram(st.GaussianTwoMode(np.eye(4) * 0.5), settings=settings, num=301)
+    rho = sy.reconstruct_two_mode(tomo, sy.TwoModeConfig(dims=(3, 3))).rho.entries
+    assert abs(rho[0, 0] - 1.0) < 1e-3
+    path = tmp_path / "t2.csv"
+    with pytest.raises(InvalidParameter, match="delta"):
+        tio.save_two_mode_tomogram(tomo, path)
+    assert not path.exists()
 
 
 def test_samples_roundtrip(tmp_path):
@@ -139,6 +153,7 @@ MALFORMED_INPUT = {
     "setting value": (["tomogram", "--state", "vacuum", "--settings", "1,abc"], None),
     "hopf size": (["tomogram", "--state", "vacuum", "--settings", "hopf:a:3"], None),
     "empty hopf grid": (["tomogram", "--state", "cat2:q1=1,p1=0,q2=0,p2=1", "--settings", "hopf:0:3"], None),
+    "two-mode delta": (["tomogram", "--state", "gauss2:M=diag:0.5,0.5,0.5,0.5", "--settings", "1,0,0.5"], None),
     "direct delta": (SAMPLE + ["direct:mu=1,nu=0,delta=x"], None),
     "heterodyne th1": (SAMPLE + ["heterodyne:E1=1,E2=1,phi=0,th1=x"], None),
     "heterodyne th2": (SAMPLE + ["heterodyne:E1=1,E2=1,phi=0,th2=x"], None),
@@ -151,11 +166,7 @@ MALFORMED_INPUT = {
     "grid third field": (RECONSTRUCT + ["{tomogram}", "--grid", "8:64:2"], None),
     "tilde grid third field": (RECONSTRUCT + ["{tilde}", "--grid", "1:2:4"], None),
     "tilde grid too small": (RECONSTRUCT + ["{tilde}", "--grid", "1:2"], None),
-    "homodyne with z and grid": (RECONSTRUCT + ["{tomogram}", "--method", "homodyne", "--z", "0.3", "--grid", "1:4:4"], None),
-    "homodyne with z": (RECONSTRUCT + ["{tomogram}", "--method", "homodyne", "--z", "0.3"], None),
-    "homodyne with grid": (RECONSTRUCT + ["{tomogram}", "--method", "homodyne", "--grid", "8:64"], None),
-    "homodyne on samples": (RECONSTRUCT + ["{samples}", "--method", "homodyne", "--dim", "4"], None),
-    "homodyne on tilde": (RECONSTRUCT + ["{tilde}", "--method", "homodyne", "--dim", "3"], None),
+    "method flag": (RECONSTRUCT + ["{tomogram}", "--method", "homodyne", "--dim", "4"], None),
     "grid on samples": (RECONSTRUCT + ["{samples}", "--grid", "8:64", "--dim", "4"], None),
     "non-uniform x1": (RECONSTRUCT + ["{warped}", "--dim", "3"], None),
 }
@@ -269,13 +280,26 @@ def test_cli_reconstruct_tomogram_and_compare(tmp_path):
 
 
 def test_cli_reconstruct_homodyne_method(tmp_path):
+    # homodyne is the z = 1 preset on reconstruct_homodyne's 64 radii over [0, 12]
     tomo_path = tmp_path / "t.csv"
     cli.main(["tomogram", "--state", "thermal:lambda=0.5", "--settings", "circle:16", "--out", str(tomo_path)])
     out = tmp_path / "h.json"
-    rc = cli.main(["reconstruct", "--input", str(tomo_path), "--method", "homodyne", "--dim", "8", "--out", str(out)])
+    rc = cli.main(["reconstruct", "--input", str(tomo_path), "--z", "1", "--grid", "12:64", "--dim", "8", "--out", str(out)])
     assert rc == 0
     rho = tio.load_density(out)
+    want = sy.reconstruct_homodyne(tio.load_tomogram(tomo_path), dim=8).rho.entries
+    assert np.max(np.abs(rho.entries - want)) <= 1e-13
     assert abs(rho.entries[0, 0].real - 2 / 3) < 1e-2
+
+
+def test_cli_reconstructs_a_homodyne_sample_record(tmp_path):
+    # four phases over [0, pi) on the unit circle: mirrored, not importance-averaged
+    settings = [QuadratureSetting(np.cos(p), np.sin(p)) for p in np.pi * np.arange(4) / 4]
+    samples = tmp_path / "h.csv"
+    tio.save_samples(sample_campaign(st.Vacuum(), settings, 4000, seed=3), samples)
+    out = tmp_path / "rho.json"
+    assert cli.main(["reconstruct", "--input", str(samples), "--dim", "4", "--out", str(out)]) == 0
+    assert tio.load_density(out).entries[0, 0].real >= 0.95
 
 
 def test_cli_reconstruct_from_samples(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from symplectomo import marginals as mg
 from symplectomo import states as st
+from symplectomo import twomode as tm
 from symplectomo.errors import DegenerateSetting, GridTooNarrow, InvalidParameter, UnsupportedVariant
 
 from oracles import number_state_marginal
@@ -217,3 +218,27 @@ def test_tomogram_rejects_nonfinite_data():
     for xs, vs in ((x, bad_rows), (bad_x, rows)):
         with pytest.raises(InvalidParameter):
             mg.Tomogram(tuple(settings), xs, vs)
+
+
+EMPTY_TOMOGRAMS = {
+    "one mode": lambda x: mg.Tomogram((), x, np.empty((0, x.size))),
+    "two modes": lambda x: tm.TwoModeTomogram((), x, np.empty((0, x.size))),
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_TOMOGRAMS))
+def test_tomogram_without_settings_is_refused(case):
+    with pytest.raises(InvalidParameter, match="at least one setting"):
+        EMPTY_TOMOGRAMS[case](np.linspace(-3, 3, 7))
+
+
+def test_tomograms_copy_the_callers_arrays():
+    x = np.linspace(-6, 6, 301)
+    tabulated = mg.tabulate_tomogram(st.Vacuum(), mg.circle_settings(4), x_grid=x)
+    values = np.array(tabulated.values)
+    one = mg.Tomogram(tabulated.settings, x, values)
+    two = tm.TwoModeTomogram((tm.TwoModeSetting(mu=np.array([1.0, 0.0]), nu=np.zeros(2)),), x, values[:1])
+    plane = tm.TwoModeTomogram(two.settings, x[:3], np.full((1, 3, 2), 0.1), x2=x[:2])
+    assert x.flags.writeable and values.flags.writeable
+    for own in (tabulated.x, tabulated.values, one.x, one.values, two.x1, two.values, plane.x1, plane.x2, plane.values):
+        assert not own.flags.writeable

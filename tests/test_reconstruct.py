@@ -274,6 +274,52 @@ def test_wigner_from_tomogram_quick(thermal_tomogram):
         assert abs(got - st.wigner(st.Thermal(0.5), q, p)) < 1e-4
 
 
+HALF_CIRCLE_STATES = {"vacuum": st.Vacuum(), "coherent": st.Coherent(0.8 + 0.3j), "cat": st.EvenCat(1.0, 1.0)}
+
+
+@pytest.mark.parametrize("name", list(HALF_CIRCLE_STATES))
+def test_half_circle_tomogram_matches_the_full_circle(name):
+    # x_(phi+pi) = -x_phi: 16 phases over half the circle hold all of the
+    # 32-phase circle, also when they straddle the angle 0
+    state = HALF_CIRCLE_STATES[name]
+    x = np.linspace(-12, 12, 1201)
+    settings = circle_settings(32)
+    full = tabulate_tomogram(state, settings, x_grid=x)
+    cfg = ReconstructionConfig(dim=12)
+    q, p = np.linspace(-2, 2, 5), np.linspace(-1.5, 2.5, 5)
+    for half_settings in (settings[:16], settings[24:] + settings[:8]):
+        half = tabulate_tomogram(state, half_settings, x_grid=x)
+        for rebuild in (lambda t: reconstruct_from_tomogram(t, cfg), lambda t: reconstruct_homodyne(t, dim=12)):
+            assert np.max(np.abs(rebuild(half).rho.entries - rebuild(full).rho.entries)) <= 1e-12
+        assert np.max(np.abs(wigner_from_tomogram(half, q, p) - wigner_from_tomogram(full, q, p))) <= 1e-12
+
+
+def _circle_record(state, n_phases, radius=1.0, delta=0.0):
+    phases = np.pi * np.arange(n_phases) / n_phases
+    settings = [QuadratureSetting(radius * np.cos(p), radius * np.sin(p), delta) for p in phases]
+    return sy.sample_campaign(state, settings, 2000, seed=17)
+
+
+def test_circle_sample_record_matches_reconstruct_homodyne():
+    batches = _circle_record(st.Coherent(0.5 + 0.2j), 4)
+    got = reconstruct_from_samples(batches, ReconstructionConfig(dim=6, grid=PolarGrid(12.0, 64)))
+    want = reconstruct_homodyne([(b.setting.angle, b.outcomes) for b in batches], dim=6)
+    assert np.max(np.abs(got.rho.entries - want.rho.entries)) <= 1e-13
+    assert (got.settings_used, got.samples_used) == (want.settings_used, want.samples_used) == (4, 8000)
+
+
+def test_circle_sample_record_scales_with_its_radius_and_delta():
+    # w(x, r u) = (r0/r) w(x r0/r, r0 u): a radius-2, delta-0.3 record is its unit record rescaled
+    batches = _circle_record(st.Thermal(0.6), 5, radius=2.0, delta=0.3)
+    unit = [
+        sy.SampleBatch(QuadratureSetting(b.setting.mu / 2, b.setting.nu / 2), (b.outcomes - 0.3) / 2, b.seed)
+        for b in batches
+    ]
+    cfg = ReconstructionConfig(dim=6)
+    got = reconstruct_from_samples(batches, cfg).rho.entries
+    assert np.max(np.abs(got - reconstruct_from_samples(unit, cfg).rho.entries)) <= 1e-13
+
+
 def test_homodyne_empty_and_cutoff_errors():
     with pytest.raises(EmptyBatches):
         reconstruct_homodyne([], dim=4)
