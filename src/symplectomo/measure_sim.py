@@ -94,7 +94,7 @@ class SampleBatch:
     generator: str = GENERATOR_NAME
 
     def __post_init__(self):
-        arr = np.asarray(self.outcomes, dtype=float)
+        arr = np.array(self.outcomes, dtype=float)  # a copy: the caller's array stays writeable
         if arr.size and not np.all(np.isfinite(arr)):
             raise InvalidParameter("outcomes must be finite")
         arr.flags.writeable = False

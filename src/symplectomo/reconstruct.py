@@ -128,7 +128,7 @@ def _angle_weights(phis: np.ndarray) -> np.ndarray:
     sorted_phis = phis[order]
     gaps = np.diff(np.concatenate([sorted_phis, [sorted_phis[0] + 2 * np.pi]]))
     if np.any(gaps <= 0):
-        raise DegenerateConfig("a record on one circle needs distinct angles (one batch per setting)")
+        raise DegenerateConfig("a tomogram on one circle needs distinct angles")
     w = 0.5 * (gaps + np.roll(gaps, 1))
     out = np.empty_like(w)
     out[order] = w
@@ -162,10 +162,10 @@ def _assemble_rho(
 
 def _row_fourier(values: np.ndarray, x: np.ndarray, deltas: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """``chi[j, k] = integral w_j(x) exp(-i freqs[k] (x - delta_j)) dx`` by trapezoid."""
-    tw = _trapezoid_weights(x)
-    phase = np.exp(-1j * np.outer(x, freqs))  # (n_x, n_k)
-    chi = (values * tw[None, :]) @ phase
-    return chi * np.exp(1j * np.outer(deltas, freqs))
+    # real products with the cos and sin tables: the real rows are never cast to complex
+    arg = np.outer(x, freqs)  # (n_x, n_k)
+    weighted = values * _trapezoid_weights(x)
+    return (weighted @ np.cos(arg) - 1j * (weighted @ np.sin(arg))) * np.exp(1j * np.outer(deltas, freqs))
 
 
 def _circle_radius(settings) -> float | None:
@@ -179,7 +179,8 @@ def _circle_chi(data, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     """Angles, angle weights and ``chi[p, k]`` at ``freqs[k]`` times the unit radius.
 
     ``data`` is a circle Tomogram or a list of ``(phi, xs)`` pairs of centred
-    unit-circle outcomes; angles on less than half the circle gain antipodes.
+    unit-circle outcomes, pooled per angle; angles on less than half the
+    circle gain antipodes.
     """
     if isinstance(data, Tomogram):
         r0 = _circle_radius(data.settings)
@@ -190,8 +191,11 @@ def _circle_chi(data, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     elif isinstance(data, (list, tuple)):
         if not data or any(np.size(xs) == 0 for _, xs in data):
             raise EmptyBatches("every phase needs samples")
-        phis = np.array([float(phi) for phi, _ in data])
-        chi = np.array([_empirical_characteristic(xs, -freqs) for _, xs in data])
+        pooled: dict[float, list] = {}  # the batches of one angle pool into one record
+        for phi, xs in data:
+            pooled.setdefault(float(phi) % (2 * np.pi), []).append(np.ravel(xs))
+        phis = np.array(list(pooled))
+        chi = np.array([_empirical_characteristic(np.concatenate(xs), -freqs) for xs in pooled.values()])
     else:
         raise InvalidParameter(f"need a Tomogram or (phi, x) pairs, not {type(data).__name__}: use tabulate_tomogram")
     phis = phis % (2 * np.pi)

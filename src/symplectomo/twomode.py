@@ -22,6 +22,7 @@ settings; there the direction sum factorises per mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +49,6 @@ __all__ = [
     "tilde_marginal_gaussian",
     "tilde_marginal_cat",
     "tilde_marginal",
-    "tilde_marginal_numeric",
     "vector_marginal_numeric",
     "characteristic_two_mode",
     "wigner_moment_numeric",
@@ -129,8 +129,8 @@ class TwoModeSetting:
 
 
 def _frozen_vec(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).reshape(2).copy()
-    if not np.all(np.isfinite(arr)):
+    arr = np.array(v, dtype=float).reshape(2)
+    if not (math.isfinite(arr[0]) and math.isfinite(arr[1])):
         raise InvalidParameter("setting components must be finite")
     arr.flags.writeable = False
     return arr
@@ -226,13 +226,9 @@ class TwoModeTomogram:
         return "vector" if self.x2 is not None else "tilde"
 
     def validate_normalization(self, tol: float = 1e-3) -> None:
-        dx1 = self.x1[1] - self.x1[0]
-        if self.kind == "tilde":
-            integrals = np.trapezoid(self.values, dx=dx1, axis=1)
-        else:
-            dx2 = self.x2[1] - self.x2[0]
-            integrals = np.trapezoid(np.trapezoid(self.values, dx=dx2, axis=2), dx=dx1, axis=1)
-        worst = float(np.max(np.abs(integrals - 1.0)))
+        # trapezoid sums as products with the rule's weights: no table-sized temporaries
+        rows = self.values if self.kind == "tilde" else self.values @ _trapezoid_weights(self.x2)
+        worst = float(np.max(np.abs(rows @ _trapezoid_weights(self.x1) - 1.0)))
         if worst > tol:
             raise GridTooNarrow(f"worst two-mode normalization deficit {worst:.3g}")
 
@@ -291,14 +287,55 @@ def _cat_term_characteristic(A: np.ndarray, B: np.ndarray, w: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def _gauss_rows(state: st.GaussianTwoMode, x: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Gaussian marginals at ``x[s]`` of the setting rows ``U[s]``: mean ``u . means``, variance ``u M u^T``."""
+    s2 = np.einsum("si,ij,sj->s", U, state.M.entries, U)[:, None]
+    x = x - (U @ state.means)[:, None]
+    return np.exp(-(x**2) / (2 * s2)) / np.sqrt(2 * np.pi * s2)
+
+
+def _cat_rows(state, x: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Even-cat marginals at ``x[s]`` of the setting rows ``U[s]``; ``state`` may be the amplitude pair."""
+    A = state.A if isinstance(state, st.TwoModeCat) else np.asarray(state, dtype=complex).reshape(2)
+    Q, P = np.sqrt(2) * A.real, np.sqrt(2) * A.imag
+    mu, nu = U[:, :2], U[:, 2:]
+    r2 = np.sum(U**2, axis=1)[:, None]
+
+    a2 = (Q @ Q + P @ P) / 2.0
+    n2 = np.exp(a2) / (4.0 * np.cosh(a2))
+    b = nu * P + mu * Q  # per-mode shifts of the hyperbolic terms
+    c = mu * P - nu * Q  # per-mode frequencies of the oscillating term
+    m = mu**2 + nu**2
+    env = (-(x**2) - (b[:, :1] ** 2 + b[:, 1:] ** 2)) / r2
+    osc_exp = (-(P[0] ** 2 + Q[0] ** 2) * m[:, 1:] - (P[1] ** 2 + Q[1] ** 2) * m[:, :1] + 2 * c[:, :1] * c[:, 1:]) / r2
+    hyp_exp = -2 * b[:, :1] * b[:, 1:] / r2
+    hyp_arg = 2 * b.sum(axis=1, keepdims=True) * x / r2
+    # cosh folded into the exponents so extreme amplitudes cannot overflow
+    terms = np.exp(env + osc_exp) * np.cos(2 * c.sum(axis=1, keepdims=True) * x / r2)
+    terms = terms + 0.5 * (np.exp(env + hyp_exp + hyp_arg) + np.exp(env + hyp_exp - hyp_arg))
+    return 2.0 * n2 / np.sqrt(np.pi * r2) * terms
+
+
+def _stacked_form(state):
+    """The stacked closed form ``rows(state, x, U)`` of ``state``, or None."""
+    if isinstance(state, st.GaussianTwoMode):
+        return _gauss_rows
+    if isinstance(state, st.TwoModeCat) and state.parity == "plus":
+        return _cat_rows
+    return None
+
+
+def _one_row(rows, state, x1, setting: TwoModeSetting):
+    """One setting's marginal by the stacked form ``rows``, shaped like ``x1``."""
+    x1 = np.asarray(x1, dtype=float)
+    return rows(state, x1.reshape(1, -1), setting.row1[None])[0].reshape(x1.shape)[()]
+
+
 def tilde_marginal_gaussian(state: st.GaussianTwoMode, x1, setting: TwoModeSetting):
     """Closed-form Gaussian marginal: mean ``u . means``, variance ``u M u^T``."""
     if not isinstance(state, st.GaussianTwoMode):
         raise UnsupportedVariant("tilde_marginal_gaussian expects a Gaussian state")
-    u = setting.row1
-    s2 = float(u @ state.M.entries @ u)
-    x1 = np.asarray(x1, dtype=float) - float(u @ state.means)
-    return np.exp(-(x1**2) / (2 * s2)) / np.sqrt(2 * np.pi * s2)
+    return _one_row(_gauss_rows, state, x1, setting)
 
 
 def tilde_marginal_cat(state, x1, setting: TwoModeSetting):
@@ -307,32 +344,9 @@ def tilde_marginal_cat(state, x1, setting: TwoModeSetting):
     ``state`` may be a TwoModeCat or the complex amplitude pair
     ``A = (Q + i P)/sqrt 2``.
     """
-    if isinstance(state, st.TwoModeCat):
-        if state.parity != "plus":
-            raise UnsupportedVariant("closed form covers the plus (even) cat only")
-        A = state.A
-    else:
-        A = np.asarray(state, dtype=complex).reshape(2)
-    Q = np.sqrt(2) * A.real
-    P = np.sqrt(2) * A.imag
-    mu, nu = setting.mu, setting.nu
-    r2 = float(mu @ mu + nu @ nu)
-    x1 = np.asarray(x1, dtype=float)
-
-    a2 = (Q @ Q + P @ P) / 2.0
-    n2 = np.exp(a2) / (4.0 * np.cosh(a2))
-    env = (-(x1**2) - (nu[0] * P[0] + mu[0] * Q[0]) ** 2 - (nu[1] * P[1] + mu[1] * Q[1]) ** 2) / r2
-    osc_exp = (
-        -(P[0] ** 2 + Q[0] ** 2) * (nu[1] ** 2 + mu[1] ** 2)
-        - (P[1] ** 2 + Q[1] ** 2) * (nu[0] ** 2 + mu[0] ** 2)
-        + 2 * (mu[0] * P[0] - nu[0] * Q[0]) * (mu[1] * P[1] - nu[1] * Q[1])
-    ) / r2
-    hyp_exp = -2 * (nu[0] * P[0] + mu[0] * Q[0]) * (nu[1] * P[1] + mu[1] * Q[1]) / r2
-    hyp_arg = 2 * (nu @ P + mu @ Q) * x1 / r2
-    # cosh folded into the exponents so extreme amplitudes cannot overflow
-    terms = np.exp(env + osc_exp) * np.cos(2 * (mu @ P - nu @ Q) * x1 / r2)
-    terms = terms + 0.5 * (np.exp(env + hyp_exp + hyp_arg) + np.exp(env + hyp_exp - hyp_arg))
-    return 2.0 * n2 / np.sqrt(np.pi * r2) * terms
+    if isinstance(state, st.TwoModeCat) and state.parity != "plus":
+        raise UnsupportedVariant("closed form covers the plus (even) cat only")
+    return _one_row(_cat_rows, state, x1, setting)
 
 
 def tilde_marginal(state, x1, setting: TwoModeSetting):
@@ -341,11 +355,10 @@ def tilde_marginal(state, x1, setting: TwoModeSetting):
     Dispatches to the closed forms where they exist, otherwise inverts the
     characteristic function along the setting direction.
     """
-    if isinstance(state, st.GaussianTwoMode):
-        return tilde_marginal_gaussian(state, x1, setting)
-    if isinstance(state, st.TwoModeCat) and state.parity == "plus":
-        return tilde_marginal_cat(state, x1, setting)
-    return _tilde_from_characteristic(state, x1, setting)
+    rows = _stacked_form(state)
+    if rows is None:
+        return _tilde_from_characteristic(state, x1, setting)
+    return _one_row(rows, state, x1, setting)
 
 
 def _tilde_from_characteristic(state, x1, setting: TwoModeSetting, k_points: int = 2001):
@@ -361,29 +374,6 @@ def _tilde_from_characteristic(state, x1, setting: TwoModeSetting, k_points: int
     kernel = np.exp(-1j * np.multiply.outer(x1, k))
     out = ((kernel @ (phi * _trapezoid_weights(k))) / (2 * np.pi)).real
     return out if out.ndim else float(out)
-
-
-def tilde_marginal_numeric(state, x1, setting: TwoModeSetting, extent: float = 9.0, num: int = 81):
-    """Independent slow path: 3-d trapezoid reduction of the Wigner function."""
-    u = setting.row1
-    r = np.linalg.norm(u)
-    e = u / r
-    basis = _null_basis(e[None, :])
-    t = np.linspace(-extent, extent, num)
-    T1, T2, T3 = np.meshgrid(t, t, t, indexing="ij")
-    offsets = basis @ np.stack([T1.ravel(), T2.ravel(), T3.ravel()])
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    out = np.empty(x1.size)
-    dt = t[1] - t[0]
-    for i, xv in enumerate(x1):
-        v = (xv / r) * e[:, None] + offsets
-        W = st.wigner_two_mode(state, v[:2], v[2:])
-        W = W.reshape(num, num, num)
-        out[i] = (
-            np.trapezoid(np.trapezoid(np.trapezoid(W, dx=dt, axis=2), dx=dt, axis=1), dx=dt, axis=0)
-            / ((2 * np.pi) ** 2 * r)
-        )
-    return out if out.size > 1 else float(out[0])
 
 
 def _null_basis(rows: np.ndarray) -> np.ndarray:
@@ -536,27 +526,33 @@ def hopf_directions(n_t: int, n_psi: int) -> tuple[np.ndarray, np.ndarray]:
     return dirs.reshape(-1, 4), np.repeat(0.5 * wt * wpsi * wpsi, n_psi * n_psi)
 
 
-def _half_width(state, setting: TwoModeSetting) -> float:
-    """Half-width of the centered x1 grid: 8 standard deviations plus displacements."""
-    u = setting.row1
+def _half_widths(state, U: np.ndarray) -> np.ndarray:
+    """Half-widths of the centered x1 grids of the setting rows ``U[s]``: 8 standard deviations plus displacements."""
+    mu, nu = U[:, :2], U[:, 2:]
     if isinstance(state, st.GaussianTwoMode):
-        s2 = float(u @ state.M.entries @ u)
-        return float(8.0 * np.sqrt(s2) + abs(float(u @ state.means)))
+        s2 = np.einsum("si,ij,sj->s", U, state.M.entries, U)
+        return 8.0 * np.sqrt(s2) + np.abs(U @ state.means)
     if isinstance(state, st.TwoModeCat):
-        r = np.linalg.norm(u)
-        shift = np.sqrt(2) * float(np.sum(np.abs(setting.mu * state.A.real)) + np.sum(np.abs(setting.nu * state.A.imag)))
-        return float(8.0 * r / np.sqrt(2) + 2 * shift)
+        shift = np.sqrt(2) * (np.sum(np.abs(mu * state.A.real), axis=1) + np.sum(np.abs(nu * state.A.imag), axis=1))
+        return 8.0 * np.linalg.norm(U, axis=1) / np.sqrt(2) + 2 * shift
     if isinstance(state, st.ProductState):
         # per-mode widths of the one-mode marginals add in quadrature
-        var, span = 0.0, 0.0
-        for mode, mu, nu in zip((state.mode1, state.mode2), setting.mu, setting.nu):
-            if np.hypot(mu, nu) == 0.0:
-                continue
-            sj, spj = _sigma_and_span(mode, QuadratureSetting(mu, nu))
-            var += sj**2
-            span += spj
-        return float(8.0 * np.sqrt(var) + span)
-    return float(10.0 * np.linalg.norm(u))
+        var, span = np.zeros(len(U)), np.zeros(len(U))
+        for j, mode in enumerate((state.mode1, state.mode2)):
+            for i in np.flatnonzero(np.hypot(mu[:, j], nu[:, j])):
+                sj, spj = _sigma_and_span(mode, QuadratureSetting(mu[i, j], nu[i, j]))
+                var[i] += sj**2
+                span[i] += spj
+        return 8.0 * np.sqrt(var) + span
+    return 10.0 * np.linalg.norm(U, axis=1)
+
+
+def _half_width(state, setting: TwoModeSetting) -> float:
+    """Half-width of one setting's centered x1 grid."""
+    return float(_half_widths(state, setting.row1[None])[0])
+
+
+_TILDE_CHUNK = 32  # settings per stacked evaluation; no full table is held beside the tomogram's
 
 
 def tabulate_tilde_tomogram(
@@ -569,8 +565,11 @@ def tabulate_tilde_tomogram(
 ) -> TwoModeTomogram:
     """Tabulate tilde marginals, by default on ``hopf_directions(n_t, n_psi)``.
 
-    ``reconstruct_two_mode`` needs the settings of a Hopf grid, in its order,
-    on a common radius; other settings tabulate but do not reconstruct.
+    Gaussian states and the even cat use their closed forms over the stacked
+    settings axis; other states (``ProductState``, the odd cat) invert the
+    characteristic function one setting at a time.  ``reconstruct_two_mode``
+    needs the settings of a Hopf grid, in its order, on a common radius;
+    other settings tabulate but do not reconstruct.
     """
     if settings is None:
         settings = [TwoModeSetting(mu=d[:2], nu=d[2:]) for d in hopf_directions(n_t, n_psi)[0]]
@@ -578,11 +577,18 @@ def tabulate_tilde_tomogram(
         settings = list(settings)
         if not settings:
             raise InvalidParameter("need at least one setting")
+    U = np.array([s.row1 for s in settings])
+    deltas = np.array([s.delta[0] for s in settings])
     if x_grid is None:
-        half = max(_half_width(state, s) + abs(s.delta[0]) for s in settings)
+        half = float(np.max(_half_widths(state, U) + np.abs(deltas)))
         x_grid = np.linspace(-half, half, num)
     # the constructor copies what it gets: hand it the rows, so the table is built once
-    rows = [tilde_marginal(state, x_grid - s.delta[0], s) for s in settings]
+    form = _stacked_form(state)
+    if form is None:
+        rows = [_tilde_from_characteristic(state, x_grid - s.delta[0], s) for s in settings]
+    else:  # row views of one table per chunk of settings
+        chunks = [slice(i, i + _TILDE_CHUNK) for i in range(0, len(U), _TILDE_CHUNK)]
+        rows = [row for c in chunks for row in form(state, x_grid - deltas[c, None], U[c])]
     tomo = TwoModeTomogram(tuple(settings), x_grid, rows)
     tomo.validate_normalization()
     return tomo

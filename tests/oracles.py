@@ -2,10 +2,12 @@
 
 Each function is the direct, unfactorised form of a computation the library
 performs faster: the explicit displacement-element series, the dense
-per-angle one-mode polar assembly, the per-batch campaign estimator, the
-per-direction two-mode einsum loops and per-radius GEMM, the vector-kernel
-reconstruction with a fixed second row, the 4001-node trapezoid homodyne
-estimator and kernel element, and the line-by-line CSV writers and readers.
+per-angle one-mode polar assembly, the complex-phase row Fourier transform,
+the per-batch campaign estimator, the per-setting two-mode closed-form
+marginals and their 3-d Wigner reduction, the per-direction two-mode einsum
+loops and per-radius GEMM, the vector-kernel reconstruction with a fixed
+second row, the 4001-node trapezoid homodyne estimator and kernel element,
+and the line-by-line CSV writers and readers.
 It also holds exact forms the library does not evaluate, such as the
 Hermite-function marginal of a number state.  None of them is used by the
 library itself.
@@ -19,6 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
+from symplectomo import states as st
 from symplectomo.errors import CutoffTooSmall, EmptyBatches, InvalidParameter
 from symplectomo.io import format_float
 from symplectomo.kernels import displacement_matrix, kernel_displacement_argument
@@ -32,7 +35,7 @@ from symplectomo.reconstruct import (
     _radial_nodes,
     _trapezoid_weights,
 )
-from symplectomo.twomode import TwoModeSetting, TwoModeTomogram, characteristic_two_mode, hopf_directions
+from symplectomo.twomode import TwoModeSetting, TwoModeTomogram, _null_basis, characteristic_two_mode, hopf_directions
 
 
 def _displacement_element_series(m: int, n: int, zeta: complex) -> complex:
@@ -97,6 +100,14 @@ def assemble_rho_dense(chi, phis, phi_weights, r, wr, scale, dim) -> np.ndarray:
     return np.einsum("pr,prnm->nm", weights, D)
 
 
+def row_fourier_complex(values, x, deltas, freqs) -> np.ndarray:
+    """``chi[j, k] = integral w_j(x) exp(-i freqs[k] (x - delta_j)) dx`` against a complex phase table."""
+    tw = _trapezoid_weights(x)
+    phase = np.exp(-1j * np.outer(x, freqs))  # (n_x, n_k)
+    chi = (values * tw[None, :]) @ phase
+    return chi * np.exp(1j * np.outer(deltas, freqs))
+
+
 # ---------------------------------------------------------------------------
 # one mode: campaign estimator, one displacement table per batch
 # ---------------------------------------------------------------------------
@@ -118,6 +129,72 @@ def samples_loop(batches, cfg):
 
 
 # ---------------------------------------------------------------------------
+# two modes: closed-form tilde marginals, one setting at a time
+# ---------------------------------------------------------------------------
+
+
+def tilde_gaussian_loop(state, x1, setting: TwoModeSetting):
+    """Gaussian marginal of one setting: mean ``u . means``, variance ``u M u^T``."""
+    u = setting.row1
+    s2 = float(u @ state.M.entries @ u)
+    x1 = np.asarray(x1, dtype=float) - float(u @ state.means)
+    return np.exp(-(x1**2) / (2 * s2)) / np.sqrt(2 * np.pi * s2)
+
+
+def tilde_cat_loop(state, x1, setting: TwoModeSetting):
+    """Even-cat marginal of one setting; ``state`` is a TwoModeCat or its amplitude pair."""
+    A = state.A if isinstance(state, st.TwoModeCat) else np.asarray(state, dtype=complex).reshape(2)
+    Q = np.sqrt(2) * A.real
+    P = np.sqrt(2) * A.imag
+    mu, nu = setting.mu, setting.nu
+    r2 = float(mu @ mu + nu @ nu)
+    x1 = np.asarray(x1, dtype=float)
+
+    a2 = (Q @ Q + P @ P) / 2.0
+    n2 = np.exp(a2) / (4.0 * np.cosh(a2))
+    env = (-(x1**2) - (nu[0] * P[0] + mu[0] * Q[0]) ** 2 - (nu[1] * P[1] + mu[1] * Q[1]) ** 2) / r2
+    osc_exp = (
+        -(P[0] ** 2 + Q[0] ** 2) * (nu[1] ** 2 + mu[1] ** 2)
+        - (P[1] ** 2 + Q[1] ** 2) * (nu[0] ** 2 + mu[0] ** 2)
+        + 2 * (mu[0] * P[0] - nu[0] * Q[0]) * (mu[1] * P[1] - nu[1] * Q[1])
+    ) / r2
+    hyp_exp = -2 * (nu[0] * P[0] + mu[0] * Q[0]) * (nu[1] * P[1] + mu[1] * Q[1]) / r2
+    hyp_arg = 2 * (nu @ P + mu @ Q) * x1 / r2
+    terms = np.exp(env + osc_exp) * np.cos(2 * (mu @ P - nu @ Q) * x1 / r2)
+    terms = terms + 0.5 * (np.exp(env + hyp_exp + hyp_arg) + np.exp(env + hyp_exp - hyp_arg))
+    return 2.0 * n2 / np.sqrt(np.pi * r2) * terms
+
+
+def tilde_marginal_numeric(state, x1, setting: TwoModeSetting, extent: float = 9.0, num: int = 81):
+    """Independent slow path: 3-d trapezoid reduction of the Wigner function."""
+    u = setting.row1
+    r = np.linalg.norm(u)
+    e = u / r
+    basis = _null_basis(e[None, :])
+    t = np.linspace(-extent, extent, num)
+    T1, T2, T3 = np.meshgrid(t, t, t, indexing="ij")
+    offsets = basis @ np.stack([T1.ravel(), T2.ravel(), T3.ravel()])
+    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+    out = np.empty(x1.size)
+    dt = t[1] - t[0]
+    for i, xv in enumerate(x1):
+        v = (xv / r) * e[:, None] + offsets
+        W = st.wigner_two_mode(state, v[:2], v[2:])
+        W = W.reshape(num, num, num)
+        out[i] = (
+            np.trapezoid(np.trapezoid(np.trapezoid(W, dx=dt, axis=2), dx=dt, axis=1), dx=dt, axis=0)
+            / ((2 * np.pi) ** 2 * r)
+        )
+    return out if out.size > 1 else float(out[0])
+
+
+def tilde_rows_loop(state, x1, settings) -> np.ndarray:
+    """Tilde-marginal table over ``x1 - delta1``, one closed-form call per setting."""
+    one = tilde_gaussian_loop if isinstance(state, st.GaussianTwoMode) else tilde_cat_loop
+    return np.array([one(state, x1 - s.delta[0], s) for s in settings])
+
+
+# ---------------------------------------------------------------------------
 # two modes: per-direction einsum loops
 # ---------------------------------------------------------------------------
 
@@ -129,10 +206,7 @@ def two_mode_tomogram_loop(tomo, weights, cfg) -> np.ndarray:
     dirs = np.array([s.row1 / r0 for s in tomo.settings])
     deltas = np.array([s.delta[0] for s in tomo.settings])
     R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
-    tw = _trapezoid_weights(tomo.x1)
-    phase = np.exp(-1j * np.outer(tomo.x1, z1 * R / r0))
-    chi = (tomo.values * tw[None, :]) @ phase
-    chi = chi * np.exp(1j * np.outer(deltas, z1 * R / r0))
+    chi = row_fourier_complex(tomo.values, tomo.x1, deltas, z1 * R / r0)
     d1, d2 = cfg.dims
     rho4 = np.zeros((d1, d1, d2, d2), dtype=complex)
     for k, (Rv, wRv) in enumerate(zip(R, wR)):

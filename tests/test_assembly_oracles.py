@@ -18,7 +18,9 @@ from oracles import (
     assemble_rho_dense,
     homodyne_trapezoid,
     reconstruct_two_mode_vector,
+    row_fourier_complex,
     samples_loop,
+    tilde_rows_loop,
     two_mode_grid_loop,
     two_mode_tomogram_loop,
 )
@@ -39,6 +41,47 @@ def test_one_mode_assembler_matches_dense_table(dim, z, n_phi, n_r):
     fast = _assemble_rho(chi, phis, phi_weights, r, wr, z, dim)
     dense = assemble_rho_dense(chi, phis, phi_weights, r, wr, KernelScale(z), dim)
     assert np.max(np.abs(fast - dense)) <= 1e-12
+
+
+def test_row_fourier_matches_complex_phase_table():
+    rng = np.random.default_rng(11)
+    x = np.linspace(-7.0, 7.0, 401)
+    values = rng.random((37, x.size))
+    deltas = rng.uniform(-1.0, 1.0, 37)
+    freqs = np.linspace(-3.0, 5.0, 24)
+    oracle = row_fourier_complex(values, x, deltas, freqs)
+    assert np.max(np.abs(_row_fourier(values, x, deltas, freqs) - oracle)) <= 1e-12
+
+
+def _off_grid_settings(n, seed):
+    rng = np.random.default_rng(seed)
+    rows, deltas = rng.normal(size=(n, 4)), rng.normal(size=(n, 2))
+    return [tm.TwoModeSetting(mu=u[:2], nu=u[2:], delta=d) for u, d in zip(rows, deltas)]
+
+
+_OFF_DIAGONAL_M = np.array(
+    [[0.7, 0.1, 0.2, 0.0], [0.1, 0.6, 0.0, -0.15], [0.2, 0.0, 0.8, 0.05], [0.0, -0.15, 0.05, 0.55]]
+)
+CLOSED_FORM_STATES = {
+    "gauss-off-diagonal": st.GaussianTwoMode(_OFF_DIAGONAL_M, means=[0.3, -0.2, 0.1, 0.4]),
+    "cat-complex": st.TwoModeCat(np.array([0.8 + 0.3j, -0.4 + 0.6j])),
+}
+
+
+@pytest.mark.parametrize("state", CLOSED_FORM_STATES.values(), ids=CLOSED_FORM_STATES.keys())
+def test_stacked_closed_forms_match_per_setting_loop_off_the_hopf_grid(state):
+    # 150 settings span three chunks of the stacked evaluation, the last one partial
+    settings = _off_grid_settings(150, seed=4)
+    tomo = tm.tabulate_tilde_tomogram(state, settings=settings, num=401)
+    assert np.max(np.abs(tomo.values - tilde_rows_loop(state, tomo.x1, settings))) <= 1e-13
+    for s, row in zip(settings[:6], tomo.values):
+        assert np.max(np.abs(row - tm._tilde_from_characteristic(state, tomo.x1 - s.delta[0], s))) <= 1e-12
+
+
+@pytest.mark.parametrize("state", CLOSED_FORM_STATES.values(), ids=CLOSED_FORM_STATES.keys())
+def test_default_hopf_tabulation_matches_per_setting_loop(state):
+    tomo = tm.tabulate_tilde_tomogram(state)
+    assert np.max(np.abs(tomo.values - tilde_rows_loop(state, tomo.x1, tomo.settings))) <= 1e-13
 
 
 def test_two_mode_assembler_matches_loop_on_tomogram():

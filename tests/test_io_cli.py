@@ -302,6 +302,16 @@ def test_cli_reconstructs_a_homodyne_sample_record(tmp_path):
     assert tio.load_density(out).entries[0, 0].real >= 0.95
 
 
+def test_cli_reconstructs_a_homodyne_record_with_a_repeated_phase(tmp_path):
+    # the batch that measures the first phase again is pooled with it
+    settings = [QuadratureSetting(np.cos(p), np.sin(p)) for p in np.pi * np.arange(4) / 4]
+    samples = tmp_path / "h.csv"
+    tio.save_samples(sample_campaign(st.Vacuum(), settings + settings[:1], 500, seed=1), samples)
+    out = tmp_path / "rho.json"
+    assert cli.main(["reconstruct", "--input", str(samples), "--dim", "4", "--out", str(out)]) == 0
+    assert tio.load_density(out).entries[0, 0].real >= 0.9
+
+
 def test_cli_reconstruct_from_samples(tmp_path):
     samples = tmp_path / "s.csv"
     cli.main(

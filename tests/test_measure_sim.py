@@ -206,6 +206,14 @@ def test_batch_weight_validation():
         ms.SampleBatch(QuadratureSetting(1, 0), np.zeros(3), seed=0, weight=0.0)
 
 
+def test_batch_copies_its_outcomes():
+    x = np.zeros(3)
+    batch = ms.SampleBatch(QuadratureSetting(1, 0), x, 0)
+    x[0] = 1.0  # the caller's array stays writeable
+    assert batch.outcomes[0] == 0.0
+    assert not batch.outcomes.flags.writeable
+
+
 def test_importance_schedule_stratification_modes():
     # stratified radii hit every quantile cell exactly once
     z = 1.0

@@ -320,6 +320,18 @@ def test_circle_sample_record_scales_with_its_radius_and_delta():
     assert np.max(np.abs(got - reconstruct_from_samples(unit, cfg).rho.entries)) <= 1e-13
 
 
+def test_circle_sample_record_pools_batches_of_one_angle():
+    settings = [QuadratureSetting(np.cos(p), np.sin(p)) for p in np.pi * np.arange(4) / 4]
+    batches = sy.sample_campaign(st.Vacuum(), settings + settings[:1], 500, seed=1)
+    first, *rest, again = batches
+    pooled = [sy.SampleBatch(first.setting, np.concatenate([first.outcomes, again.outcomes]), first.seed), *rest]
+    cfg = ReconstructionConfig(dim=4)
+    got = reconstruct_from_samples(batches, cfg)
+    want = reconstruct_from_samples(pooled, cfg)
+    assert np.max(np.abs(got.rho.entries - want.rho.entries)) <= 1e-12
+    assert got.samples_used == want.samples_used == 2500
+
+
 def test_homodyne_empty_and_cutoff_errors():
     with pytest.raises(EmptyBatches):
         reconstruct_homodyne([], dim=4)

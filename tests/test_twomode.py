@@ -8,6 +8,7 @@ from symplectomo import twomode as tm
 from symplectomo.errors import (
     DegenerateConfig,
     DegenerateSetting,
+    GridTooNarrow,
     InvalidParameter,
     NotSymplectic,
     UnsupportedVariant,
@@ -16,7 +17,7 @@ from symplectomo.kernels import KernelScale, kernel_number
 from symplectomo.marginals import QuadratureSetting, marginal_numeric
 
 from conftest import dense_ladder
-from oracles import reconstruct_two_mode_vector
+from oracles import reconstruct_two_mode_vector, tilde_marginal_numeric
 
 
 def random_covariance(rng, lo=0.4, hi=1.6):
@@ -103,7 +104,7 @@ def test_tilde_gaussian_matches_wigner_reduction(rng):
         s = tm.TwoModeSetting(mu=u[:2], nu=u[2:])
         for x1 in (0.0, 0.9):
             got = tm.tilde_marginal_gaussian(state, x1, s)
-            oracle = tm.tilde_marginal_numeric(state, x1, s)
+            oracle = tilde_marginal_numeric(state, x1, s)
             assert abs(got - oracle) < 1e-6
 
 
@@ -131,7 +132,7 @@ def test_tilde_product_state_matches_wigner_reduction():
     for x1 in (-0.7, 0.2, 1.1):
         got = tm.tilde_marginal(state, x1, s)
         assert np.shape(got) == ()
-        assert abs(got - tm.tilde_marginal_numeric(state, x1, s)) < 1e-10
+        assert abs(got - tilde_marginal_numeric(state, x1, s)) < 1e-10
 
 
 def test_tilde_cat_degenerate_is_two_mode_vacuum():
@@ -149,7 +150,7 @@ def test_tilde_cat_matches_wigner_reduction(rng):
         s = tm.TwoModeSetting(mu=u[:2], nu=u[2:])
         for x1 in (0.0, 1.1):
             got = tm.tilde_marginal_cat(state, x1, s)
-            oracle = tm.tilde_marginal_numeric(state, x1, s)
+            oracle = tilde_marginal_numeric(state, x1, s)
             assert abs(got - oracle) < 1e-6
 
 
@@ -364,6 +365,20 @@ BAD_OUTCOME_GRIDS = {
     "x2 non-uniform": lambda: tm.TwoModeTomogram((S0,), X, np.full((1, 41, 41), 0.1), x2=_warped(X)),
     "tabulated on one point": lambda: tm.tabulate_tilde_tomogram(GAUSS, num=1, n_t=2, n_psi=2),
 }
+
+
+@pytest.mark.parametrize("kind", ["tilde", "vector"])
+def test_two_mode_normalization_deficit_is_the_trapezoid_rule(kind):
+    # the vacuum marginal on [-1, 1] holds erf(1) = 0.84 of its weight
+    x = np.linspace(-1.0, 1.0, 41)
+    w = np.exp(-(x**2)) / np.sqrt(np.pi)
+    if kind == "tilde":
+        tomo, want = tm.TwoModeTomogram((S0,), x, w[None]), np.trapezoid(w, x)
+    else:
+        tomo, want = tm.TwoModeTomogram((S0,), x, np.outer(w, w)[None], x2=x), np.trapezoid(w, x) ** 2
+    with pytest.raises(GridTooNarrow, match=f"deficit {abs(want - 1.0):.3g}$"):
+        tomo.validate_normalization()
+    tomo.validate_normalization(tol=abs(want - 1.0) + 1e-12)
 
 
 @pytest.mark.parametrize("case", list(BAD_OUTCOME_GRIDS))
