@@ -54,7 +54,6 @@ from .twomode import (
     reconstruct_two_mode,
     tilde_marginal_cat,
     tilde_marginal_gaussian,
-    vector_marginal_numeric,
 )
 from .measure_sim import (
     HeterodyneSettingTwoMode,

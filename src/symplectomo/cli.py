@@ -298,7 +298,7 @@ def cmd_sample(args) -> int:
 
 def _sniff_header(path) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.readline().strip()
+        return tio._read_header(fh, path, *tio.HEADERS)
 
 
 def cmd_reconstruct(args) -> int:
@@ -320,10 +320,8 @@ def cmd_reconstruct(args) -> int:
         radial = {"r_max": grid.r_max, "n_r": grid.n_r} if grid else {}
         cfg2 = TwoModeConfig(scale=scale, dims=(args.dim, args.dim), projection=args.projection, **radial)
         report = reconstruct_two_mode(tomo2, cfg2)
-    elif header == tio.TWO_MODE_SAMPLES_HEADER:
-        raise SpecError("two-mode sample reconstruction is not available yet; reconstruct a two-mode tomogram")
     else:
-        raise SpecError(f"unrecognized input header {header!r}")
+        raise SpecError("two-mode sample reconstruction is not available yet; reconstruct a two-mode tomogram")
 
     tio.save_density(report.rho, args.out)
     report_path = str(args.out) + ".report.json"

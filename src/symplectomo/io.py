@@ -1,15 +1,17 @@
 """File formats: tomogram/sample CSVs, density-matrix JSON, run manifests.
 
 All CSVs are UTF-8 with LF line endings and 17-significant-digit floats, so a
-written file round-trips bit-exactly through ``float``.
+written file round-trips bit-exactly through ``float``.  A tomogram file holds
+one line per setting over an outcome grid written once; a sample file holds
+one outcome per line.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, asdict
-from itertools import repeat, zip_longest
 
 import numpy as np
 
@@ -40,69 +42,91 @@ def format_float(v: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# CSV files: a header line, then per row a setting's key columns and one
-# outcome's columns; each setting's rows are contiguous
+# CSV files.  A tomogram file is wide: a header line, one grid line per
+# outcome axis (the axis name, empty key cells, the grid), then one line per
+# setting holding its key cells and its densities.  A sample file is long: a
+# header line, then one outcome per line led by its setting's key cells.
 # ---------------------------------------------------------------------------
 
 _TWO_MODE_KEY = "mu1,mu2,nu1,nu2,mup1,mup2,nup1,nup2"
-TOMOGRAM_HEADER = "mu,nu,delta,x,w"
-TILDE_HEADER = _TWO_MODE_KEY + ",x1,w"
-VECTOR_HEADER = _TWO_MODE_KEY + ",x1,x2,w"
+TOMOGRAM_HEADER = "mu,nu,delta,w(x)"
+TILDE_HEADER = _TWO_MODE_KEY + ",w(x1)"
+VECTOR_HEADER = _TWO_MODE_KEY + ",w(x1,x2)"
 SAMPLES_HEADER = "mu,nu,delta,x"
 TWO_MODE_SAMPLES_HEADER = _TWO_MODE_KEY + ",delta1,x1"
+# per tomogram header: the key cell count and the outcome axes
+_AXES = {TOMOGRAM_HEADER: (3, ["x"]), TILDE_HEADER: (8, ["x1"]), VECTOR_HEADER: (8, ["x1", "x2"])}
+# the long tomogram layout, one outcome per line, is not read
+_LONG_HEADERS = {
+    "mu,nu,delta,x,w": TOMOGRAM_HEADER,
+    _TWO_MODE_KEY + ",x1,w": TILDE_HEADER,
+    _TWO_MODE_KEY + ",x1,x2,w": VECTOR_HEADER,
+}
+HEADERS = (TOMOGRAM_HEADER, TILDE_HEADER, VECTOR_HEADER, SAMPLES_HEADER, TWO_MODE_SAMPLES_HEADER)
 
 
-def _write_csv(path, header: str, blocks) -> None:
-    """Write ``header``, then per ``(key, columns)`` block one row per element of
-    its equal-length column arrays, led by the key.  A column that is the
-    previous block's own object (a shared outcome grid) is formatted once."""
-    last_columns, last_text = (), ()
+def _read_header(fh, path, *headers: str) -> str:
+    header = fh.readline().strip()
+    if header in _LONG_HEADERS:
+        raise InvalidParameter(
+            f"{path}: {header!r} is the long tomogram layout, which is not read: "
+            f"write the tomogram again to get the header {_LONG_HEADERS[header]!r}"
+        )
+    if header not in headers:
+        raise InvalidParameter(f"{path}: unexpected header {header!r}")
+    return header
+
+
+def _read_table(path, lines, n_cells: int) -> np.ndarray:
+    """Parse ``lines`` with one ``np.loadtxt`` call into an ``(n_rows, n_cells)``
+    table; an unparsable or ragged row, a row of another width and no rows
+    raise ``InvalidParameter``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # an empty body only warns
+        try:
+            table = np.loadtxt(lines, delimiter=",", ndmin=2)
+        except (ValueError, UserWarning) as exc:
+            raise InvalidParameter(f"{path}: {exc}") from None
+    if table.shape[1] != n_cells:
+        raise InvalidParameter(f"{path}: rows have {table.shape[1]} cells, expected {n_cells}")
+    return table
+
+
+def _write_tomogram(path, header: str, grids, keys, rows) -> None:
+    """Write ``header``, a grid line per outcome axis, then per setting its key and its row of densities."""
+    n_key, axes = _AXES[header]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for key, columns in blocks:
-            text = [
-                old if col is last else list(map(format_float, col.tolist()))
-                for col, last, old in zip_longest(columns, last_columns, last_text)
-            ]
-            last_columns, last_text = columns, text
-            if text[0]:
-                head = ",".join(map(format_float, key))
-                fh.write("\n".join(map(",".join, zip(repeat(head), *text))) + "\n")
+        for axis, grid in zip(axes, grids):
+            fh.write(",".join([axis, *[""] * (n_key - 1), *map(format_float, grid.tolist())]) + "\n")
+        for key, row in zip(keys, rows):
+            fh.write(",".join(map(format_float, [*key, *row.tolist()])) + "\n")
 
 
-def _read_csv(path, *headers: str) -> tuple[str, np.ndarray]:
-    """Check the header line against ``headers``; parse the rows into a table."""
+def _read_tomogram(path, *headers: str):
+    """The outcome grids, the ``(n_settings, n_key)`` keys and the
+    ``(n_settings, n_points)`` densities of a tomogram file."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header not in headers:
-            raise InvalidParameter(f"{path}: unexpected header {header!r}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # an empty body only warns
-            try:
-                table = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except (ValueError, UserWarning) as exc:
-                raise InvalidParameter(f"{path}: {exc}") from None
-    if table.shape[1] != header.count(",") + 1:
-        raise InvalidParameter(f"{path}: rows have {table.shape[1]} columns, the header {header.count(',') + 1}")
-    return header, table
+        n_key, axes = _AXES[_read_header(fh, path, *headers)]
+        lines = [fh.readline().rstrip("\n").split(",") for _ in axes]
+        body = fh.read()
+    if any(cells[:n_key] != [axis] + [""] * (n_key - 1) for axis, cells in zip(axes, lines)):
+        raise InvalidParameter(f"{path}: need the grid lines {axes}, each the axis, {n_key - 1} empty cells, the grid")
+    try:
+        grids = [np.array(cells[n_key:], dtype=float) for cells in lines]
+    except ValueError as exc:
+        raise InvalidParameter(f"{path}: grid line: {exc}") from None
+    # a grid line among the settings is what joining two files gives
+    if any(body.startswith(f"{axis},") or f"\n{axis}," in body for axis in axes):
+        raise InvalidParameter(f"{path}: a second grid line among the settings: a file has one outcome grid")
+    table = _read_table(path, body.splitlines(), n_key + math.prod(grid.size for grid in grids))
+    return grids, table[:, :n_key], table[:, n_key:]
 
 
 def _runs(keys: np.ndarray) -> np.ndarray:
     """Boundaries ``[0, ..., n]`` of the runs of consecutive equal key rows."""
     starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
     return np.concatenate([[0], starts, [len(keys)]])
-
-
-def _grid_table(table: np.ndarray, n_key: int, n_grid: int):
-    """Per-setting keys, the shared ``(n_points, n_grid)`` outcome grid and the densities."""
-    lengths = np.diff(_runs(table[:, :n_key]))
-    if np.any(lengths != lengths[0]):
-        raise InvalidParameter("every setting needs the same number of rows")
-    blocks = table.reshape(lengths.size, lengths[0], -1)
-    grids = blocks[:, :, n_key : n_key + n_grid]
-    if np.any(grids != grids[0]):
-        raise InvalidParameter("every setting must use the first setting's outcome grid")
-    return blocks[:, 0, :n_key], grids[0].copy(), np.ascontiguousarray(blocks[:, :, -1])
 
 
 def _two_mode_key(s: TwoModeSetting) -> list:
@@ -154,36 +178,30 @@ def _read_sidecar(path) -> dict:
 
 
 def save_tomogram(tomo: Tomogram, path) -> None:
-    blocks = (((s.mu, s.nu, s.delta), (tomo.x, row)) for s, row in zip(tomo.settings, tomo.values))
-    _write_csv(path, TOMOGRAM_HEADER, blocks)
+    keys = ((s.mu, s.nu, s.delta) for s in tomo.settings)
+    _write_tomogram(path, TOMOGRAM_HEADER, (tomo.x,), keys, tomo.values)
 
 
 def load_tomogram(path) -> Tomogram:
-    keys, grid, values = _grid_table(_read_csv(path, TOMOGRAM_HEADER)[1], 3, 1)
-    return Tomogram(tuple(QuadratureSetting(*k) for k in keys.tolist()), grid[:, 0], values)
+    (x,), keys, values = _read_tomogram(path, TOMOGRAM_HEADER)
+    return Tomogram(tuple(QuadratureSetting(*k) for k in keys.tolist()), x, values)
 
 
 def save_two_mode_tomogram(tomo: TwoModeTomogram, path) -> None:
     if any(np.any(s.delta) for s in tomo.settings):
         raise InvalidParameter("two-mode tomogram CSVs have no delta column: every setting needs delta = 0")
     vector = tomo.kind == "vector"
-    grid = (np.repeat(tomo.x1, tomo.x2.size), np.tile(tomo.x2, tomo.x1.size)) if vector else (tomo.x1,)
-    blocks = ((_two_mode_key(s), (*grid, v.ravel())) for s, v in zip(tomo.settings, tomo.values))
-    _write_csv(path, VECTOR_HEADER if vector else TILDE_HEADER, blocks)
+    grids = (tomo.x1, tomo.x2) if vector else (tomo.x1,)
+    rows = tomo.values.reshape(len(tomo.settings), -1)  # vector densities run x1-major
+    _write_tomogram(path, VECTOR_HEADER if vector else TILDE_HEADER, grids, map(_two_mode_key, tomo.settings), rows)
 
 
 def load_two_mode_tomogram(path) -> TwoModeTomogram:
     """The header fixes the kind; a ``<path>.meta.json`` next to the file is not read."""
-    header, table = _read_csv(path, TILDE_HEADER, VECTOR_HEADER)
-    keys, grid, values = _grid_table(table, 8, 2 if header == VECTOR_HEADER else 1)
+    grids, keys, values = _read_tomogram(path, TILDE_HEADER, VECTOR_HEADER)
     settings = tuple(_two_mode_setting(k, 0.0) for k in keys)
-    if header == TILDE_HEADER:
-        return TwoModeTomogram(settings, grid[:, 0], values)
-    # vector rows run over x1 (outer) by x2 (inner)
-    x1, x2 = np.unique(grid[:, 0]), np.unique(grid[:, 1])
-    if not np.array_equal(grid, np.column_stack([np.repeat(x1, x2.size), np.tile(x2, x1.size)])):
-        raise InvalidParameter("vector rows must run over the ascending x1 by x2 outcome grid")
-    return TwoModeTomogram(settings, x1, values.reshape(-1, x1.size, x2.size), x2=x2)
+    values = values.reshape(len(settings), *(grid.size for grid in grids))
+    return TwoModeTomogram(settings, grids[0], values, x2=grids[1] if len(grids) == 2 else None)
 
 
 def save_samples(batches: list[SampleBatch], path, state_label: str = "") -> None:
@@ -195,7 +213,12 @@ def save_samples(batches: list[SampleBatch], path, state_label: str = "") -> Non
     else:
         header = SAMPLES_HEADER
         keys = [(b.setting.mu, b.setting.nu, b.setting.delta) for b in batches]
-    _write_csv(path, header, ((k, (b.outcomes,)) for k, b in zip(keys, batches)))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for key, b in zip(keys, batches):
+            head = ",".join(map(format_float, key)) + ","
+            if b.outcomes.size:
+                fh.write(head + ("\n" + head).join(map(format_float, b.outcomes.tolist())) + "\n")
     sidecar = {
         "generator": batches[0].generator,
         "seed": batches[0].seed,
@@ -210,7 +233,9 @@ def save_samples(batches: list[SampleBatch], path, state_label: str = "") -> Non
 def load_samples(path) -> list[SampleBatch]:
     """Batches are delimited by the sidecar's ``n_per_batch``; without a
     sidecar, each run of consecutive rows with one setting is a batch."""
-    header, table = _read_csv(path, SAMPLES_HEADER, TWO_MODE_SAMPLES_HEADER)
+    with open(path, encoding="utf-8") as fh:
+        header = _read_header(fh, path, SAMPLES_HEADER, TWO_MODE_SAMPLES_HEADER)
+        table = _read_table(path, fh, header.count(",") + 1)
     keys, outcomes = table[:, :-1], table[:, -1].copy()
     meta = _read_sidecar(path)
     if "n_per_batch" in meta:

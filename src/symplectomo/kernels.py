@@ -231,25 +231,23 @@ def kernel_homodyne_number(n_row: int, n_col: int, homodyne: HomodyneSetting, r_
     integrating the half-line form over the full phase circle gives the same
     density matrix, but only this combination satisfies
     ``conj(<n|K_phi(x)|m>) = <m|K_phi(x)|n>`` element by element.
-    ``CutoffTooSmall`` is raised when the tail estimate at ``R`` exceeds
-    ``1e-3`` of the element scale.
+    ``CutoffTooSmall`` is raised when the tail ``int_R^{R+16} r |T(r)| dr / 2pi``
+    exceeds ``1e-3`` of the element scale.
     """
     _check_indices(n_row, n_col)
     if not 0.0 < r_cutoff < np.inf:
         raise InvalidParameter(f"r_cutoff must be a positive finite radius, got {r_cutoff!r}")
     r, wr = _radial_nodes(r_cutoff, HOMODYNE_RADII)
-    # one extra radius at r_cutoff for the tail estimate
-    radii = np.append(r, r_cutoff)
+    # the discarded tail, measured on 32 more radii over [R, R + 16]
+    t, wt = _radial_nodes(16.0, 32)
+    radii = np.concatenate([r, r_cutoff + t])
     table = displacement_matrix(1j * radii * np.exp(1j * homodyne.phi) / np.sqrt(2), max(n_row, n_col) + 1)
     ray = radii * np.exp(-1j * radii * homodyne.x_phi) / (2 * np.pi)
-    half_nm = (wr * ray[:-1]) @ table[:-1, n_row, n_col]
-    half_mn = (wr * ray[:-1]) @ table[:-1, n_col, n_row]
+    inner = r.size
+    half_nm = (wr * ray[:inner]) @ table[:inner, n_row, n_col]
+    half_mn = (wr * ray[:inner]) @ table[:inner, n_col, n_row]
     value = 0.5 * (half_nm + np.conj(half_mn))
-    # were |T(r)| to fall like exp(-r^2/4) beyond R, the discarded tail would
-    # be |T(R)| int_R^inf r exp(-(r^2-R^2)/4) dr / 2pi = 2 |T(R)| / 2pi; the
-    # Laguerre factor slows the decay, so the estimate is R times that (for
-    # (11, 11) at R = 12: true tail 1.0e-4, Gaussian 6.7e-5, estimate 8.0e-4)
-    tail = 2.0 * abs(ray[-1] * table[-1, n_row, n_col])
+    tail = wt @ np.abs(ray[inner:] * table[inner:, n_row, n_col])
     scale = max(abs(value), 1.0 / (2 * np.pi))
     if tail > 1e-3 * scale:
         raise CutoffTooSmall(f"radial tail estimate {tail:.3g} at r_cutoff {r_cutoff}")

@@ -175,6 +175,14 @@ def _circle_radius(settings) -> float | None:
     return r0 if np.max(np.abs(radii - r0)) <= 1e-9 * max(r0, 1.0) else None
 
 
+def _pooled(pairs) -> dict[float, list]:
+    """The outcomes of ``(phi, xs)`` pairs per angle mod 2 pi: the batches of one angle pool into one record."""
+    pooled: dict[float, list] = {}
+    for phi, xs in pairs:
+        pooled.setdefault(float(phi) % (2 * np.pi), []).append(np.ravel(xs))
+    return pooled
+
+
 def _circle_chi(data, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Angles, angle weights and ``chi[p, k]`` at ``freqs[k]`` times the unit radius.
 
@@ -191,9 +199,7 @@ def _circle_chi(data, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     elif isinstance(data, (list, tuple)):
         if not data or any(np.size(xs) == 0 for _, xs in data):
             raise EmptyBatches("every phase needs samples")
-        pooled: dict[float, list] = {}  # the batches of one angle pool into one record
-        for phi, xs in data:
-            pooled.setdefault(float(phi) % (2 * np.pi), []).append(np.ravel(xs))
+        pooled = _pooled(data)
         phis = np.array(list(pooled))
         chi = np.array([_empirical_characteristic(np.concatenate(xs), -freqs) for xs in pooled.values()])
     else:
@@ -305,7 +311,7 @@ def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> Reconstructi
         pairs = [(b.setting.angle, (b.outcomes - b.setting.delta) / r0) for b in batches]
         phis, phi_weights, chi = _circle_chi(pairs, z * r)
         raw = _assemble_rho(chi, phis, phi_weights, r, wr, z, cfg.dim)
-        return _finish(raw, cfg.projection, len(batches), total, check_trace=False)
+        return _finish(raw, cfg.projection, len(_pooled(pairs)), total, check_trace=False)
     weights = np.array([b.weight for b in batches], dtype=float)
     if np.any(weights <= 0):
         raise InvalidParameter("batch weight (setting density) must be positive")
@@ -362,7 +368,7 @@ def reconstruct_homodyne(
     raw = _assemble_rho(chi[:, :-1], phis, phi_weights, r, wr, 1.0, dim)
     if isinstance(data, Tomogram):
         return _finish(raw, projection, len(data.settings), 0, check_trace=False)
-    return _finish(raw, projection, len(data), sum(np.size(xs) for _, xs in data), check_trace=False)
+    return _finish(raw, projection, len(_pooled(data)), sum(np.size(xs) for _, xs in data), check_trace=False)
 
 
 def _empirical_characteristic(xs: np.ndarray, r: np.ndarray, chunk: int = 512) -> np.ndarray:

@@ -49,9 +49,7 @@ __all__ = [
     "tilde_marginal_gaussian",
     "tilde_marginal_cat",
     "tilde_marginal",
-    "vector_marginal_numeric",
     "characteristic_two_mode",
-    "wigner_moment_numeric",
     "kernel_two_mode_number",
     "hopf_directions",
     "tabulate_tilde_tomogram",
@@ -374,60 +372,6 @@ def _tilde_from_characteristic(state, x1, setting: TwoModeSetting, k_points: int
     kernel = np.exp(-1j * np.multiply.outer(x1, k))
     out = ((kernel @ (phi * _trapezoid_weights(k))) / (2 * np.pi)).real
     return out if out.ndim else float(out)
-
-
-def _null_basis(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (4 x k) of the orthogonal complement of the rows."""
-    _, s, vt = np.linalg.svd(rows)
-    rank = int(np.sum(s > 1e-12))
-    return vt[rank:].T
-
-
-def vector_marginal_numeric(state, x, setting: TwoModeSetting, extent: float = 9.0, num: int = 161):
-    """Joint density of (X1, X2) by 2-d quadrature over the constraint plane.
-
-    Requires a commuting (symplectic) vector setting; marginalizing the
-    result over x2 reproduces the tilde marginal.
-    """
-    if not setting.is_vector:
-        raise NotSymplectic("vector marginal needs the second quadrature row")
-    U = np.vstack([setting.row1, setting.row2])
-    gram = U @ U.T
-    try:
-        foot = U.T @ np.linalg.solve(gram, np.asarray(x, dtype=float).reshape(2))
-    except np.linalg.LinAlgError as exc:
-        raise NotSymplectic("setting rows are linearly dependent") from exc
-    basis = _null_basis(U)
-    t = np.linspace(-extent, extent, num)
-    T1, T2 = np.meshgrid(t, t, indexing="ij")
-    v = foot[:, None] + basis @ np.stack([T1.ravel(), T2.ravel()])
-    W = st.wigner_two_mode(state, v[:2], v[2:]).reshape(num, num)
-    dt = t[1] - t[0]
-    integral = np.trapezoid(np.trapezoid(W, dx=dt, axis=1), dx=dt, axis=0)
-    return float(integral / ((2 * np.pi) ** 2 * np.sqrt(np.linalg.det(gram))))
-
-
-def wigner_moment_numeric(state, setting: TwoModeSetting, power=2, extent: float = 10.0, num: int = 61):
-    """Moments ``integral X1^power W / (2 pi)^2`` as a direct 4-d Wigner integral.
-
-    ``power`` may be an int or a sequence (all computed in one sweep).
-    Chunked trapezoid over ``(q1, q2, p1, p2)``; the deliberately independent
-    oracle for the closed-form Gaussian variance.
-    """
-    powers = (power,) if np.isscalar(power) else tuple(power)
-    u = setting.row1
-    g = np.linspace(-extent, extent, num)
-    dg = g[1] - g[0]
-    Q2, P1, P2 = np.meshgrid(g, g, g, indexing="ij")
-    acc = np.zeros(len(powers))
-    for q1 in g:
-        v = np.stack([np.full(Q2.size, q1), Q2.ravel(), P1.ravel(), P2.ravel()])
-        W = st.wigner_two_mode(state, v[:2], v[2:])
-        x1 = u @ v
-        for i, k in enumerate(powers):
-            acc[i] += np.sum(W * x1**k) if k else np.sum(W)
-    out = acc * dg**4 / (2 * np.pi) ** 2
-    return float(out[0]) if np.isscalar(power) else out
 
 
 # ---------------------------------------------------------------------------

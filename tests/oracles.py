@@ -7,7 +7,9 @@ the per-batch campaign estimator, the per-setting two-mode closed-form
 marginals and their 3-d Wigner reduction, the per-direction two-mode einsum
 loops and per-radius GEMM, the vector-kernel reconstruction with a fixed
 second row, the 4001-node trapezoid homodyne estimator and kernel element,
-and the line-by-line CSV writers and readers.
+the line-by-line CSV writers and readers (and a writer of the long
+tomogram layout, which the library refuses), and the two-mode
+Wigner-quadrature marginals and moments.
 It also holds exact forms the library does not evaluate, such as the
 Hermite-function marginal of a number state.  None of them is used by the
 library itself.
@@ -22,7 +24,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from symplectomo import states as st
-from symplectomo.errors import CutoffTooSmall, EmptyBatches, InvalidParameter
+from symplectomo.errors import CutoffTooSmall, EmptyBatches, InvalidParameter, NotSymplectic
 from symplectomo.io import format_float
 from symplectomo.kernels import displacement_matrix, kernel_displacement_argument
 from symplectomo.marginals import QuadratureSetting, Tomogram
@@ -35,7 +37,7 @@ from symplectomo.reconstruct import (
     _radial_nodes,
     _trapezoid_weights,
 )
-from symplectomo.twomode import TwoModeSetting, TwoModeTomogram, _null_basis, characteristic_two_mode, hopf_directions
+from symplectomo.twomode import TwoModeSetting, TwoModeTomogram, characteristic_two_mode, hopf_directions
 
 
 def _displacement_element_series(m: int, n: int, zeta: complex) -> complex:
@@ -163,6 +165,60 @@ def tilde_cat_loop(state, x1, setting: TwoModeSetting):
     terms = np.exp(env + osc_exp) * np.cos(2 * (mu @ P - nu @ Q) * x1 / r2)
     terms = terms + 0.5 * (np.exp(env + hyp_exp + hyp_arg) + np.exp(env + hyp_exp - hyp_arg))
     return 2.0 * n2 / np.sqrt(np.pi * r2) * terms
+
+
+def _null_basis(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (4 x k) of the orthogonal complement of the rows."""
+    _, s, vt = np.linalg.svd(rows)
+    rank = int(np.sum(s > 1e-12))
+    return vt[rank:].T
+
+
+def vector_marginal_numeric(state, x, setting: TwoModeSetting, extent: float = 9.0, num: int = 161):
+    """Joint density of (X1, X2) by 2-d quadrature over the constraint plane.
+
+    Requires a commuting (symplectic) vector setting; marginalizing the
+    result over x2 reproduces the tilde marginal.
+    """
+    if not setting.is_vector:
+        raise NotSymplectic("vector marginal needs the second quadrature row")
+    U = np.vstack([setting.row1, setting.row2])
+    gram = U @ U.T
+    try:
+        foot = U.T @ np.linalg.solve(gram, np.asarray(x, dtype=float).reshape(2))
+    except np.linalg.LinAlgError as exc:
+        raise NotSymplectic("setting rows are linearly dependent") from exc
+    basis = _null_basis(U)
+    t = np.linspace(-extent, extent, num)
+    T1, T2 = np.meshgrid(t, t, indexing="ij")
+    v = foot[:, None] + basis @ np.stack([T1.ravel(), T2.ravel()])
+    W = st.wigner_two_mode(state, v[:2], v[2:]).reshape(num, num)
+    dt = t[1] - t[0]
+    integral = np.trapezoid(np.trapezoid(W, dx=dt, axis=1), dx=dt, axis=0)
+    return float(integral / ((2 * np.pi) ** 2 * np.sqrt(np.linalg.det(gram))))
+
+
+def wigner_moment_numeric(state, setting: TwoModeSetting, power=2, extent: float = 10.0, num: int = 61):
+    """Moments ``integral X1^power W / (2 pi)^2`` as a direct 4-d Wigner integral.
+
+    ``power`` may be an int or a sequence (all computed in one sweep).
+    Chunked trapezoid over ``(q1, q2, p1, p2)``; the deliberately independent
+    oracle for the closed-form Gaussian variance.
+    """
+    powers = (power,) if np.isscalar(power) else tuple(power)
+    u = setting.row1
+    g = np.linspace(-extent, extent, num)
+    dg = g[1] - g[0]
+    Q2, P1, P2 = np.meshgrid(g, g, g, indexing="ij")
+    acc = np.zeros(len(powers))
+    for q1 in g:
+        v = np.stack([np.full(Q2.size, q1), Q2.ravel(), P1.ravel(), P2.ravel()])
+        W = st.wigner_two_mode(state, v[:2], v[2:])
+        x1 = u @ v
+        for i, k in enumerate(powers):
+            acc[i] += np.sum(W * x1**k) if k else np.sum(W)
+    out = acc * dg**4 / (2 * np.pi) ** 2
+    return float(out[0]) if np.isscalar(power) else out
 
 
 def tilde_marginal_numeric(state, x1, setting: TwoModeSetting, extent: float = 9.0, num: int = 81):
@@ -378,6 +434,14 @@ def _write_lines(path, lines):
 
 
 def save_tomogram_lines(tomo: Tomogram, path) -> None:
+    lines = ["mu,nu,delta,w(x)", ",".join(["x", "", ""] + [format_float(x) for x in tomo.x])]
+    for s, row in zip(tomo.settings, tomo.values):
+        lines.append(",".join(format_float(v) for v in [s.mu, s.nu, s.delta, *row]))
+    _write_lines(path, lines)
+
+
+def save_tomogram_long_lines(tomo: Tomogram, path) -> None:
+    """The long tomogram layout, one outcome per line, which the library refuses."""
     lines = ["mu,nu,delta,x,w"]
     for s, row in zip(tomo.settings, tomo.values):
         head = ",".join(format_float(v) for v in (s.mu, s.nu, s.delta))
@@ -386,25 +450,25 @@ def save_tomogram_lines(tomo: Tomogram, path) -> None:
     _write_lines(path, lines)
 
 
+def _grid_cells(line: str, axis: str, n_key: int) -> list[float]:
+    cells = line.rstrip("\n").split(",")
+    if cells[0] != axis or any(cells[1:n_key]):
+        raise InvalidParameter(f"not a {axis} grid line")
+    return [float(t) for t in cells[n_key:]]
+
+
 def load_tomogram_lines(path) -> Tomogram:
     settings: list[QuadratureSetting] = []
     rows: list[list[float]] = []
-    xs: list[float] = []
-    current = None
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "mu,nu,delta,x,w":
+        if header != "mu,nu,delta,w(x)":
             raise InvalidParameter(f"not a tomogram file: header {header!r}")
+        xs = _grid_cells(fh.readline(), "x", 3)
         for line in fh:
-            mu, nu, delta, x, w = (float(t) for t in line.split(","))
-            key = (mu, nu, delta)
-            if key != current:
-                settings.append(QuadratureSetting(mu, nu, delta))
-                rows.append([])
-                current = key
-            rows[-1].append(w)
-            if len(settings) == 1:
-                xs.append(x)
+            mu, nu, delta, *w = (float(t) for t in line.split(","))
+            settings.append(QuadratureSetting(mu, nu, delta))
+            rows.append(w)
     return Tomogram(tuple(settings), np.asarray(xs), np.asarray(rows))
 
 
@@ -416,57 +480,45 @@ def _two_mode_setting_head(s: TwoModeSetting) -> tuple:
 
 def save_two_mode_tomogram_lines(tomo: TwoModeTomogram, path) -> None:
     vector = tomo.kind == "vector"
-    header = "mu1,mu2,nu1,nu2,mup1,mup2,nup1,nup2,x1" + (",x2" if vector else "") + ",w"
-    lines = [header]
+    key = "mu1,mu2,nu1,nu2,mup1,mup2,nup1,nup2"
+    lines = [key + (",w(x1,x2)" if vector else ",w(x1)")]
+    for axis, grid in [("x1", tomo.x1), ("x2", tomo.x2)][: 2 if vector else 1]:
+        lines.append(",".join([axis] + [""] * 7 + [format_float(x) for x in grid]))
     for idx, s in enumerate(tomo.settings):
-        head = ",".join(format_float(v) for v in _two_mode_setting_head(s))
+        head = [format_float(v) for v in _two_mode_setting_head(s)]
         if vector:
-            for i, x1 in enumerate(tomo.x1):
-                for j, x2 in enumerate(tomo.x2):
-                    lines.append(
-                        f"{head},{format_float(x1)},{format_float(x2)},{format_float(tomo.values[idx, i, j])}"
-                    )
+            # x1-major: for each x1, every x2
+            cells = [format_float(tomo.values[idx, i, j]) for i in range(tomo.x1.size) for j in range(tomo.x2.size)]
         else:
-            for x1, w in zip(tomo.x1, tomo.values[idx]):
-                lines.append(f"{head},{format_float(x1)},{format_float(w)}")
+            cells = [format_float(w) for w in tomo.values[idx]]
+        lines.append(",".join(head + cells))
     _write_lines(path, lines)
 
 
 def load_two_mode_tomogram_lines(path) -> TwoModeTomogram:
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:9] != ["mu1", "mu2", "nu1", "nu2", "mup1", "mup2", "nup1", "nup2", "x1"]:
+        header = fh.readline().strip()
+        if header not in ("mu1,mu2,nu1,nu2,mup1,mup2,nup1,nup2,w(x1)", "mu1,mu2,nu1,nu2,mup1,mup2,nup1,nup2,w(x1,x2)"):
             raise InvalidParameter("not a two-mode tomogram file")
-        vector = "x2" in header
+        vector = header.endswith("w(x1,x2)")
+        x1s = _grid_cells(fh.readline(), "x1", 8)
+        x2s = _grid_cells(fh.readline(), "x2", 8) if vector else []
         settings: list[TwoModeSetting] = []
         data: list[list[float]] = []
-        x1s: list[float] = []
-        x2s: list[float] = []
-        current = None
         for line in fh:
             vals = [float(t) for t in line.split(",")]
-            key = tuple(vals[:8])
-            if key != current:
-                mu = np.array(vals[0:2])
-                nu = np.array(vals[2:4])
-                mup = np.array(vals[4:6])
-                nup = np.array(vals[6:8])
-                if np.any(mup != 0) or np.any(nup != 0):
-                    settings.append(TwoModeSetting(mu=mu, nu=nu, mu_p=mup, nu_p=nup))
-                else:
-                    settings.append(TwoModeSetting(mu=mu, nu=nu))
-                data.append([])
-                current = key
-            data[-1].append(vals[-1])
-            if len(settings) == 1:
-                x1s.append(vals[8])
-                if vector:
-                    x2s.append(vals[9])
+            mu = np.array(vals[0:2])
+            nu = np.array(vals[2:4])
+            mup = np.array(vals[4:6])
+            nup = np.array(vals[6:8])
+            if np.any(mup != 0) or np.any(nup != 0):
+                settings.append(TwoModeSetting(mu=mu, nu=nu, mu_p=mup, nu_p=nup))
+            else:
+                settings.append(TwoModeSetting(mu=mu, nu=nu))
+            data.append(vals[8:])
     if vector:
-        x1 = np.asarray(sorted(set(x1s)))
-        x2 = np.asarray(sorted(set(x2s)))
-        values = np.asarray(data).reshape(len(settings), x1.size, x2.size)
-        return TwoModeTomogram(tuple(settings), x1, values, x2=x2)
+        values = np.asarray(data).reshape(len(settings), len(x1s), len(x2s))
+        return TwoModeTomogram(tuple(settings), np.asarray(x1s), values, x2=np.asarray(x2s))
     return TwoModeTomogram(tuple(settings), np.asarray(x1s), np.asarray(data))
 
 

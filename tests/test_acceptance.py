@@ -26,6 +26,8 @@ from symplectomo.reconstruct import (
     wigner_from_tomogram,
 )
 
+from oracles import wigner_moment_numeric
+
 RNG_SEED = 20240811
 
 
@@ -166,7 +168,7 @@ def test_criterion_07_two_mode_gaussian_marginal_variance():
         u = rng.normal(size=4)
         u /= np.linalg.norm(u)
         setting = tm.TwoModeSetting(mu=u[:2], nu=u[2:])
-        m0, m2 = tm.wigner_moment_numeric(state, setting, power=(0, 2), extent=10.0, num=51)
+        m0, m2 = wigner_moment_numeric(state, setting, power=(0, 2), extent=10.0, num=51)
         worst = max(worst, abs(m2 / m0 - float(u @ M @ u)))
     report(7, worst < 1e-6, f"analytic vs numeric variance over 20 random cases: worst {worst:.2e} (tol 1e-6)")
 

@@ -173,13 +173,11 @@ def test_cli_reconstruct_rejects_an_edited_hopf_setting(tmp_path, capsys):
     out = str(tmp_path / "rho.json")
     assert cli.main(["reconstruct", "--input", str(path), "--dim", "3", "--out", out]) == 0
     # scale the fourth setting's columns by 1 + 1e-6, far beyond the grid's 1e-12 match
-    header, *rows = path.read_text().splitlines()
-    block = slice(3 * 301, 4 * 301)
-    for i in range(block.start, block.stop):
-        cols = rows[i].split(",")
-        cols[:8] = [tio.format_float(float(c) * (1 + 1e-6)) for c in cols[:8]]
-        rows[i] = ",".join(cols)
-    path.write_text("\n".join([header, *rows]) + "\n")
+    header, grid, *rows = path.read_text().splitlines()
+    cols = rows[3].split(",")
+    cols[:8] = [tio.format_float(float(c) * (1 + 1e-6)) for c in cols[:8]]
+    rows[3] = ",".join(cols)
+    path.write_text("\n".join([header, grid, *rows]) + "\n")
     assert cli.main(["reconstruct", "--input", str(path), "--dim", "3", "--out", out]) == 2
     assert "hopf_directions" in capsys.readouterr().err
 

@@ -27,7 +27,7 @@ def test_tomogram_roundtrip(tmp_path):
     assert np.array_equal(back.x, tomo.x)
     assert back.settings == tomo.settings
     header = path.read_text().splitlines()[0]
-    assert header == "mu,nu,delta,x,w"
+    assert header == "mu,nu,delta,w(x)"
 
 
 def test_two_mode_tomogram_roundtrip(tmp_path):
@@ -133,12 +133,13 @@ def _tilde_csv(path):
 
 
 def _warped_tilde_csv(path):
-    """A tilde CSV whose shared x1 column is warped by 0.02 sin(pi x1 / x1_max)."""
+    """A tilde CSV whose x1 grid line is warped by 0.02 sin(pi x1 / x1_max)."""
     _tilde_csv(path)
-    header, *rows = path.read_text().splitlines()
-    table = np.array([row.split(",") for row in rows], dtype=float)
-    table[:, 8] += 0.02 * np.sin(np.pi * table[:, 8] / table[:, 8].max())
-    path.write_text("\n".join([header, *(",".join(map(tio.format_float, row)) for row in table)]) + "\n")
+    header, grid, *rows = path.read_text().splitlines()
+    x1 = np.array(grid.split(",")[8:], dtype=float)
+    x1 += 0.02 * np.sin(np.pi * x1 / x1.max())
+    grid = ",".join(["x1"] + [""] * 7 + list(map(tio.format_float, x1)))
+    path.write_text("\n".join([header, grid, *rows]) + "\n")
 
 
 def _samples_csv(path):
@@ -310,6 +311,15 @@ def test_cli_reconstructs_a_homodyne_record_with_a_repeated_phase(tmp_path):
     out = tmp_path / "rho.json"
     assert cli.main(["reconstruct", "--input", str(samples), "--dim", "4", "--out", str(out)]) == 0
     assert tio.load_density(out).entries[0, 0].real >= 0.9
+
+
+def test_cli_report_counts_the_settings_of_a_repeated_phase_record(tmp_path):
+    settings = [QuadratureSetting(np.cos(p), np.sin(p)) for p in np.pi * np.arange(4) / 4]
+    samples = tmp_path / "h.csv"
+    tio.save_samples(sample_campaign(st.Vacuum(), settings + settings[:1], 500, seed=1), samples)
+    out = tmp_path / "rho.json"
+    assert cli.main(["reconstruct", "--input", str(samples), "--dim", "4", "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "rho.json.report.json").read_text())["settings_used"] == 4
 
 
 def test_cli_reconstruct_from_samples(tmp_path):

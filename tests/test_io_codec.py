@@ -2,9 +2,12 @@
 malformed files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import symplectomo.io as tio
 from symplectomo import cli
@@ -20,6 +23,7 @@ from oracles import (
     load_two_mode_tomogram_lines,
     save_samples_lines,
     save_tomogram_lines,
+    save_tomogram_long_lines,
     save_two_mode_tomogram_lines,
 )
 
@@ -118,6 +122,91 @@ def test_tomogram_codec_matches_oracle(case, tmp_path):
     assert _file_bytes(ours) == _file_bytes(theirs)
     _assert_same_tomogram(load(theirs), load_oracle(theirs))
     _assert_same_tomogram(load(theirs), tomo)
+
+
+# ---------------------------------------------------------------------------
+# random tomograms round-trip bit for bit, signed zeros and subnormals included
+# ---------------------------------------------------------------------------
+
+_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308]
+
+
+def _reals(limit=1.7976931348623157e308):
+    """Finite floats within ``limit``, with the codec's edge cases drawn often."""
+    edges = [v for e in _EDGES for v in (e, -e) if abs(v) <= limit]
+    return hs.one_of(hs.sampled_from(edges), hs.floats(-limit, limit))
+
+
+def _nonzero(limit):
+    """Floats of magnitude 1e-150 to ``limit``: their squares are positive (and finite for ``limit`` <= 1e150)."""
+    return hs.one_of(hs.sampled_from([1e-150, -1.0, limit]), hs.floats(1e-150, limit), hs.floats(-limit, -1e-150))
+
+
+_DENSITIES = hs.one_of(hs.sampled_from(_EDGES), hs.floats(min_value=0.0, allow_infinity=False))
+
+
+@hs.composite
+def _grids(draw):
+    """A uniform ascending grid: integer multiples of a spacing from 5e-324 to 1e300."""
+    spacing = draw(hs.one_of(hs.sampled_from([5e-324, 1e-300, 1e300]), hs.floats(1e-300, 1e300)))
+    return spacing * (draw(hs.integers(-20, 20)) + np.arange(draw(hs.integers(2, 6))))
+
+
+def _values(draw, shape):
+    size = int(np.prod(shape))
+    return np.array(draw(hs.lists(_DENSITIES, min_size=size, max_size=size))).reshape(shape)
+
+
+@hs.composite
+def _one_mode_tomograms(draw):
+    def setting():
+        return QuadratureSetting(draw(_reals()), draw(_nonzero(1e300)), draw(_reals()))
+
+    grid, n = draw(_grids()), draw(hs.integers(1, 4))
+    return Tomogram(tuple(setting() for _ in range(n)), grid, _values(draw, (n, grid.size)))
+
+
+@hs.composite
+def _two_mode_tomograms(draw, vector: bool):
+    def setting():
+        # components under 1e150 keep the settings' squared norms finite
+        a, b, c, d = draw(_nonzero(1e150)), draw(_reals(1e150)), draw(_nonzero(1e150)), draw(_reals(1e150))
+        if vector:  # mode 1 then mode 2: the rows commute exactly
+            return TwoModeSetting(mu=[a, 0.0], nu=[b, 0.0], mu_p=[0.0, c], nu_p=[0.0, d])
+        return TwoModeSetting(mu=[a, c], nu=[b, d])
+
+    grids, n = [draw(_grids()) for _ in range(1 + vector)], draw(hs.integers(1, 4))
+    values = _values(draw, (n, *(g.size for g in grids)))
+    return TwoModeTomogram(tuple(setting() for _ in range(n)), grids[0], values, x2=grids[1] if vector else None)
+
+
+def _bits(tomo):
+    """Every float of a tomogram, as bytes: -0.0 and 0.0 differ."""
+    if isinstance(tomo, Tomogram):
+        keys, grids = [(s.mu, s.nu, s.delta) for s in tomo.settings], [tomo.x]
+    else:
+        keys = [np.concatenate([s.row1, s.row2 if s.is_vector else []]) for s in tomo.settings]
+        grids = [tomo.x1] + ([tomo.x2] if tomo.x2 is not None else [])
+    return [np.array(a, dtype=float).tobytes() for a in (*keys, *grids, tomo.values)]
+
+
+ROUND_TRIPS = {
+    "one-mode": (_one_mode_tomograms(), tio.save_tomogram, tio.load_tomogram),
+    "tilde": (_two_mode_tomograms(vector=False), tio.save_two_mode_tomogram, tio.load_two_mode_tomogram),
+    "vector": (_two_mode_tomograms(vector=True), tio.save_two_mode_tomogram, tio.load_two_mode_tomogram),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
+@settings(max_examples=40, deadline=None)
+@given(data=hs.data())
+def test_random_tomogram_round_trips_bit_exactly(case, data, tmp_path_factory):
+    tomos, save, load = ROUND_TRIPS[case]
+    tomo = data.draw(tomos)
+    path = tmp_path_factory.mktemp("round-trip") / "t.csv"
+    save(tomo, path)
+    back = load(path)
+    assert type(back) is type(tomo) and _bits(back) == _bits(tomo)
 
 
 @pytest.mark.parametrize("make", [_one_mode_campaign, _two_mode_campaign], ids=["one-mode", "two-mode"])
@@ -268,12 +357,17 @@ def _edited(tmp_path, save, obj, edit):
     return path
 
 
+def _is_grid_line(line):
+    return line.startswith("x")
+
+
 MALFORMED = {
-    "missing row": lambda lines: lines[:5] + lines[6:],
-    "short row": lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:],
-    "garbage token": lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0] + ",abc"] + lines[6:],
-    "column dropped everywhere": lambda lines: lines[:1] + [line.rsplit(",", 1)[0] for line in lines[1:]],
-    "no rows": lambda lines: lines[:1],
+    "grid line removed": lambda lines: lines[:1] + lines[2:],
+    "short row": lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]],
+    "garbage token": lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",abc"],
+    "column dropped everywhere": lambda lines: lines[:1]
+    + [line if _is_grid_line(line) else line.rsplit(",", 1)[0] for line in lines[1:]],
+    "no rows": lambda lines: lines[:1] + [line for line in lines[1:] if _is_grid_line(line)],
 }
 
 
@@ -313,3 +407,29 @@ def test_cli_reconstruct_rejects_malformed_csv(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("error:") == 2
+
+
+def _long_two_mode(columns):
+    def write(tomo, path):
+        path.write_text(f"mu1,mu2,nu1,nu2,mup1,mup2,nup1,nup2,{columns}\n1,0,0,0,0,0,0,0,0,0.5\n")
+
+    return write
+
+
+LONG_FILES = {
+    "one-mode": (save_tomogram_long_lines, tio.load_tomogram, tio.TOMOGRAM_HEADER),
+    "tilde": (_long_two_mode("x1,w"), tio.load_two_mode_tomogram, tio.TILDE_HEADER),
+    "vector": (_long_two_mode("x1,x2,w"), tio.load_two_mode_tomogram, tio.VECTOR_HEADER),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_FILES))
+def test_long_layout_is_refused_naming_the_wide_header(case, tmp_path, capsys):
+    write, load, header = LONG_FILES[case]
+    path = tmp_path / "long.csv"
+    write(_one_mode_tomogram(), path)
+    with pytest.raises(InvalidParameter, match=re.escape(repr(header))):
+        load(path)
+    assert cli.main(["reconstruct", "--input", str(path), "--dim", "3", "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and repr(header) in err

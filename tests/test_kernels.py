@@ -198,10 +198,16 @@ def test_homodyne_hermiticity():
 def test_homodyne_kernel_matches_trapezoid_oracle(rng):
     for _ in range(40):
         n, m = (int(v) for v in rng.integers(0, 11, size=2))
-        if n + m > 19:  # (10, 10) trips the tail guard at r_cutoff 12
-            continue
         h = kn.HomodyneSetting(rng.uniform(0, 2 * np.pi), rng.normal() * 1.5)
         assert abs(kn.kernel_homodyne_number(n, m, h) - kernel_homodyne_trapezoid(n, m, h)) <= 1e-6
+
+
+def test_homodyne_tail_is_measured_beyond_the_cutoff():
+    # the (10, 10) tail over [12, 28] is 2.2e-5, under the 1.6e-4 threshold; (15, 15) is 1.4e-2
+    h = kn.HomodyneSetting(0.0, 0.0)
+    assert abs(kn.kernel_homodyne_number(10, 10, h) - kernel_homodyne_trapezoid(10, 10, h)) <= 1e-6
+    with pytest.raises(CutoffTooSmall):
+        kn.kernel_homodyne_number(15, 15, h)
 
 
 def test_homodyne_cutoff_guard():

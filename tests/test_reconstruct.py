@@ -332,6 +332,15 @@ def test_circle_sample_record_pools_batches_of_one_angle():
     assert got.samples_used == want.samples_used == 2500
 
 
+def test_circle_sample_record_counts_settings_not_batches():
+    # five batches measure four angles: both entry points report the four pooled settings
+    settings = [QuadratureSetting(np.cos(p), np.sin(p)) for p in np.pi * np.arange(4) / 4]
+    batches = sy.sample_campaign(st.Vacuum(), settings + settings[:1], 500, seed=1)
+    assert reconstruct_from_samples(batches, ReconstructionConfig(dim=4)).settings_used == 4
+    pairs = [(b.setting.angle, b.outcomes) for b in batches]
+    assert reconstruct_homodyne(pairs, dim=4).settings_used == 4
+
+
 def test_homodyne_empty_and_cutoff_errors():
     with pytest.raises(EmptyBatches):
         reconstruct_homodyne([], dim=4)
