@@ -41,6 +41,10 @@ def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
+# the same round-trip format, which the writers apply to a whole line at once
+_FLOAT = "%.17g"
+
+
 # ---------------------------------------------------------------------------
 # CSV files.  A tomogram file is wide: a header line, one grid line per
 # outcome axis (the axis name, empty key cells, the grid), then one line per
@@ -98,9 +102,10 @@ def _write_tomogram(path, header: str, grids, keys, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for axis, grid in zip(axes, grids):
-            fh.write(",".join([axis, *[""] * (n_key - 1), *map(format_float, grid.tolist())]) + "\n")
+            fh.write(",".join([axis, *[""] * (n_key - 1), *[_FLOAT] * grid.size]) % tuple(grid.tolist()) + "\n")
+        line = ",".join([_FLOAT] * (n_key + rows.shape[1])) + "\n"
         for key, row in zip(keys, rows):
-            fh.write(",".join(map(format_float, [*key, *row.tolist()])) + "\n")
+            fh.write(line % (*key, *row.tolist()))
 
 
 def _read_tomogram(path, *headers: str):
@@ -216,9 +221,8 @@ def save_samples(batches: list[SampleBatch], path, state_label: str = "") -> Non
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for key, b in zip(keys, batches):
-            head = ",".join(map(format_float, key)) + ","
-            if b.outcomes.size:
-                fh.write(head + ("\n" + head).join(map(format_float, b.outcomes.tolist())) + "\n")
+            line = ",".join([_FLOAT] * len(key)) % tuple(key) + "," + _FLOAT + "\n"
+            fh.write(line * b.outcomes.size % tuple(b.outcomes.tolist()))
     sidecar = {
         "generator": batches[0].generator,
         "seed": batches[0].seed,

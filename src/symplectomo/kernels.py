@@ -25,10 +25,10 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln
 
 from .errors import CutoffTooSmall, InvalidParameter
 from .marginals import QuadratureSetting
+from .states import _log_factorials
 
 __all__ = [
     "KernelScale",
@@ -90,8 +90,11 @@ def kernel_displacement_argument(setting, scale: KernelScale) -> complex:
 # <m|D(zeta)|n> = sqrt(n!/m!) zeta^(m-n) e^{-|zeta|^2/2} L_n^{(m-n)}(|zeta|^2)   (m >= n)
 # <m|D(zeta)|n> = sqrt(m!/n!) (-conj(zeta))^(n-m) e^{-|zeta|^2/2} L_m^{(n-m)}(|zeta|^2)
 #
-# Factorial prefactors are computed in log domain.  The associated Laguerre
-# values come from the three-term recurrence, which stays accurate through
+# Factorial prefactors are computed in log domain from
+# ``states._log_factorials`` (``math.lgamma``); the Laguerre ``L_n`` of the
+# number-state Wigner and characteristic functions come from
+# ``states._laguerre``.  The associated Laguerre values here come from the
+# three-term recurrence, which stays accurate through
 # n, m ~ 200; the explicit alternating series (the test suite's cross-check)
 # loses all double precision once n |zeta|^2 is large.
 
@@ -119,7 +122,7 @@ def displacement_matrix(zetas, dim: int) -> np.ndarray:
     zetas = np.asarray(zetas, dtype=complex)
     y = (zetas * zetas.conj()).real
     out = np.zeros(zetas.shape + (dim, dim), dtype=complex)
-    logfact = gammaln(np.arange(dim) + 1.0)
+    logfact = _log_factorials(dim)
     envelope = np.exp(-y / 2)
     tables = _laguerre_table(y, dim)
     for d in range(dim):

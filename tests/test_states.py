@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.special import eval_laguerre, gammaln
 
 from symplectomo import states as st
 from symplectomo.errors import DimMismatch, InvalidParameter, TruncationTooSmall, UnsupportedVariant
@@ -250,3 +255,38 @@ def test_number_state_truncation_guard():
         st.density_matrix(st.NumberState(5), 4)
     rho = st.density_matrix(st.NumberState(3), 4)
     assert rho.entries[3, 3].real == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# numpy-only special functions against their scipy oracles
+# ---------------------------------------------------------------------------
+
+
+def test_laguerre_bit_identical_to_scipy():
+    x = np.concatenate([np.linspace(0.0, 200.0, 4001), np.random.default_rng(3).exponential(3.0, 1000), [1e-300, 1e-10]])
+    for n in range(81):
+        assert np.array_equal(st._laguerre(n, x), eval_laguerre(n, x)), n
+
+
+def test_log_factorials_match_gammaln():
+    ref = gammaln(np.arange(400) + 1.0)
+    got = st._log_factorials(400)
+    assert got[:2].tolist() == [0.0, 0.0]
+    assert np.all(np.abs(got[2:] - ref[2:]) <= 1e-15 * ref[2:])
+
+
+@pytest.mark.parametrize("alpha", [3 + 4j, 0.5 - 0.2j, 12.0])
+def test_coherent_amplitudes_finite_past_factorial_overflow(alpha):
+    n = np.arange(300)
+    ref = np.exp(-abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0) + 1j * n * np.angle(alpha))
+    got = st.coherent_amplitudes(alpha, 300)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+def test_import_leaves_scipy_unloaded():
+    # a fresh interpreter on this checkout's package, whatever is installed
+    src = os.path.dirname(os.path.dirname(st.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import symplectomo, symplectomo.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
