@@ -309,19 +309,18 @@ def cmd_reconstruct(args) -> int:
     if grid is not None and header == tio.SAMPLES_HEADER:
         raise SpecError("sample files take no --grid: circle records use the default radii, campaigns their settings")
 
-    if header in (tio.TOMOGRAM_HEADER, tio.SAMPLES_HEADER):
-        cfg = ReconstructionConfig(scale=scale, dim=args.dim, grid=grid or PolarGrid(), projection=args.projection)
-        if header == tio.TOMOGRAM_HEADER:
-            report = reconstruct_from_tomogram(tio.load_tomogram(args.input), cfg)
-        else:
-            report = reconstruct_from_samples(tio.load_samples(args.input), cfg)
-    elif header in (tio.TILDE_HEADER, tio.VECTOR_HEADER):
+    if header in (tio.TILDE_HEADER, tio.VECTOR_HEADER):
         tomo2 = tio.load_two_mode_tomogram(args.input)
         radial = {"r_max": grid.r_max, "n_r": grid.n_r} if grid else {}
         cfg2 = TwoModeConfig(scale=scale, dims=(args.dim, args.dim), projection=args.projection, **radial)
         report = reconstruct_two_mode(tomo2, cfg2)
     else:
-        raise SpecError("two-mode sample reconstruction is not available yet; reconstruct a two-mode tomogram")
+        cfg = ReconstructionConfig(scale=scale, dim=args.dim, grid=grid or PolarGrid(), projection=args.projection)
+        if header == tio.TOMOGRAM_HEADER:
+            report = reconstruct_from_tomogram(tio.load_tomogram(args.input), cfg)
+        else:
+            # one- or two-mode samples: the estimator refuses two-mode batches
+            report = reconstruct_from_samples(tio.load_samples(args.input), cfg)
 
     tio.save_density(report.rho, args.out)
     report_path = str(args.out) + ".report.json"

@@ -67,6 +67,8 @@ class HomodyneSetting:
     x_phi: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.phi) and np.isfinite(self.x_phi)):
+            raise InvalidParameter(f"homodyne phase and outcome must be finite, got {self.phi!r}, {self.x_phi!r}")
         object.__setattr__(self, "phi", float(self.phi) % (2 * np.pi))
         object.__setattr__(self, "x_phi", float(self.x_phi))
 
@@ -96,22 +98,23 @@ def kernel_displacement_argument(setting, scale: KernelScale) -> complex:
 # ``states._laguerre``.  The associated Laguerre values here come from the
 # three-term recurrence, which stays accurate through
 # n, m ~ 200; the explicit alternating series (the test suite's cross-check)
-# loses all double precision once n |zeta|^2 is large.
+# loses all double precision once n |zeta|^2 is large.  One recurrence step
+# advances every order d at once, and each diagonal d of the table (with its
+# mirror) is filled in one assignment over p, so a table costs O(dim) array
+# operations; every element keeps the arithmetic of the element-wise loop.
 
 
-def _laguerre_table(y: np.ndarray, dim: int) -> list[np.ndarray]:
-    """tables[d][p] = L_p^{(d)}(y) for p + d <= dim - 1, vectorized over y."""
-    tables = []
-    for d in range(dim):
-        pmax = dim - d
-        L = np.empty((pmax,) + y.shape)
-        L[0] = 1.0
-        if pmax > 1:
-            L[1] = 1.0 + d - y
-        for k in range(1, pmax - 1):
-            L[k + 1] = ((2 * k + 1 + d - y) * L[k] - (k + d) * L[k - 1]) / (k + 1)
-        tables.append(L)
-    return tables
+def _laguerre_table(y: np.ndarray, dim: int) -> np.ndarray:
+    """table[p, d] = L_p^{(d)}(y) for p + d <= dim - 1, vectorized over y."""
+    d = np.arange(dim).reshape((dim,) + (1,) * y.ndim)
+    table = np.empty((dim, dim) + y.shape)
+    table[0] = 1.0
+    if dim > 1:
+        table[1] = 1.0 + d - y
+    for k in range(1, dim - 1):
+        n = dim - 1 - k  # the orders d with k + 1 + d <= dim - 1
+        table[k + 1, :n] = ((2 * k + 1 + d[:n] - y) * table[k, :n] - (k + d[:n]) * table[k - 1, :n]) / (k + 1)
+    return table
 
 
 def displacement_matrix(zetas, dim: int) -> np.ndarray:
@@ -124,17 +127,17 @@ def displacement_matrix(zetas, dim: int) -> np.ndarray:
     out = np.zeros(zetas.shape + (dim, dim), dtype=complex)
     logfact = _log_factorials(dim)
     envelope = np.exp(-y / 2)
-    tables = _laguerre_table(y, dim)
+    table = _laguerre_table(y, dim)
     for d in range(dim):
-        L = tables[d]
-        for p in range(dim - d):
-            m = p + d
-            pref = np.exp(0.5 * (logfact[p] - logfact[m]))
-            if d == 0:
-                out[..., m, p] = pref * envelope * L[p]
-            else:
-                out[..., m, p] = pref * zetas**d * envelope * L[p]
-                out[..., p, m] = pref * (-zetas.conj()) ** d * envelope * L[p]
+        p = np.arange(dim - d)
+        pref = np.exp(0.5 * (logfact[p] - logfact[p + d])).reshape((-1,) + (1,) * y.ndim)
+        L = table[: dim - d, d]
+        # the diagonal's values come out with p first; out holds p on its last axes
+        if d == 0:
+            out[..., p, p] = np.moveaxis(pref * envelope * L, 0, -1)
+        else:
+            out[..., p + d, p] = np.moveaxis(pref * zetas**d * envelope * L, 0, -1)
+            out[..., p, p + d] = np.moveaxis(pref * (-zetas.conj()) ** d * envelope * L, 0, -1)
     return out
 
 

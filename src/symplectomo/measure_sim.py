@@ -185,8 +185,8 @@ def sample_campaign(state, schedule, n_per_setting: int, seed: int) -> list[Samp
     schedule = list(schedule)
     if not schedule:
         raise EmptySchedule("schedule must contain at least one setting")
-    if n_per_setting < 1:
-        raise InvalidParameter("need n >= 1 samples per setting")
+    if isinstance(n_per_setting, bool) or not isinstance(n_per_setting, (int, np.integer)) or n_per_setting < 1:
+        raise InvalidParameter(f"need an integer n >= 1 samples per setting, got {n_per_setting!r}")
     batches = []
     for idx, entry in enumerate(schedule):
         setting, weight = entry if isinstance(entry, tuple) else (entry, 1.0)
@@ -227,6 +227,8 @@ def importance_schedule(
     z = scale.z
     if r_max is None:
         r_max = 8.0 / abs(z)
+    if not 0.0 < r_max < np.inf:
+        raise InvalidParameter(f"r_max must be a positive finite radius, got {r_max!r}")
     rng = _batch_seed(seed, 2**32)
     norm = (2.0 / z**2) * (1.0 - np.exp(-(z**2) * r_max**2 / 4.0))
     if stratified:

@@ -29,9 +29,10 @@ from .errors import (
     EmptyBatches,
     GridUnderresolved,
     InvalidParameter,
+    UnsupportedVariant,
 )
 from .kernels import HOMODYNE_RADII, KernelScale, _radial_nodes, displacement_matrix, kernel_displacement_argument
-from .marginals import Tomogram
+from .marginals import QuadratureSetting, Tomogram
 from .states import FockDensityMatrix
 
 __all__ = [
@@ -183,6 +184,18 @@ def _pooled(pairs) -> dict[float, list]:
     return pooled
 
 
+def _check_pairs(pairs) -> None:
+    """Refuse an entry that is not a ``(phi, xs)`` pair of a finite phase and finite real outcomes."""
+    for index, entry in enumerate(pairs):
+        try:
+            phi, xs = entry
+            finite = np.isfinite(float(phi)) and np.all(np.isfinite(np.asarray(xs, dtype=float)))
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameter(f"entry {index} is not a (phi, xs) pair of real numbers") from exc
+        if not finite:
+            raise InvalidParameter(f"entry {index}: phases and outcomes must be finite")
+
+
 def _circle_chi(data, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Angles, angle weights and ``chi[p, k]`` at ``freqs[k]`` times the unit radius.
 
@@ -197,6 +210,7 @@ def _circle_chi(data, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
         phis = np.array([s.angle for s in data.settings])
         chi = _row_fourier(data.values, data.x, np.array([s.delta for s in data.settings]), freqs / r0)
     elif isinstance(data, (list, tuple)):
+        _check_pairs(data)
         if not data or any(np.size(xs) == 0 for _, xs in data):
             raise EmptyBatches("every phase needs samples")
         pooled = _pooled(data)
@@ -294,11 +308,14 @@ def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> Reconstructi
     radii of ``cfg.grid``.  Other campaigns carry each setting's plane density
     ``weight``; the batch mean of ``K / weight`` is unbiased for settings drawn
     from it, with standard error ``~ 1/sqrt(N)``.  A campaign on fewer than two
-    distinct ``(mu, nu)`` raises ``InvalidParameter``.
+    distinct ``(mu, nu)`` raises ``InvalidParameter``, and two-mode batches
+    raise ``UnsupportedVariant``.
     """
     batches = list(batches)
     if not batches or all(len(b.outcomes) == 0 for b in batches):
         raise EmptyBatches("no samples to average")
+    if not all(isinstance(b.setting, QuadratureSetting) for b in batches):
+        raise UnsupportedVariant("two-mode sample reconstruction is not available yet; reconstruct a two-mode tomogram")
     if len({(b.setting.mu, b.setting.nu) for b in batches}) < 2:
         raise InvalidParameter("a campaign needs two or more distinct settings (mu, nu) to determine a state")
     if any(len(b.outcomes) == 0 for b in batches):

@@ -1,7 +1,8 @@
 """Slow reference paths that the library's fast paths are tested against.
 
 Each function is the direct, unfactorised form of a computation the library
-performs faster: the explicit displacement-element series, the dense
+performs faster: the explicit displacement-element series, the
+element-by-element displacement table, the dense
 per-angle one-mode polar assembly, the complex-phase row Fourier transform,
 the per-batch campaign estimator, the per-setting two-mode closed-form
 marginals and their 3-d Wigner reduction, the per-direction two-mode einsum
@@ -72,6 +73,34 @@ def _displacement_element_series(m: int, n: int, zeta: complex) -> complex:
             continue
         total += np.exp(weight[idx] - shift) * (phases[idx] / mags[idx])
     return complex(np.exp(shift) * total * np.exp(-abs(zeta) ** 2 / 2))
+
+
+def displacement_matrix_loop(zetas, dim: int) -> np.ndarray:
+    """``<m|D(zeta)|n>`` element by element: one Laguerre recurrence per order
+    d = m - n and one assignment per element, with the arithmetic of
+    ``kernels.displacement_matrix`` (which must match it bit for bit)."""
+    zetas = np.asarray(zetas, dtype=complex)
+    y = (zetas * zetas.conj()).real
+    out = np.zeros(zetas.shape + (dim, dim), dtype=complex)
+    logfact = st._log_factorials(dim)
+    envelope = np.exp(-y / 2)
+    for d in range(dim):
+        pmax = dim - d
+        L = np.empty((pmax,) + y.shape)
+        L[0] = 1.0
+        if pmax > 1:
+            L[1] = 1.0 + d - y
+        for k in range(1, pmax - 1):
+            L[k + 1] = ((2 * k + 1 + d - y) * L[k] - (k + d) * L[k - 1]) / (k + 1)
+        for p in range(pmax):
+            m = p + d
+            pref = np.exp(0.5 * (logfact[p] - logfact[m]))
+            if d == 0:
+                out[..., m, p] = pref * envelope * L[p]
+            else:
+                out[..., m, p] = pref * zetas**d * envelope * L[p]
+                out[..., p, m] = pref * (-zetas.conj()) ** d * envelope * L[p]
+    return out
 
 
 # ---------------------------------------------------------------------------

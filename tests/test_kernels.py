@@ -8,7 +8,7 @@ from symplectomo.errors import CutoffTooSmall, InvalidParameter
 from symplectomo.marginals import QuadratureSetting
 
 from conftest import dense_ladder
-from oracles import _displacement_element_series, kernel_homodyne_trapezoid
+from oracles import _displacement_element_series, displacement_matrix_loop, kernel_homodyne_trapezoid
 
 
 def dense_kernel_element(n, m, x, mu, nu, z, dim=None):
@@ -118,6 +118,28 @@ def test_displacement_matrix_large_argument_stability():
     assert np.max(np.abs(got - D)) < 1e-10
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 40, 80])
+def test_displacement_matrix_matches_the_element_loop(dim, rng):
+    # 0-d, (n,) and (n_t, n_r) arguments: real, imaginary and complex, with
+    # zero among them and |zeta|^2 up to about 60
+    grid = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    cases = [
+        0.0,
+        1.3,
+        -2.0j,
+        -0.3 + 0.4j,
+        5.5 - 5.4j,
+        np.linspace(-7.7, 7.7, 9),
+        1j * np.linspace(0.0, 7.7, 6),
+        np.array([0.0, 5.4 + 3.0j, -1e-3j, 2.0 - 7.4j]),
+        grid * (7.7 / np.max(np.abs(grid))),
+    ]
+    for zetas in cases:
+        got = kn.displacement_matrix(zetas, dim)
+        assert got.shape == np.shape(zetas) + (dim, dim)
+        assert np.array_equal(got, displacement_matrix_loop(zetas, dim))
+
+
 # ---------------------------------------------------------------------------
 # coherent basis
 # ---------------------------------------------------------------------------
@@ -219,6 +241,12 @@ def test_homodyne_cutoff_guard():
         kn.kernel_homodyne_number(0, 0, kn.HomodyneSetting(0.0, 0.0), r_cutoff=np.nan)
     with pytest.raises(InvalidParameter):
         kn.kernel_homodyne_number(-1, 2, kn.HomodyneSetting(0.0, 0.0))
+
+
+@pytest.mark.parametrize("phi, x_phi", [(np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan), (0.5, -np.inf)])
+def test_homodyne_setting_refuses_nonfinite_values(phi, x_phi):
+    with pytest.raises(InvalidParameter, match="finite"):
+        kn.HomodyneSetting(phi, x_phi)
 
 
 def test_kernel_scale_validation():

@@ -174,9 +174,16 @@ def test_campaign_empty_schedule():
 
 
 def test_campaign_rejects_nonpositive_sample_count():
-    for n in (-3, 0):
+    # a non-integer count is refused too
+    for n in (-3, 0, 2.5):
         with pytest.raises(InvalidParameter):
             ms.sample_campaign(st.Vacuum(), [QuadratureSetting(1, 0)], n, seed=0)
+
+
+@pytest.mark.parametrize("r_max", [-1.0, 0.0, np.nan, np.inf])
+def test_importance_schedule_refuses_a_bad_r_max(r_max):
+    with pytest.raises(InvalidParameter, match="r_max"):
+        ms.importance_schedule(8, r_max=r_max)
 
 
 def test_sample_marginal_is_the_one_setting_campaign():

@@ -3,7 +3,14 @@ import pytest
 
 import symplectomo as sy
 from symplectomo import states as st
-from symplectomo.errors import DegenerateConfig, DimMismatch, EmptyBatches, GridUnderresolved, InvalidParameter
+from symplectomo.errors import (
+    DegenerateConfig,
+    DimMismatch,
+    EmptyBatches,
+    GridUnderresolved,
+    InvalidParameter,
+    UnsupportedVariant,
+)
 from symplectomo.kernels import KernelScale, HomodyneSetting, kernel_homodyne_number
 from symplectomo.marginals import QuadratureSetting, Tomogram, circle_settings, tabulate_tomogram
 from symplectomo.reconstruct import (
@@ -162,6 +169,13 @@ def test_samples_estimator_rejects_a_single_setting():
     s = QuadratureSetting(0.8, 0.3)
     batches = sy.sample_campaign(st.Vacuum(), [s, s, QuadratureSetting(0.8, 0.3, 0.5)], 50, seed=2)
     with pytest.raises(InvalidParameter, match="two or more distinct settings"):
+        reconstruct_from_samples(batches, ReconstructionConfig(dim=4))
+
+
+def test_samples_estimator_refuses_two_mode_batches():
+    settings = [sy.TwoModeSetting(mu=[1.0, 0.0], nu=[0.0, 1.0]), sy.TwoModeSetting(mu=[0.6, 0.8], nu=[-0.8, 0.6])]
+    batches = sy.sample_campaign(st.GaussianTwoMode(np.eye(4) * 0.5), settings, 30, seed=4)
+    with pytest.raises(UnsupportedVariant, match="two-mode sample reconstruction is not available yet"):
         reconstruct_from_samples(batches, ReconstructionConfig(dim=4))
 
 
@@ -396,6 +410,22 @@ def test_clip_projection_is_trace_preserving():
 def test_homodyne_rejects_any_empty_batch():
     with pytest.raises(EmptyBatches):
         reconstruct_homodyne([(0.0, [0.1, -0.2, 0.3]), (1.0, [])], dim=4)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [(0.0, [np.nan, 1.0]), (1.0, [0.2])],
+        [(0.0, [0.1, -0.2]), (1.0, [np.inf])],
+        [(np.nan, [0.1, -0.2]), (1.0, [0.2])],
+        [(0.0,)],
+        [(0.0, [0.1], [0.2])],
+        [(0.0, [[0.1, 0.2], [0.3]])],
+    ],
+)
+def test_homodyne_refuses_malformed_or_nonfinite_pairs(data):
+    with pytest.raises(InvalidParameter):
+        reconstruct_homodyne(data, dim=4)
 
 
 def test_homodyne_rejects_unknown_projection(vacuum_tomogram):
