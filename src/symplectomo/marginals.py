@@ -72,10 +72,17 @@ class QuadratureSetting:
         return QuadratureSetting(-self.mu, -self.nu, self.delta)
 
 
+def _check_count(value, least: int, name: str, error: type = InvalidParameter) -> int:
+    """``value`` as an int, after checking that it is an integer (a bool is
+    not) of at least ``least``; ``error`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def circle_settings(n: int, radius: float = 1.0, delta: float = 0.0) -> list[QuadratureSetting]:
     """``n`` settings uniformly spaced on the circle ``mu^2 + nu^2 = radius^2``."""
-    if n < 1:
-        raise InvalidParameter("need at least one setting")
+    n = _check_count(n, 1, "the number of settings")
     phis = 2 * np.pi * np.arange(n) / n
     return [QuadratureSetting(radius * np.cos(p), radius * np.sin(p), delta) for p in phis]
 
@@ -241,6 +248,7 @@ def _half_width(state, setting: QuadratureSetting) -> float:
 
 def default_x_grid(state, setting: QuadratureSetting, num: int = 1201) -> np.ndarray:
     """Uniform centered grid covering 8 standard deviations plus displacements."""
+    num = _check_count(num, 2, "num")
     half = _half_width(state, _as_setting(setting))
     return np.linspace(-half, half, num)
 
@@ -252,22 +260,43 @@ def _marginal_any(state, x, setting: QuadratureSetting):
         return marginal_numeric(state, x, setting, num=LINE_POINTS)
 
 
+def _marginal_key(state, setting: QuadratureSetting):
+    """Settings with equal keys have one and the same centered marginal of ``state``.
+
+    A state whose Wigner function depends on ``q^2 + p^2`` alone (vacuum,
+    thermal, number states) has a marginal that depends on the setting only
+    through its radius, so every phase of one radius shares it; any other
+    state shares it only between repeats of ``(mu, nu)``.
+    """
+    if isinstance(state, (st.Vacuum, st.Thermal, st.NumberState)):
+        return setting.radius
+    return (setting.mu, setting.nu)
+
+
 def tabulate_tomogram(state, settings, x_grid: np.ndarray | None = None, num: int = 1201) -> Tomogram:
     """Tabulate ``w`` for a list of settings on a shared x grid.
 
-    Prefers the closed forms, falling back to the Wigner line integral.  The
-    per-setting normalization is validated; a deficit above ``1e-3`` raises
-    ``GridTooNarrow``.
+    Prefers the closed forms, falling back to the Wigner line integral.  Each
+    distinct row is evaluated once, on the first setting that has it: every
+    phase of one radius and shift shares the row of a vacuum, thermal or
+    number state.  The per-setting normalization is validated; a deficit
+    above ``1e-3`` raises ``GridTooNarrow``.
     """
     settings = [_as_setting(s) for s in settings]
     if not settings:
         raise InvalidParameter("need at least one setting")
+    num = _check_count(num, 2, "num")
     if x_grid is None:
         half = max(_half_width(state, s) + abs(s.delta) for s in settings)
         x_grid = np.linspace(-half, half, num)
     x_grid = np.asarray(x_grid, dtype=float)
+    keys = [(_marginal_key(state, s), s.delta) for s in settings]
+    distinct = {}
+    for key, s in zip(keys, settings):
+        if key not in distinct:
+            distinct[key] = _marginal_any(state, x_grid - s.delta, s)
     # the constructor copies what it gets: hand it the rows, so the table is built once
-    rows = [_marginal_any(state, x_grid - s.delta, s) for s in settings]
+    rows = [distinct[key] for key in keys]
     tomo = Tomogram(tuple(settings), x_grid, rows)
     tomo.validate_normalization()
     return tomo

@@ -3,9 +3,16 @@
 Maps instrument parameters to quadrature settings and draws i.i.d. outcomes
 from the corresponding marginal by inverse-CDF sampling on a tabulated
 cumulative (4096 points, linear interpolation): deterministic for a given
-64-bit seed and stable across platforms.  The generator is numpy's PCG64
-(``default_rng``); per-batch streams are spawned from ``(master_seed,
+nonnegative integer seed and stable across platforms.  The generator is numpy's
+PCG64 (``default_rng``); per-batch streams are spawned from ``(master_seed,
 batch_index)`` so campaigns are reproducible batch by batch.
+
+A campaign tabulates each distinct marginal once and draws every batch that
+shares it from that one table.  Vacuum, thermal and number states have one
+marginal per radius, so a phase scan of such a state on one radius (optical
+homodyne tomography of a Fock state) needs a single table; other one-mode
+states share a table between repeats of one ``(mu, nu)``, and every two-mode
+batch has its own.
 
 Hardware idealizations: detection is lossless and noise-free, and the
 squeezer/heterodyne maps place the sampled distribution exactly at the mapped
@@ -26,7 +33,7 @@ from .errors import (
     PhaseLockRequired,
 )
 from .kernels import KernelScale
-from .marginals import QuadratureSetting, _as_setting, _half_width, _marginal_any
+from .marginals import QuadratureSetting, _as_setting, _check_count, _half_width, _marginal_any, _marginal_key
 from .twomode import TwoModeSetting, tilde_marginal, _half_width as _tilde_half_width
 
 __all__ = [
@@ -152,14 +159,20 @@ def _marginal_table(state, setting, num: int) -> tuple[np.ndarray, np.ndarray]:
 
 def tabulated_cdf(state, setting, num: int = CDF_POINTS) -> tuple[np.ndarray, np.ndarray]:
     """(x, CDF) table used by the sampler; also handy for KS checks."""
-    x, w = _marginal_table(state, setting, num)
-    w = np.clip(w, 0.0, None)
-    dx = x[1] - x[0]
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * dx)])
+    x, w = _marginal_table(state, setting, _check_count(num, 2, "num"))
+    np.maximum(w, 0.0, out=w)
+    # trapezoid increments summed straight into the table, which is normalized in place
+    step = w[1:] + w[:-1]
+    step *= 0.5
+    step *= x[1] - x[0]
+    cdf = np.empty_like(w)
+    cdf[0] = 0.0
+    np.cumsum(step, out=cdf[1:])
     total = cdf[-1]
     if abs(total - 1.0) > 1e-3:
         raise GridTooNarrow(f"cumulative covers only {total:.6f} of the distribution")
-    return x, cdf / total
+    cdf /= total
+    return x, cdf
 
 
 def _batch_seed(master_seed: int, index: int) -> np.random.Generator:
@@ -180,23 +193,29 @@ def sample_campaign(state, schedule, n_per_setting: int, seed: int) -> list[Samp
     """One batch per scheduled setting, with per-batch derived seeds.
 
     ``schedule`` entries are settings or ``(setting, weight)`` pairs; two
-    campaigns with the same master seed are identical batch for batch.
+    campaigns with the same master seed are identical batch for batch.  The
+    sampler table of each distinct marginal is built once, on the first
+    setting that has it, and serves every batch of that marginal; batch ``i``
+    always draws from its own stream ``(seed, i)``.
     """
-    schedule = list(schedule)
-    if not schedule:
+    entries = [entry if isinstance(entry, tuple) else (entry, 1.0) for entry in schedule]
+    if not entries:
         raise EmptySchedule("schedule must contain at least one setting")
-    if isinstance(n_per_setting, bool) or not isinstance(n_per_setting, (int, np.integer)) or n_per_setting < 1:
-        raise InvalidParameter(f"need an integer n >= 1 samples per setting, got {n_per_setting!r}")
-    batches = []
-    for idx, entry in enumerate(schedule):
-        setting, weight = entry if isinstance(entry, tuple) else (entry, 1.0)
-        x, cdf = tabulated_cdf(state, setting)
-        rng = _batch_seed(seed, idx)
-        outcomes = np.interp(rng.random(n_per_setting), cdf, x)
-        delta = setting.delta[0] if isinstance(setting, TwoModeSetting) else setting.delta
-        batches.append(
-            SampleBatch(setting=setting, outcomes=outcomes + delta, seed=int(seed), weight=weight)
-        )
+    n_per_setting = _check_count(n_per_setting, 1, "the number of samples per setting")
+    seed = _check_count(seed, 0, "seed")
+    groups = {}
+    for idx, (setting, _) in enumerate(entries):
+        key = ("batch", idx) if isinstance(setting, TwoModeSetting) else _marginal_key(state, _as_setting(setting))
+        groups.setdefault(key, []).append(idx)
+    batches = [None] * len(entries)
+    for indices in groups.values():
+        # one table alive at a time, however many groups the schedule has
+        x, cdf = tabulated_cdf(state, entries[indices[0]][0])
+        for idx in indices:
+            setting, weight = entries[idx]
+            outcomes = np.interp(_batch_seed(seed, idx).random(n_per_setting), cdf, x)
+            delta = setting.delta[0] if isinstance(setting, TwoModeSetting) else setting.delta
+            batches[idx] = SampleBatch(setting=setting, outcomes=outcomes + delta, seed=seed, weight=weight)
     return batches
 
 
@@ -222,8 +241,10 @@ def importance_schedule(
     ``stratified=False`` gives plain independent draws, for which every
     component of the estimator error obeys the plain 1/sqrt(N) law.
     """
-    if n_settings < 1:
+    if isinstance(n_settings, (int, np.integer)) and n_settings < 1:
         raise EmptySchedule("need at least one setting")
+    n_settings = _check_count(n_settings, 1, "the number of settings")
+    seed = _check_count(seed, 0, "seed")
     z = scale.z
     if r_max is None:
         r_max = 8.0 / abs(z)

@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedVariant,
 )
 from .kernels import HOMODYNE_RADII, KernelScale, _radial_nodes, displacement_matrix, kernel_displacement_argument
-from .marginals import QuadratureSetting, Tomogram
+from .marginals import QuadratureSetting, Tomogram, _check_count
 from .states import FockDensityMatrix
 
 __all__ = [
@@ -72,19 +72,14 @@ def _check_projection(projection: str) -> None:
         raise DegenerateConfig(f"unknown projection {projection!r}")
 
 
-def _check_count(value, least: int, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise DegenerateConfig(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def _check_config(dims, projection: str, r_max: float, n_r, z: float) -> None:
     """Checks shared by the one- and two-mode configs: positive integer Fock
     truncations, and ``n_r >= 4`` radii over a finite ``[0, r_max]`` on which the
     kernel damping ``exp(-z^2 r^2 / 4)`` has decayed."""
     for dim in dims:
-        _check_count(dim, 1, "dim")
+        _check_count(dim, 1, "dim", DegenerateConfig)
     _check_projection(projection)
-    _check_count(n_r, 4, "n_r")
+    _check_count(n_r, 4, "n_r", DegenerateConfig)
     if not (np.isfinite(r_max) and r_max * abs(z) >= 6.0):
         raise DegenerateConfig(f"r_max must be finite with r_max * |z| >= 6, got r_max = {r_max!r}")
 
@@ -365,7 +360,7 @@ def reconstruct_homodyne(
     ``(phi, samples)`` pairs.  Phases on less than half the circle are
     mirrored to the full circle using ``x_(phi+pi) = -x_phi``.
     """
-    _check_count(dim, 1, "dim")
+    _check_count(dim, 1, "dim", DegenerateConfig)
     _check_projection(projection)
     if not 0.0 < r_cutoff < np.inf:
         raise InvalidParameter(f"r_cutoff must be a positive finite radius, got {r_cutoff!r}")

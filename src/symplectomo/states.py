@@ -138,7 +138,10 @@ class Coherent:
     alpha: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        alpha = complex(self.alpha)
+        if not np.isfinite(alpha):
+            raise InvalidParameter(f"coherent amplitude must be finite, got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
 
 
 @dataclass(frozen=True)
@@ -153,8 +156,11 @@ class EvenCat:
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
+        a, b = float(self.a), float(self.b)
+        if not (np.isfinite(a) and np.isfinite(b)):
+            raise InvalidParameter(f"cat amplitudes must be finite, got a = {a}, b = {b}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def norm_squared(self) -> float:
@@ -424,6 +430,8 @@ class GaussianTwoMode:
         if not isinstance(self.M, CovarianceMatrix):
             object.__setattr__(self, "M", CovarianceMatrix(np.asarray(self.M)))
         mu = np.asarray(self.means, dtype=float).reshape(4).copy()
+        if not np.all(np.isfinite(mu)):
+            raise InvalidParameter("means must be finite")
         mu.flags.writeable = False
         object.__setattr__(self, "means", mu)
 
@@ -437,6 +445,8 @@ class TwoModeCat:
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=complex).reshape(2).copy()
+        if not np.all(np.isfinite(A)):
+            raise InvalidParameter("cat amplitudes must be finite")
         A.flags.writeable = False
         object.__setattr__(self, "A", A)
         if self.parity not in ("plus", "minus"):

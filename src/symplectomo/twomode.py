@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedVariant,
 )
 from .kernels import KernelScale, _radial_nodes, displacement_matrix
-from .marginals import QuadratureSetting, _outcome_grid, _sigma_and_span
+from .marginals import QuadratureSetting, _check_count, _outcome_grid, _sigma_and_span
 from .reconstruct import ReconstructionReport, _check_config, _finish, _row_fourier, _trapezoid_weights
 from . import states as st
 
@@ -448,8 +448,7 @@ class TwoModeConfig:
 
 def _hopf_nodes(n_t: int, n_psi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Legendre levels ``t`` on [0, 1] with their weights, and the uniform angles."""
-    if n_t < 1 or n_psi < 1:
-        raise InvalidParameter("a Hopf grid needs n_t >= 1 and n_psi >= 1")
+    n_t, n_psi = _check_count(n_t, 1, "n_t"), _check_count(n_psi, 1, "n_psi")
     tg, tw = leggauss(n_t)
     return 0.5 * (tg + 1.0), 0.5 * tw, 2 * np.pi * np.arange(n_psi) / n_psi
 

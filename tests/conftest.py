@@ -7,6 +7,25 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` wraps ``module.name`` for the test and
+    returns the list that collects the positional arguments of each call."""
+
+    def install(module, name):
+        calls = []
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install
+
+
 def dense_ladder(dim: int) -> np.ndarray:
     """Truncated annihilation operator, the building block of the expm oracles."""
     return np.diag(np.sqrt(np.arange(1, dim)), 1)

@@ -242,3 +242,64 @@ def test_tomograms_copy_the_callers_arrays():
     assert x.flags.writeable and values.flags.writeable
     for own in (tabulated.x, tabulated.values, one.x, one.values, two.x1, two.values, plane.x1, plane.x2, plane.values):
         assert not own.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# one row per distinct marginal
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", range(6))
+def test_shared_number_state_rows_match_a_per_setting_line_integral(n, radius):
+    # 8 angles at two shifts: each shift's row is evaluated once and shared
+    # by every angle, which the 2001-node integral of each setting confirms
+    state = st.NumberState(n)
+    settings = mg.circle_settings(8, radius) + mg.circle_settings(8, radius, delta=0.4)
+    tomo = mg.tabulate_tomogram(state, settings, num=301)
+    for s, row in zip(settings, tomo.values):
+        oracle = mg.marginal_numeric(state, tomo.x - s.delta, s, num=2001)
+        assert np.max(np.abs(row - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("state", [st.Vacuum(), st.Thermal(0.4)])
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+def test_shared_gaussian_rows_match_the_closed_form_at_each_angle(state, radius):
+    settings = mg.circle_settings(8, radius, delta=-0.3)
+    tomo = mg.tabulate_tomogram(state, settings, num=301)
+    for s, row in zip(settings, tomo.values):
+        assert np.max(np.abs(row - mg.marginal_analytic(state, tomo.x - s.delta, s))) <= 1e-12
+
+
+def test_number_state_circle_tomogram_takes_one_line_integral(count_calls):
+    calls = count_calls(mg, "marginal_numeric")
+    tomo = mg.tabulate_tomogram(st.NumberState(1), mg.circle_settings(64))
+    assert len(calls) == 1
+    assert len(tomo.settings) == 64
+
+
+def test_tomogram_rows_are_shared_only_between_equal_marginals(count_calls):
+    # a coherent state differs from phase to phase: a repeated setting shares
+    # its row, a new angle or a new shift does not
+    calls = count_calls(mg, "marginal_analytic")
+    s = mg.QuadratureSetting(0.6, -0.8)
+    settings = [s, mg.QuadratureSetting(0.8, 0.6), s, mg.QuadratureSetting(0.6, -0.8, 0.5)]
+    tomo = mg.tabulate_tomogram(st.Coherent(0.7 + 0.2j), settings)
+    assert len(calls) == 3
+    assert np.array_equal(tomo.values[0], tomo.values[2])
+    assert not np.array_equal(tomo.values[0], tomo.values[1])
+
+
+@pytest.mark.parametrize("n", [2.5, True, 0, -1])
+def test_circle_settings_needs_an_integer_count(n):
+    with pytest.raises(InvalidParameter):
+        mg.circle_settings(n)
+
+
+@pytest.mark.parametrize("num", [2.5, True, 1])
+def test_grid_sizes_must_be_integers_of_two_or_more(num):
+    s = mg.QuadratureSetting(1.0, 0.0)
+    with pytest.raises(InvalidParameter, match="num"):
+        mg.tabulate_tomogram(st.Vacuum(), [s], num=num)
+    with pytest.raises(InvalidParameter, match="num"):
+        mg.default_x_grid(st.Vacuum(), s, num=num)

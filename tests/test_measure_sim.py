@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import symplectomo.marginals as mg
 import symplectomo.measure_sim as ms
 from symplectomo import states as st
 from symplectomo.errors import DegenerateSetting, EmptySchedule, GridTooNarrow, InvalidParameter, PhaseLockRequired
@@ -169,8 +170,9 @@ def test_campaign_determinism_and_structure():
 def test_campaign_empty_schedule():
     with pytest.raises(EmptySchedule):
         ms.sample_campaign(st.Vacuum(), [], 10, seed=0)
-    with pytest.raises(EmptySchedule):
-        ms.importance_schedule(0)
+    for n in (0, -2):
+        with pytest.raises(EmptySchedule):
+            ms.importance_schedule(n)
 
 
 def test_campaign_rejects_nonpositive_sample_count():
@@ -235,3 +237,93 @@ def test_importance_schedule_stratification_modes():
     radii_iid = np.sort([s.radius for s, _ in sched_iid])
     q_iid = (1 - np.exp(-(z**2) * radii_iid**2 / 4)) / scale
     assert not np.array_equal(np.sort(np.floor(q_iid * 64).astype(int)), np.arange(64))
+
+
+# ---------------------------------------------------------------------------
+# one sampler table per distinct marginal
+# ---------------------------------------------------------------------------
+
+
+def _stream(seed, index):
+    """The documented per-batch stream of a campaign: PCG64 seeded by (seed, index)."""
+    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+
+
+def test_phase_scan_of_a_number_state_builds_one_table(count_calls):
+    state = st.NumberState(1)
+    settings = [QuadratureSetting(np.cos(p), np.sin(p)) for p in np.pi * np.arange(4) / 4]
+    # each phase's own table, as a campaign of that phase alone builds it
+    own = [ms.tabulated_cdf(state, s) for s in settings]
+    tables = count_calls(ms, "tabulated_cdf")
+    lines = count_calls(mg, "marginal_numeric")
+    batches = ms.sample_campaign(state, settings, 300, seed=6)
+    assert len(tables) == 1 and len(lines) == 1
+    for idx, ((x, cdf), b) in enumerate(zip(own, batches)):
+        assert b.setting is settings[idx]
+        want = np.interp(_stream(6, idx).random(300), cdf, x)
+        assert np.max(np.abs(b.outcomes - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("state", [st.Thermal(0.5), st.EvenCat(1.0, 0.9)])
+def test_importance_campaign_builds_one_table_per_setting(state, count_calls):
+    schedule = ms.importance_schedule(12, seed=3)
+    tables = count_calls(ms, "tabulated_cdf")
+    ms.sample_campaign(state, schedule, 20, seed=2)
+    assert len(tables) == 12
+
+
+def test_cat_campaign_equals_per_setting_tables_bit_for_bit():
+    state = st.EvenCat(1.1, 0.8)
+    schedule = ms.importance_schedule(16, seed=5)
+    batches = ms.sample_campaign(state, schedule, 200, seed=9)
+    for idx, ((s, w), b) in enumerate(zip(schedule, batches)):
+        x, cdf = ms.tabulated_cdf(state, s)
+        assert np.array_equal(b.outcomes, np.interp(_stream(9, idx).random(200), cdf, x))
+        assert (b.setting, b.weight, b.seed) == (s, w, 9)
+
+
+def test_repeated_settings_keep_batch_order_weights_and_seeds(count_calls):
+    state = st.EvenCat(1.0, 1.0)
+    a, b = QuadratureSetting(0.6, -0.8), QuadratureSetting(0.0, 1.3)
+    shifted = QuadratureSetting(0.6, -0.8, 1.5)  # the marginal of a, translated
+    schedule = [(a, 0.5), b, (a, 2.0), (shifted, 0.25), (b, 3.0)]
+    tables = count_calls(ms, "tabulated_cdf")
+    batches = ms.sample_campaign(state, schedule, 100, seed=4)
+    assert len(tables) == 2
+    assert [bt.setting for bt in batches] == [a, b, a, shifted, b]
+    assert [bt.weight for bt in batches] == [0.5, 1.0, 2.0, 0.25, 3.0]
+    assert all(bt.seed == 4 for bt in batches)
+    x, cdf = ms.tabulated_cdf(state, a)
+    for idx in (0, 2, 3):
+        want = np.interp(_stream(4, idx).random(100), cdf, x) + schedule[idx][0].delta
+        assert np.array_equal(batches[idx].outcomes, want)
+    # a repeated setting still draws a fresh stream
+    assert not np.array_equal(batches[0].outcomes, batches[2].outcomes)
+
+
+@pytest.mark.parametrize("n", [2.5, True])
+def test_importance_schedule_needs_an_integer_count(n):
+    with pytest.raises(InvalidParameter):
+        ms.importance_schedule(n)
+
+
+@pytest.mark.parametrize("num", [1, 2.5, True])
+def test_cdf_table_needs_an_integer_size_of_two_or_more(num):
+    with pytest.raises(InvalidParameter, match="num"):
+        ms.tabulated_cdf(st.Vacuum(), QuadratureSetting(1, 0), num=num)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True, "3"])
+def test_seeds_must_be_nonnegative_integers(seed):
+    s = QuadratureSetting(1, 0)
+    with pytest.raises(InvalidParameter, match="seed"):
+        ms.sample_campaign(st.Vacuum(), [s], 10, seed=seed)
+    with pytest.raises(InvalidParameter, match="seed"):
+        ms.sample_marginal(st.Vacuum(), s, 10, seed=seed)
+    with pytest.raises(InvalidParameter, match="seed"):
+        ms.importance_schedule(4, seed=seed)
+
+
+def test_numpy_integer_seeds_are_recorded_as_ints():
+    batch = ms.sample_marginal(st.Vacuum(), QuadratureSetting(1, 0), 10, seed=np.int64(7))
+    assert type(batch.seed) is int and batch.seed == 7

@@ -290,3 +290,22 @@ def test_import_leaves_scipy_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import symplectomo, symplectomo.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: st.Coherent(np.nan),
+        lambda: st.Coherent(np.inf),
+        lambda: st.Coherent(complex(0.5, np.nan)),
+        lambda: st.EvenCat(np.nan, 1.0),
+        lambda: st.EvenCat(1.0, -np.inf),
+        lambda: st.TwoModeCat([np.nan, 1.0]),
+        lambda: st.TwoModeCat([0.5, complex(0.0, np.inf)]),
+        lambda: st.GaussianTwoMode(np.eye(4) * 0.5, means=[0.0, np.nan, 0.0, 0.0]),
+    ],
+    ids=["coherent-nan", "coherent-inf", "coherent-imag-nan", "cat-a-nan", "cat-b-inf", "cat2-nan", "cat2-imag-inf", "gauss2-mean-nan"],
+)
+def test_nonfinite_amplitudes_are_refused(build):
+    with pytest.raises(InvalidParameter, match="finite"):
+        build()

@@ -497,3 +497,9 @@ def test_two_mode_tomogram_rejects_nonfinite_data():
         tm.TwoModeTomogram((s,), bad, np.full((1, 5), 0.1))
     with pytest.raises(InvalidParameter):
         tm.TwoModeTomogram((s,), x, np.full((1, 5, 5), 0.1), x2=bad)
+
+
+@pytest.mark.parametrize("sizes", [(2.5, 3), (3, 2.5), (True, 3), (0, 3), (3, 0)])
+def test_hopf_grid_sizes_must_be_positive_integers(sizes):
+    with pytest.raises(InvalidParameter):
+        tm.hopf_directions(*sizes)
