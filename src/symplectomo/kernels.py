@@ -54,7 +54,7 @@ class KernelScale:
     z: float = 1.0
 
     def __post_init__(self):
-        if self.z == 0 or not np.isfinite(self.z):
+        if isinstance(self.z, (bool, np.bool_)) or self.z == 0 or not np.isfinite(self.z):
             raise InvalidParameter("kernel scale z must be a nonzero finite real")
         object.__setattr__(self, "z", float(self.z))
 

@@ -62,8 +62,10 @@ class SqueezerSetting:
     phase_lock: bool = True
 
     def __post_init__(self):
-        if self.s < 0:
-            raise InvalidParameter("squeeze magnitude must be nonnegative")
+        if not (np.all(np.isfinite([self.s, self.theta])) and self.s >= 0):
+            raise InvalidParameter(
+                f"squeeze magnitude must be finite and nonnegative and theta finite, got {self.s!r}, {self.theta!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,9 @@ class HeterodyneSettingTwoMode:
     theta2: float = 0.0
 
     def __post_init__(self):
-        if self.E1 < 0 or self.E2 < 0:
-            raise InvalidParameter("local-oscillator amplitudes must be nonnegative")
+        values = [self.E1, self.E2, self.phi, self.theta1, self.theta2]
+        if not (np.all(np.isfinite(values)) and min(self.E1, self.E2) >= 0):
+            raise InvalidParameter("local-oscillator amplitudes must be finite and nonnegative and the phases finite")
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,9 @@ class SampleBatch:
             raise InvalidParameter("outcomes must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "outcomes", arr)
-        if not self.weight > 0:
-            raise InvalidParameter("weight must be positive")
+        object.__setattr__(self, "seed", _check_count(self.seed, 0, "seed"))
+        if not (self.weight > 0 and np.isfinite(self.weight)):
+            raise InvalidParameter(f"weight must be positive and finite, got {self.weight!r}")
 
 
 # ---------------------------------------------------------------------------

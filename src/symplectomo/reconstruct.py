@@ -397,9 +397,10 @@ def _empirical_characteristic(xs: np.ndarray, r: np.ndarray, chunk: int = 512) -
 
 
 def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, FockDensityMatrix):
-        return rho.entries
-    return np.asarray(rho, dtype=complex)
+    m = rho.entries if isinstance(rho, FockDensityMatrix) else np.asarray(rho, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise InvalidParameter("density matrix entries must be finite")
+    return m
 
 
 def _psd_sqrt(h: np.ndarray) -> np.ndarray:

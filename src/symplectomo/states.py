@@ -128,7 +128,7 @@ class NumberState:
     n: int
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 0:
+        if not (np.isfinite(self.n) and self.n >= 0 and int(self.n) == self.n):
             raise InvalidParameter("photon number must be a nonnegative integer")
         object.__setattr__(self, "n", int(self.n))
 

@@ -8,8 +8,8 @@ the per-batch campaign estimator, the per-setting two-mode closed-form
 marginals and their 3-d Wigner reduction, the per-direction two-mode einsum
 loops and per-radius GEMM, the vector-kernel reconstruction with a fixed
 second row, the 4001-node trapezoid homodyne estimator and kernel element,
-the line-by-line CSV writers and readers (and a writer of the long
-tomogram layout, which the library refuses), and the two-mode
+the line-by-line CSV writers and readers (and writers of the long
+tomogram and sample layouts, which the library refuses), and the two-mode
 Wigner-quadrature marginals and moments.
 It also holds exact forms the library does not evaluate, such as the
 Hermite-function marginal of a number state.  None of them is used by the
@@ -551,67 +551,69 @@ def load_two_mode_tomogram_lines(path) -> TwoModeTomogram:
     return TwoModeTomogram(tuple(settings), np.asarray(x1s), np.asarray(data))
 
 
-def save_samples_lines(batches: list[SampleBatch], path, state_label: str = "") -> None:
-    first = batches[0].setting
-    two_mode = isinstance(first, TwoModeSetting)
-    if two_mode:
-        lines = ["mu1,mu2,nu1,nu2,mup1,mup2,nup1,nup2,delta1,x1"]
-        for b in batches:
-            head = ",".join(format_float(v) for v in _two_mode_setting_head(b.setting))
-            d1 = b.setting.delta[0]
-            for x in b.outcomes:
-                lines.append(f"{head},{format_float(d1)},{format_float(x)}")
-    else:
-        lines = ["mu,nu,delta,x"]
-        for b in batches:
-            head = ",".join(format_float(v) for v in (b.setting.mu, b.setting.nu, b.setting.delta))
-            for x in b.outcomes:
-                lines.append(f"{head},{format_float(x)}")
-    _write_lines(path, lines)
+def _sample_head(b: SampleBatch) -> list[float]:
+    if isinstance(b.setting, TwoModeSetting):
+        return [*_two_mode_setting_head(b.setting), b.setting.delta[0]]
+    return [b.setting.mu, b.setting.nu, b.setting.delta]
+
+
+def _write_samples_sidecar(batches: list[SampleBatch], path, state_label: str) -> None:
     sidecar = {
         "generator": batches[0].generator,
         "seed": batches[0].seed,
         "state": state_label,
         "weights": [b.weight for b in batches],
-        "n_per_batch": [int(b.outcomes.size) for b in batches],
     }
     with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=1)
 
 
+def save_samples_lines(batches: list[SampleBatch], path, state_label: str = "") -> None:
+    two_mode = isinstance(batches[0].setting, TwoModeSetting)
+    lines = ["mu1,mu2,nu1,nu2,mup1,mup2,nup1,nup2,delta1,outcomes" if two_mode else "mu,nu,delta,outcomes"]
+    for b in batches:
+        lines.append(",".join(format_float(v) for v in [*_sample_head(b), *b.outcomes]))
+    _write_lines(path, lines)
+    _write_samples_sidecar(batches, path, state_label)
+
+
+def save_samples_long_lines(batches: list[SampleBatch], path, state_label: str = "") -> None:
+    """The long sample layout, one outcome per line, which the library refuses."""
+    two_mode = isinstance(batches[0].setting, TwoModeSetting)
+    lines = ["mu1,mu2,nu1,nu2,mup1,mup2,nup1,nup2,delta1,x1" if two_mode else "mu,nu,delta,x"]
+    for b in batches:
+        head = ",".join(format_float(v) for v in _sample_head(b))
+        lines.extend(f"{head},{format_float(x)}" for x in b.outcomes)
+    _write_lines(path, lines)
+    _write_samples_sidecar(batches, path, state_label)
+
+
 def load_samples_lines(path) -> list[SampleBatch]:
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        two_mode = header.startswith("mu1,")
-        groups: dict[tuple, list[float]] = {}
-        order: list[tuple] = []
-        for line in fh:
-            vals = [float(t) for t in line.split(",")]
-            key = tuple(vals[:-1])
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(vals[-1])
+        two_mode = fh.readline().startswith("mu1,")
+        rows = [[float(t) for t in line.split(",")] for line in fh]
     try:
         with open(str(path) + ".meta.json", encoding="utf-8") as fh:
             meta = json.load(fh)
         seed = int(meta.get("seed", 0))
-        weights = meta.get("weights", [1.0] * len(order))
+        weights = meta.get("weights", [1.0] * len(rows))
     except FileNotFoundError:
-        seed, weights = 0, [1.0] * len(order)
+        seed, weights = 0, [1.0] * len(rows)
     batches = []
-    for key, weight in zip(order, weights):
+    for row, weight in zip(rows, weights):
         if two_mode:
-            mu = np.array(key[0:2])
-            nu = np.array(key[2:4])
-            mup = np.array(key[4:6])
-            nup = np.array(key[6:8])
-            delta = np.array([key[8], 0.0])
+            mu = np.array(row[0:2])
+            nu = np.array(row[2:4])
+            mup = np.array(row[4:6])
+            nup = np.array(row[6:8])
+            delta = np.array([row[8], 0.0])
             if np.any(mup != 0) or np.any(nup != 0):
                 setting = TwoModeSetting(mu=mu, nu=nu, mu_p=mup, nu_p=nup, delta=delta)
             else:
                 setting = TwoModeSetting(mu=mu, nu=nu, delta=delta)
+            outcomes = row[9:]
         else:
-            setting = QuadratureSetting(*key)
-        batches.append(SampleBatch(setting=setting, outcomes=np.asarray(groups[key]), seed=seed, weight=weight))
+            setting = QuadratureSetting(*row[:3])
+            outcomes = row[3:]
+        batches.append(SampleBatch(setting=setting, outcomes=np.asarray(outcomes), seed=seed, weight=weight))
     return batches

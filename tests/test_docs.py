@@ -1,4 +1,5 @@
-"""Every ```python block and every CLI line of README.md runs as written, so an API change cannot leave it stale."""
+"""Every ```python block and every CLI line of README.md runs as written, so an API change cannot leave it stale;
+FORMATS.md names every CSV header the library writes, so a layout change cannot leave the spec stale."""
 
 import contextlib
 import io
@@ -10,8 +11,10 @@ import time
 import pytest
 
 from symplectomo import cli
+from symplectomo import io as tio
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+FORMATS = README.with_name("FORMATS.md").read_text(encoding="utf-8")
 TEXT = README.read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
 # each `symplectomo ...` command of the ```bash blocks, continuation lines joined
@@ -43,3 +46,8 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
         for line in CLI_LINES:
             assert cli.main(shlex.split(line)[1:]) == 0, line
     assert time.monotonic() - started < 10.0
+
+
+@pytest.mark.parametrize("header", tio.HEADERS)
+def test_formats_names_every_csv_header(header):
+    assert header in FORMATS

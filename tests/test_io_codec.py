@@ -22,6 +22,7 @@ from oracles import (
     load_tomogram_lines,
     load_two_mode_tomogram_lines,
     save_samples_lines,
+    save_samples_long_lines,
     save_tomogram_lines,
     save_tomogram_long_lines,
     save_two_mode_tomogram_lines,
@@ -209,6 +210,49 @@ def test_random_tomogram_round_trips_bit_exactly(case, data, tmp_path_factory):
     assert type(back) is type(tomo) and _bits(back) == _bits(tomo)
 
 
+def _key_bits(s):
+    """A setting's key cells, as bytes: -0.0 and 0.0 differ."""
+    if isinstance(s, TwoModeSetting):
+        return np.concatenate([s.row1, s.row2 if s.is_vector else [], s.delta]).tobytes()
+    return np.array([s.mu, s.nu, s.delta]).tobytes()
+
+
+def _campaign_bits(batches):
+    return [(_key_bits(b.setting), b.outcomes.tobytes(), np.float64(b.weight).tobytes(), b.seed) for b in batches]
+
+
+@hs.composite
+def _campaigns(draw, two_mode: bool):
+    """1 to 6 batches of 1 to 50 outcomes over a pool of 1 to 3 settings, so settings repeat."""
+
+    def setting():
+        if not two_mode:
+            return QuadratureSetting(draw(_reals()), draw(_nonzero(1e300)), draw(_reals()))
+        a, b, c, d = draw(_nonzero(1e150)), draw(_reals(1e150)), draw(_nonzero(1e150)), draw(_reals(1e150))
+        delta = [draw(_reals()), 0.0]
+        if draw(hs.booleans()):  # a vector setting, mode 1 then mode 2
+            return TwoModeSetting(mu=[a, 0.0], nu=[b, 0.0], mu_p=[0.0, c], nu_p=[0.0, d], delta=delta)
+        return TwoModeSetting(mu=[a, c], nu=[b, d], delta=delta)
+
+    pool = [setting() for _ in range(draw(hs.integers(1, 3)))]
+    seed = draw(hs.integers(0, 2**64))
+    weights = hs.one_of(hs.sampled_from([5e-324, 1.0, _EDGES[-1]]), hs.floats(min_value=5e-324, allow_infinity=False))
+    return [
+        SampleBatch(draw(hs.sampled_from(pool)), draw(hs.lists(_reals(), min_size=1, max_size=50)), seed, draw(weights))
+        for _ in range(draw(hs.integers(1, 6)))
+    ]
+
+
+@pytest.mark.parametrize("two_mode", [False, True], ids=["one-mode", "two-mode"])
+@settings(max_examples=40, deadline=None)
+@given(data=hs.data())
+def test_random_campaign_round_trips_bit_exactly(two_mode, data, tmp_path_factory):
+    batches = data.draw(_campaigns(two_mode))
+    path = tmp_path_factory.mktemp("campaign") / "s.csv"
+    tio.save_samples(batches, path)
+    assert _campaign_bits(tio.load_samples(path)) == _campaign_bits(batches)
+
+
 @pytest.mark.parametrize("make", [_one_mode_campaign, _two_mode_campaign], ids=["one-mode", "two-mode"])
 def test_samples_codec_matches_oracle(make, tmp_path):
     batches = make()
@@ -221,8 +265,7 @@ def test_samples_codec_matches_oracle(make, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# campaigns with repeated settings round-trip batch for batch (the oracle
-# merges them)
+# campaigns with repeated settings round-trip batch for batch
 # ---------------------------------------------------------------------------
 
 
@@ -252,33 +295,36 @@ def test_campaign_with_repeated_setting_round_trips(make, tmp_path):
     assert [b.outcomes.size for b in back] == [b.outcomes.size for b in batches]
 
 
-def test_samples_without_sidecar_split_at_setting_changes(tmp_path):
-    batches = _repeated_one_mode()
+def test_samples_without_sidecar_are_one_batch_per_line(tmp_path):
+    first, second, again = _repeated_one_mode()
+    batches = [first, again, second]  # two lines of one setting in a row stay two batches
     path = tmp_path / "s.csv"
     tio.save_samples(batches, path)
     (tmp_path / "s.csv.meta.json").unlink()
     back = tio.load_samples(path)
-    assert [b.outcomes.size for b in back] == [10, 10, 7]
+    assert [b.outcomes.size for b in back] == [10, 7, 10]
     assert [b.setting for b in back] == [b.setting for b in batches]
-    assert [b.weight for b in back] == [1.0, 1.0, 1.0]
+    assert [(b.weight, b.seed) for b in back] == [(1.0, 0)] * 3
 
 
 @pytest.mark.parametrize(
     "edit,message",
     [
-        ({"n_per_batch": [10, 10, 6]}, "sum to"),
-        ({"n_per_batch": [10, 10, 0, 7]}, "positive"),
+        ({"weights": [0.5, float("inf"), 2.0]}, "finite"),
+        ({"seed": -5}, "seed must be an integer >= 0"),
         ({"weights": [0.5, 1.0]}, "2 weights for 3 batches"),
-        ({"n_per_batch": [5, 15, 7]}, "mixes settings"),
     ],
 )
-def test_inconsistent_sidecar_is_rejected(edit, message, tmp_path):
+def test_inconsistent_sidecar_is_rejected(edit, message, tmp_path, capsys):
     path = tmp_path / "s.csv"
     tio.save_samples(_repeated_one_mode(), path)
     sidecar = tmp_path / "s.csv.meta.json"
-    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **edit}))
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **edit}))  # json writes inf as Infinity
     with pytest.raises(InvalidParameter, match=message):
         tio.load_samples(path)
+    assert cli.main(["reconstruct", "--input", str(path), "--dim", "3", "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message in err
 
 
 def _strings(meta, key):
@@ -287,7 +333,6 @@ def _strings(meta, key):
 
 SIDECARS_OF_WRONG_TYPE = {
     "samples, not an object": lambda meta: [],
-    "n_per_batch strings": lambda meta: _strings(meta, "n_per_batch"),
     "weights strings": lambda meta: _strings(meta, "weights"),
 }
 
@@ -306,6 +351,25 @@ def test_sidecar_of_wrong_type_is_rejected(case, tmp_path):
 def test_save_samples_rejects_an_empty_campaign(tmp_path):
     with pytest.raises(EmptyBatches):
         tio.save_samples([], tmp_path / "s.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _with_empty_batch():
+    return [*_repeated_one_mode(), SampleBatch(QuadratureSetting(1.0, 0.0), [], seed=3)]
+
+
+UNREADABLE_CAMPAIGNS = {
+    "batch without outcomes": (_with_empty_batch, EmptyBatches),
+    "one-mode then two-mode": (lambda: [*_repeated_one_mode(), *_repeated_heterodyne()], InvalidParameter),
+    "two-mode then one-mode": (lambda: [*_repeated_heterodyne(), *_repeated_one_mode()], InvalidParameter),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_CAMPAIGNS))
+def test_save_samples_refuses_what_load_cannot_read(case, tmp_path):
+    make, error = UNREADABLE_CAMPAIGNS[case]
+    with pytest.raises(error):
+        tio.save_samples(make(), tmp_path / "s.csv")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -387,9 +451,25 @@ def test_malformed_tomogram_is_rejected(kind, save, load, make, tmp_path):
         load(path)
 
 
-@pytest.mark.parametrize("kind", ["short row", "garbage token", "column dropped everywhere", "no rows"])
+def _last_line(edit):
+    """An edit of the cells of the last line."""
+    return lambda lines: lines[:-1] + [",".join(edit(lines[-1].split(",")))]
+
+
+# lines of any length from four cells up are valid: a batch holds one or more outcomes
+MALFORMED_SAMPLES = {
+    "key cells only": _last_line(lambda cells: cells[:3]),
+    "short row": _last_line(lambda cells: cells[:2]),
+    "empty cell": _last_line(lambda cells: cells[:4] + [""] + cells[5:]),
+    "trailing empty cell": _last_line(lambda cells: cells + [""]),
+    "garbage token": _last_line(lambda cells: cells[:-1] + ["abc"]),
+    "no rows": lambda lines: lines[:1],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_SAMPLES))
 def test_malformed_samples_are_rejected(kind, tmp_path):
-    path = _edited(tmp_path, tio.save_samples, _one_mode_campaign(), MALFORMED[kind])
+    path = _edited(tmp_path, tio.save_samples, _one_mode_campaign(), MALFORMED_SAMPLES[kind])
     (tmp_path / "t.csv.meta.json").unlink()
     with pytest.raises(InvalidParameter):
         tio.load_samples(path)
@@ -416,10 +496,16 @@ def _long_two_mode(columns):
     return write
 
 
+def _long_samples(make):
+    return lambda tomo, path: save_samples_long_lines(make(), path)
+
+
 LONG_FILES = {
     "one-mode": (save_tomogram_long_lines, tio.load_tomogram, tio.TOMOGRAM_HEADER),
     "tilde": (_long_two_mode("x1,w"), tio.load_two_mode_tomogram, tio.TILDE_HEADER),
     "vector": (_long_two_mode("x1,x2,w"), tio.load_two_mode_tomogram, tio.VECTOR_HEADER),
+    "one-mode samples": (_long_samples(_one_mode_campaign), tio.load_samples, tio.SAMPLES_HEADER),
+    "two-mode samples": (_long_samples(_two_mode_campaign), tio.load_samples, tio.TWO_MODE_SAMPLES_HEADER),
 }
 
 

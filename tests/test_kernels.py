@@ -252,5 +252,8 @@ def test_homodyne_setting_refuses_nonfinite_values(phi, x_phi):
 def test_kernel_scale_validation():
     with pytest.raises(InvalidParameter):
         kn.KernelScale(0.0)
+    for flag in (True, np.True_):  # a bool is not a scale, as it is not a count
+        with pytest.raises(InvalidParameter):
+            kn.KernelScale(flag)
     with pytest.raises(InvalidParameter):
         kn.kernel_number(-1, 0, 0.0, (1.0, 0.0))

@@ -34,6 +34,22 @@ def test_squeezer_requires_phase_lock():
         ms.SqueezerSetting(-0.1, 0.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ms.SqueezerSetting(np.nan, 0.0),
+        lambda: ms.SqueezerSetting(0.1, np.nan),
+        lambda: ms.SqueezerSetting(np.inf, 0.0),
+        lambda: ms.HeterodyneSettingTwoMode(np.nan, 1.0, 0.0),
+        lambda: ms.HeterodyneSettingTwoMode(1.0, 1.0, 0.0, theta2=np.inf),
+    ],
+    ids=["squeezer s nan", "squeezer theta nan", "squeezer s inf", "heterodyne E1 nan", "heterodyne theta2 inf"],
+)
+def test_instrument_settings_refuse_non_finite_values(make):
+    with pytest.raises(InvalidParameter):
+        make()
+
+
 def test_squeezer_image_radius(rng):
     # reachable settings lie on radii exp(-s) <= 1: pre-attenuation only
     for _ in range(100):
@@ -213,6 +229,12 @@ def test_importance_schedule_distribution():
 def test_batch_weight_validation():
     with pytest.raises(InvalidParameter):
         ms.SampleBatch(QuadratureSetting(1, 0), np.zeros(3), seed=0, weight=0.0)
+
+
+@pytest.mark.parametrize("seed,weight", [(0, np.inf), (0, np.nan), (-5, 1.0), (1.5, 1.0), (True, 1.0)])
+def test_batch_refuses_a_non_finite_weight_and_a_non_count_seed(seed, weight):
+    with pytest.raises(InvalidParameter):
+        ms.SampleBatch(QuadratureSetting(1, 0), np.zeros(3), seed=seed, weight=weight)
 
 
 def test_batch_copies_its_outcomes():

@@ -270,6 +270,16 @@ def test_trace_distance_basics():
     assert trace_distance(vac, one) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("measure", [fidelity, trace_distance])
+def test_measures_refuse_non_finite_matrices(measure, bad):
+    rho = st.density_matrix(st.Vacuum(), 3).entries
+    with pytest.raises(InvalidParameter, match="finite"):
+        measure(np.full((3, 3), bad), rho)
+    with pytest.raises(InvalidParameter, match="finite"):
+        measure(rho, np.full((3, 3), bad))
+
+
 def test_dim_mismatch():
     with pytest.raises(DimMismatch):
         fidelity(st.density_matrix(st.Vacuum(), 4), st.density_matrix(st.Vacuum(), 5))

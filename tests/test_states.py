@@ -32,6 +32,12 @@ def test_thermal_lambda_one_is_vacuum():
     assert abs(rho.entries[1:, 1:]).max() == 0.0
 
 
+@pytest.mark.parametrize("n", [float("nan"), float("inf"), -1, 1.5])
+def test_number_state_refuses_a_non_count(n):
+    with pytest.raises(InvalidParameter):
+        st.NumberState(n)
+
+
 @pytest.mark.parametrize("lam", [0.0, -0.3, 1.2])
 def test_thermal_parameter_range(lam):
     with pytest.raises(InvalidParameter):
