@@ -41,6 +41,10 @@ NORMALIZATION_TOL = 1e-3
 # as 2001 for every n = 0..14, at most 5e-15 of the peak for n <= 10.
 LINE_POINTS = 201
 
+# points per block of a blocked evaluation: each temporary of the line
+# integral and of the Wigner inversion holds about this many, whatever the grid
+_BLOCK_POINTS = 2**16
+
 
 @dataclass(frozen=True)
 class QuadratureSetting:
@@ -103,6 +107,36 @@ def _outcome_grid(x, name: str) -> np.ndarray:
     return x
 
 
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    w = np.full(x.size, x[1] - x[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def _density_table(values) -> np.ndarray:
+    """``values`` as a read-only float64 table of finite densities >= -1e-12.
+
+    A read-only float64 ndarray that owns its memory is kept as it is, so a
+    tabulator hands its table over without a copy; anything else is copied,
+    and the caller's array stays writeable.  The checks are reductions, with
+    no table-sized temporaries.
+    """
+    owned = type(values) is np.ndarray and values.dtype == np.float64 and values.flags.owndata
+    if owned and not values.flags.writeable:
+        v = values
+    else:
+        v = np.array(values, dtype=float)
+        v.flags.writeable = False
+    if v.size:
+        lo, hi = v.min(), v.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise InvalidParameter("tomogram densities must be finite")
+        if lo < -1e-12:
+            raise InvalidParameter("marginal densities must be nonnegative")
+    return v
+
+
 @dataclass(frozen=True)
 class Tomogram:
     """Tabulated marginals over a shared uniform grid of raw outcomes X.
@@ -120,14 +154,9 @@ class Tomogram:
         if not self.settings:
             raise InvalidParameter("a tomogram needs at least one setting")
         x = _outcome_grid(self.x, "x")
-        v = np.array(self.values, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise InvalidParameter("tomogram densities must be finite")
+        v = _density_table(self.values)
         if v.shape != (len(self.settings), x.size):
             raise InvalidParameter("values must have shape (n_settings, n_points)")
-        if np.any(v < -1e-12):
-            raise InvalidParameter("marginal densities must be nonnegative")
-        v.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", v)
 
@@ -136,7 +165,7 @@ class Tomogram:
         return float(self.x[1] - self.x[0])
 
     def row_integrals(self) -> np.ndarray:
-        return np.trapezoid(self.values, dx=self.dx, axis=1)
+        return self.values @ _trapezoid_weights(self.x)
 
     def validate_normalization(self, tol: float = NORMALIZATION_TOL) -> None:
         integrals = self.row_integrals()
@@ -196,18 +225,29 @@ def line_marginal(wigner_fn, x, setting: QuadratureSetting, extent: float = 8.0,
 
     The line is parametrized by arc length along ``(-nu, mu)/r``, which keeps
     the integrand regular for every direction, including ``mu = 0``.  The
-    normalization ``1/(2 pi r)`` matches ``integral W = 2 pi``.
+    normalization ``1/(2 pi r)`` matches ``integral W = 2 pi``.  The x values
+    are integrated a block at a time, so the working set is bounded whatever
+    the size of ``x``; each x is integrated exactly as on its own.
     """
     setting = _as_setting(setting)
+    num = _check_count(num, 2, "num")
+    if not 0.0 < extent < np.inf:
+        raise InvalidParameter(f"extent must be a positive finite half-length, got {extent!r}")
     x = np.asarray(x, dtype=float)
     r = setting.radius
     eq, ep = setting.mu / r, setting.nu / r
     s = np.linspace(-extent, extent, num)
-    # points: foot of the line + arc-length offsets, broadcast over x
-    q = (x[..., None] / r) * eq + s * (-ep)
-    p = (x[..., None] / r) * ep + s * eq
-    vals = wigner_fn(q, p)
-    return np.trapezoid(vals, dx=s[1] - s[0], axis=-1) / (2 * np.pi * r)
+    flat = x.reshape(-1)
+    out = np.empty(flat.size)
+    block = max(1, _BLOCK_POINTS // num)
+    for start in range(0, flat.size, block):
+        xb = flat[start : start + block, None]
+        # points: foot of the line + arc-length offsets
+        q = (xb / r) * eq + s * (-ep)
+        p = (xb / r) * ep + s * eq
+        out[start : start + block] = np.trapezoid(wigner_fn(q, p), dx=s[1] - s[0], axis=-1)
+    out /= 2 * np.pi * r
+    return out.reshape(x.shape)[()]
 
 
 def marginal_numeric(state, x, setting: QuadratureSetting, extent: float = 8.0, num: int = 2001):
@@ -289,15 +329,19 @@ def tabulate_tomogram(state, settings, x_grid: np.ndarray | None = None, num: in
     if x_grid is None:
         half = max(_half_width(state, s) + abs(s.delta) for s in settings)
         x_grid = np.linspace(-half, half, num)
-    x_grid = np.asarray(x_grid, dtype=float)
-    keys = [(_marginal_key(state, s), s.delta) for s in settings]
-    distinct = {}
-    for key, s in zip(keys, settings):
-        if key not in distinct:
-            distinct[key] = _marginal_any(state, x_grid - s.delta, s)
-    # the constructor copies what it gets: hand it the rows, so the table is built once
-    rows = [distinct[key] for key in keys]
-    tomo = Tomogram(tuple(settings), x_grid, rows)
+    x_grid = _outcome_grid(x_grid, "x")
+    values = np.empty((len(settings), x_grid.size))
+    first = {}
+    for i, s in enumerate(settings):
+        key = (_marginal_key(state, s), s.delta)
+        if key in first:
+            values[i] = values[first[key]]
+        else:
+            first[key] = i
+            values[i] = _marginal_any(state, x_grid - s.delta, s)
+    # read-only and owning its memory: the constructor keeps this table, no copy
+    values.flags.writeable = False
+    tomo = Tomogram(tuple(settings), x_grid, values)
     tomo.validate_normalization()
     return tomo
 

@@ -193,23 +193,35 @@ def sample_marginal(state, setting, n: int, seed: int, weight: float = 1.0) -> S
     return sample_campaign(state, [(setting, weight)], n, seed)[0]
 
 
+def _schedule_entry(entry) -> tuple:
+    """``(setting, weight)`` of a schedule entry.  A 2-tuple whose first item
+    is a setting or a sequence is a pair; any other entry, a bare tuple such
+    as ``(mu, nu)`` or ``(mu, nu, delta)`` included, is a setting of weight 1."""
+    setting, weight = entry, 1.0
+    if isinstance(entry, tuple) and len(entry) == 2:
+        if isinstance(entry[0], (QuadratureSetting, TwoModeSetting, tuple, list, np.ndarray)):
+            setting, weight = entry
+    return (setting if isinstance(setting, TwoModeSetting) else _as_setting(setting)), weight
+
+
 def sample_campaign(state, schedule, n_per_setting: int, seed: int) -> list[SampleBatch]:
     """One batch per scheduled setting, with per-batch derived seeds.
 
-    ``schedule`` entries are settings or ``(setting, weight)`` pairs; two
-    campaigns with the same master seed are identical batch for batch.  The
-    sampler table of each distinct marginal is built once, on the first
-    setting that has it, and serves every batch of that marginal; batch ``i``
-    always draws from its own stream ``(seed, i)``.
+    ``schedule`` entries are settings, tuples ``(mu, nu)`` or ``(mu, nu,
+    delta)``, or ``(setting, weight)`` pairs; two campaigns with the same
+    master seed are identical batch for batch.  The sampler table of each
+    distinct marginal is built once, on the first setting that has it, and
+    serves every batch of that marginal; batch ``i`` always draws from its
+    own stream ``(seed, i)``.
     """
-    entries = [entry if isinstance(entry, tuple) else (entry, 1.0) for entry in schedule]
+    entries = [_schedule_entry(entry) for entry in schedule]
     if not entries:
         raise EmptySchedule("schedule must contain at least one setting")
     n_per_setting = _check_count(n_per_setting, 1, "the number of samples per setting")
     seed = _check_count(seed, 0, "seed")
     groups = {}
     for idx, (setting, _) in enumerate(entries):
-        key = ("batch", idx) if isinstance(setting, TwoModeSetting) else _marginal_key(state, _as_setting(setting))
+        key = ("batch", idx) if isinstance(setting, TwoModeSetting) else _marginal_key(state, setting)
         groups.setdefault(key, []).append(idx)
     batches = [None] * len(entries)
     for indices in groups.values():

@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedVariant,
 )
 from .kernels import HOMODYNE_RADII, KernelScale, _radial_nodes, displacement_matrix, kernel_displacement_argument
-from .marginals import QuadratureSetting, Tomogram, _check_count
+from .marginals import _BLOCK_POINTS, QuadratureSetting, Tomogram, _check_count, _trapezoid_weights
 from .states import FockDensityMatrix
 
 __all__ = [
@@ -111,13 +111,6 @@ class ReconstructionReport:
 # ---------------------------------------------------------------------------
 
 
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    w = np.full(x.size, x[1] - x[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def _angle_weights(phis: np.ndarray) -> np.ndarray:
     """Periodic Voronoi arc lengths; reduces to 2 pi / n for uniform angles."""
     order = np.argsort(phis)
@@ -158,10 +151,15 @@ def _assemble_rho(
 
 def _row_fourier(values: np.ndarray, x: np.ndarray, deltas: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """``chi[j, k] = integral w_j(x) exp(-i freqs[k] (x - delta_j)) dx`` by trapezoid."""
-    # real products with the cos and sin tables: the real rows are never cast to complex
+    # real products with the cos and sin tables, which carry the trapezoid
+    # weights: the rows are neither weighted in a copy nor cast to complex
+    weights = _trapezoid_weights(x)[:, None]
     arg = np.outer(x, freqs)  # (n_x, n_k)
-    weighted = values * _trapezoid_weights(x)
-    return (weighted @ np.cos(arg) - 1j * (weighted @ np.sin(arg))) * np.exp(1j * np.outer(deltas, freqs))
+    cos = np.cos(arg)
+    cos *= weights
+    sin = np.sin(arg, out=arg)
+    sin *= weights
+    return (values @ cos - 1j * (values @ sin)) * np.exp(1j * np.outer(deltas, freqs))
 
 
 def _circle_radius(settings) -> float | None:
@@ -446,16 +444,24 @@ def wigner_from_tomogram(
     ``W(q, p) = (z^2 / 2 pi) integral dx dmu dnu w(x, mu, nu)
     exp(-i z (x - mu q - nu p))``, evaluated on the tomogram's angles and the
     radii of ``grid`` with the same circle-plus-scaling representation as the
-    density reconstruction.
+    density reconstruction.  ``q`` and ``p`` broadcast together: the result
+    has their shape, or is a float at a single point.
     """
     z = scale.z
     r, wr = _radial_nodes(grid.resolve_r_max(z), grid.n_r)
     phis, phi_weights, chi = _circle_chi(tomo, z * r)  # (n_angles, n_r)
-
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    proj = np.cos(phis)[:, None] * q[None, :] + np.sin(phis)[:, None] * p[None, :]
-    phase = np.exp(1j * z * r[None, :, None] * proj[:, None, :])  # (n_angles, n_r, n_pts)
-    integrand = (phi_weights[:, None] * (wr * r)[None, :] * chi)[..., None] * phase
-    w = (z**2 / (2 * np.pi)) * integrand.sum(axis=(0, 1))
-    return w.real if w.size > 1 else float(w.real[0])
+    coeff = ((z**2 / (2 * np.pi)) * phi_weights[:, None] * (wr * r) * chi).ravel()
+    q, p = np.broadcast_arrays(np.atleast_1d(np.asarray(q, dtype=float)), np.atleast_1d(np.asarray(p, dtype=float)))
+    shape = q.shape
+    q, p = q.ravel(), p.ravel()
+    # W is real: only Re(coeff e^{i z r proj}) is summed, over blocks of points
+    # whose (n_angles, n_r, block) phase tables hold about _BLOCK_POINTS each
+    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
+    w = np.empty(q.size)
+    block = max(1, _BLOCK_POINTS // coeff.size)
+    for start in range(0, q.size, block):
+        pts = slice(start, start + block)
+        proj = np.outer(cos_phi, q[pts]) + np.outer(sin_phi, p[pts])  # (n_angles, block)
+        arg = (z * r[None, :, None] * proj[:, None, :]).reshape(coeff.size, -1)
+        w[pts] = coeff.real @ np.cos(arg) - coeff.imag @ np.sin(arg)
+    return w.reshape(shape) if w.size > 1 else float(w[0])

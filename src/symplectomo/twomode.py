@@ -37,8 +37,15 @@ from .errors import (
     UnsupportedVariant,
 )
 from .kernels import KernelScale, _radial_nodes, displacement_matrix
-from .marginals import QuadratureSetting, _check_count, _outcome_grid, _sigma_and_span
-from .reconstruct import ReconstructionReport, _check_config, _finish, _row_fourier, _trapezoid_weights
+from .marginals import (
+    QuadratureSetting,
+    _check_count,
+    _density_table,
+    _outcome_grid,
+    _sigma_and_span,
+    _trapezoid_weights,
+)
+from .reconstruct import ReconstructionReport, _check_config, _finish, _row_fourier
 from . import states as st
 
 __all__ = [
@@ -203,9 +210,7 @@ class TwoModeTomogram:
         if not self.settings:
             raise InvalidParameter("a tomogram needs at least one setting")
         x1 = _outcome_grid(self.x1, "x1")
-        v = np.array(self.values, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise InvalidParameter("tomogram densities must be finite")
+        v = _density_table(self.values)
         object.__setattr__(self, "x1", x1)
         if self.x2 is not None:
             x2 = _outcome_grid(self.x2, "x2")
@@ -214,9 +219,6 @@ class TwoModeTomogram:
                 raise InvalidParameter("vector tomogram values must be (n, nx1, nx2)")
         elif v.shape != (len(self.settings), x1.size):
             raise InvalidParameter("tilde tomogram values must be (n, nx1)")
-        if np.any(v < -1e-12):
-            raise InvalidParameter("densities must be nonnegative")
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property
@@ -525,14 +527,19 @@ def tabulate_tilde_tomogram(
     if x_grid is None:
         half = float(np.max(_half_widths(state, U) + np.abs(deltas)))
         x_grid = np.linspace(-half, half, num)
-    # the constructor copies what it gets: hand it the rows, so the table is built once
+    x_grid = _outcome_grid(x_grid, "x1")
+    values = np.empty((len(settings), x_grid.size))
     form = _stacked_form(state)
     if form is None:
-        rows = [_tilde_from_characteristic(state, x_grid - s.delta[0], s) for s in settings]
-    else:  # row views of one table per chunk of settings
-        chunks = [slice(i, i + _TILDE_CHUNK) for i in range(0, len(U), _TILDE_CHUNK)]
-        rows = [row for c in chunks for row in form(state, x_grid - deltas[c, None], U[c])]
-    tomo = TwoModeTomogram(tuple(settings), x_grid, rows)
+        for i, s in enumerate(settings):
+            values[i] = _tilde_from_characteristic(state, x_grid - s.delta[0], s)
+    else:
+        for i in range(0, len(U), _TILDE_CHUNK):
+            chunk = slice(i, i + _TILDE_CHUNK)
+            values[chunk] = form(state, x_grid - deltas[chunk, None], U[chunk])
+    # read-only and owning its memory: the constructor keeps this table, no copy
+    values.flags.writeable = False
+    tomo = TwoModeTomogram(tuple(settings), x_grid, values)
     tomo.validate_normalization()
     return tomo
 
@@ -617,7 +624,7 @@ def reconstruct_two_mode(tomo: TwoModeTomogram, cfg: TwoModeConfig) -> Reconstru
     R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
     rows = tomo.values
     if tomo.kind == "vector":
-        rows = np.trapezoid(rows, dx=tomo.x2[1] - tomo.x2[0], axis=2)
+        rows = rows @ _trapezoid_weights(tomo.x2)
     deltas = np.array([s.delta[0] for s in tomo.settings])
     chi = _row_fourier(rows, tomo.x1, deltas, cfg.scale.z * R / r0)
     raw = _assemble_hopf(chi, weights, n_t, n_psi, R, wR, cfg)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,28 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn, *args, **kwargs)`` calls ``fn`` once and returns the
+    ``tracemalloc`` peak of the call, in bytes above what was allocated before
+    it; numpy reports its array buffers to ``tracemalloc``."""
+
+    def measure(fn, *args, **kwargs):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return measure
 
 
 def dense_ladder(dim: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Each function is the direct, unfactorised form of a computation the library
 performs faster: the explicit displacement-element series, the
-element-by-element displacement table, the dense
-per-angle one-mode polar assembly, the complex-phase row Fourier transform,
+element-by-element displacement table, the one-shot Wigner line integral,
+the dense per-angle one-mode polar assembly, the weighted-copy and
+complex-phase row Fourier transforms, the broadcast Wigner inversion,
 the per-batch campaign estimator, the per-setting two-mode closed-form
 marginals and their 3-d Wigner reduction, the per-direction two-mode einsum
 loops and per-radius GEMM, the vector-kernel reconstruction with a fixed
@@ -27,16 +28,17 @@ from scipy.special import gammaln
 from symplectomo import states as st
 from symplectomo.errors import CutoffTooSmall, EmptyBatches, InvalidParameter, NotSymplectic
 from symplectomo.io import format_float
-from symplectomo.kernels import displacement_matrix, kernel_displacement_argument
-from symplectomo.marginals import QuadratureSetting, Tomogram
+from symplectomo.kernels import KernelScale, displacement_matrix, kernel_displacement_argument
+from symplectomo.marginals import QuadratureSetting, Tomogram, _as_setting, _trapezoid_weights
 from symplectomo.measure_sim import SampleBatch
 from symplectomo.reconstruct import (
+    PolarGrid,
     _angle_weights,
+    _circle_chi,
     _circle_radius,
     _empirical_characteristic,
     _finish,
     _radial_nodes,
-    _trapezoid_weights,
 )
 from symplectomo.twomode import TwoModeSetting, TwoModeTomogram, characteristic_two_mode, hopf_directions
 
@@ -108,6 +110,19 @@ def displacement_matrix_loop(zetas, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def line_marginal_broadcast(wigner_fn, x, setting, extent: float = 8.0, num: int = 2001):
+    """The Wigner line integral with every ``(x, s)`` point of the line held at once."""
+    setting = _as_setting(setting)
+    x = np.asarray(x, dtype=float)
+    r = setting.radius
+    eq, ep = setting.mu / r, setting.nu / r
+    s = np.linspace(-extent, extent, num)
+    q = (x[..., None] / r) * eq + s * (-ep)
+    p = (x[..., None] / r) * ep + s * eq
+    vals = wigner_fn(q, p)
+    return np.trapezoid(vals, dx=s[1] - s[0], axis=-1) / (2 * np.pi * r)
+
+
 def number_state_marginal(n: int, x, r: float) -> np.ndarray:
     """Exact marginal ``|psi_n(x / r)|^2 / r`` of ``|n>`` at setting radius ``r``.
 
@@ -129,6 +144,27 @@ def assemble_rho_dense(chi, phis, phi_weights, r, wr, scale, dim) -> np.ndarray:
     D = displacement_matrix(zetas, dim)
     weights = phi_weights[:, None] * (wr * r)[None, :] * chi * (z**2 / (2 * np.pi))
     return np.einsum("pr,prnm->nm", weights, D)
+
+
+def row_fourier_weighted(values, x, deltas, freqs) -> np.ndarray:
+    """``chi[j, k] = integral w_j(x) exp(-i freqs[k] (x - delta_j)) dx`` from a trapezoid-weighted copy of the rows."""
+    arg = np.outer(x, freqs)
+    weighted = values * _trapezoid_weights(x)
+    return (weighted @ np.cos(arg) - 1j * (weighted @ np.sin(arg))) * np.exp(1j * np.outer(deltas, freqs))
+
+
+def wigner_from_tomogram_broadcast(tomo, q, p, scale=KernelScale(), grid=PolarGrid()) -> np.ndarray:
+    """``W(q, p)`` by the 3-d Fourier inversion over one ``(n_angles, n_r, n_points)`` phase array."""
+    z = scale.z
+    r, wr = _radial_nodes(grid.resolve_r_max(z), grid.n_r)
+    phis, phi_weights, chi = _circle_chi(tomo, z * r)
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    proj = np.cos(phis)[:, None] * q[None, :] + np.sin(phis)[:, None] * p[None, :]
+    phase = np.exp(1j * z * r[None, :, None] * proj[:, None, :])
+    integrand = (phi_weights[:, None] * (wr * r)[None, :] * chi)[..., None] * phase
+    w = (z**2 / (2 * np.pi)) * integrand.sum(axis=(0, 1))
+    return w.real
 
 
 def row_fourier_complex(values, x, deltas, freqs) -> np.ndarray:

@@ -19,6 +19,7 @@ from oracles import (
     homodyne_trapezoid,
     reconstruct_two_mode_vector,
     row_fourier_complex,
+    row_fourier_weighted,
     samples_loop,
     tilde_rows_loop,
     two_mode_grid_loop,
@@ -51,6 +52,27 @@ def test_row_fourier_matches_complex_phase_table():
     freqs = np.linspace(-3.0, 5.0, 24)
     oracle = row_fourier_complex(values, x, deltas, freqs)
     assert np.max(np.abs(_row_fourier(values, x, deltas, freqs) - oracle)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def hopf_cat_tomogram():
+    return tm.tabulate_tilde_tomogram(st.TwoModeCat(np.array([0.8 + 0.3j, -0.4 + 0.6j])))
+
+
+def test_row_fourier_matches_the_weighted_copy(hopf_cat_tomogram):
+    # the weights ride on the cos and sin tables instead of a weighted copy of the rows
+    tomo = hopf_cat_tomogram
+    deltas = np.random.default_rng(12).uniform(-1.0, 1.0, len(tomo.settings))
+    freqs = np.linspace(0.0, 8.0, 48)
+    fast = _row_fourier(tomo.values, tomo.x1, deltas, freqs)
+    oracle = row_fourier_weighted(tomo.values, tomo.x1, deltas, freqs)
+    assert np.all(np.max(np.abs(fast - oracle), axis=1) <= 1e-14 * np.max(np.abs(oracle), axis=1))
+
+
+def test_row_fourier_memory_is_bounded(hopf_cat_tomogram, traced_peak):
+    tomo = hopf_cat_tomogram
+    freqs = np.linspace(0.0, 8.0, 48)
+    assert traced_peak(_row_fourier, tomo.values, tomo.x1, np.zeros(len(tomo.settings)), freqs) <= 6 * 2**20
 
 
 def _off_grid_settings(n, seed):

@@ -6,7 +6,9 @@ from symplectomo import states as st
 from symplectomo import twomode as tm
 from symplectomo.errors import DegenerateSetting, GridTooNarrow, InvalidParameter, UnsupportedVariant
 
-from oracles import number_state_marginal
+from oracles import line_marginal_broadcast, number_state_marginal
+
+MB = 2**20
 
 
 def test_vacuum_marginal_value_and_normalization():
@@ -35,6 +37,54 @@ def test_coherent_marginal_center():
     w = mg.marginal_analytic(st.Coherent(alpha), x, s)
     assert x[np.argmax(w)] == pytest.approx(center, abs=0.01)
     assert np.trapezoid(w, x) == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the blocked line integral
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(), (1000,), (7, 13)])
+@pytest.mark.parametrize("num", [201, 2001])
+def test_blocked_line_marginal_is_the_one_shot_broadcast(shape, num):
+    # several blocks at either node count, every x integrated as on its own
+    state = st.NumberState(3)
+    x = np.linspace(-5.0, 5.0, int(np.prod(shape))).reshape(shape)
+    setting = mg.QuadratureSetting(0.6, -1.3)
+    wigner = lambda q, p: st.wigner(state, q, p)  # noqa: E731
+    got = mg.line_marginal(wigner, x, setting, num=num)
+    assert np.shape(got) == shape
+    assert np.array_equal(got, line_marginal_broadcast(wigner, x, setting, num=num))
+
+
+def test_line_integral_memory_is_bounded(traced_peak):
+    x = np.linspace(-6.0, 6.0, 4096)
+    assert traced_peak(mg.marginal_numeric, st.NumberState(1), x, (1.0, 0.0), num=mg.LINE_POINTS) <= 4 * MB
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"num": 1}, {"num": 2.5}, {"num": True}]
+    + [{"extent": bad} for bad in (np.nan, -1.0, 0.0, np.inf)],
+)
+@pytest.mark.parametrize("fn", ["line_marginal", "marginal_numeric"])
+def test_line_integral_refuses_bad_arguments(fn, kwargs):
+    first = (lambda q, p: st.wigner(st.Vacuum(), q, p)) if fn == "line_marginal" else st.Vacuum()
+    with pytest.raises(InvalidParameter):
+        getattr(mg, fn)(first, np.linspace(-1, 1, 5), (1.0, 0.0), **kwargs)
+
+
+def test_row_integrals_match_the_trapezoid_rule():
+    x = np.linspace(-9.0, 9.0, 1201)
+    tomo = mg.tabulate_tomogram(st.EvenCat(1.0, 0.5), mg.circle_settings(16, 1.3), x_grid=x)
+    assert np.max(np.abs(tomo.row_integrals() - np.trapezoid(tomo.values, dx=tomo.dx, axis=1))) <= 1e-15
+
+
+def test_tabulation_memory_is_one_table(traced_peak):
+    # 2000 settings: the table plus a working set that does not grow with it
+    settings = mg.circle_settings(2000)
+    table = len(settings) * 1201 * 8
+    assert traced_peak(mg.tabulate_tomogram, st.EvenCat(1.0, 1.0), settings) <= table + 6 * MB
 
 
 def test_number_state_has_no_closed_form():
@@ -211,11 +261,14 @@ def test_tomogram_rejects_nonfinite_data():
     x = np.linspace(-3, 3, 7)
     settings = mg.circle_settings(2)
     rows = np.full((2, 7), 0.1)
-    bad_rows = rows.copy()
-    bad_rows[1, 3] = np.nan
     bad_x = x.copy()
     bad_x[-1] = np.inf
-    for xs, vs in ((x, bad_rows), (bad_x, rows)):
+    cases = [(bad_x, rows)]
+    for bad in (np.nan, np.inf, -np.inf):
+        bad_rows = rows.copy()
+        bad_rows[1, 3] = bad
+        cases.append((x, bad_rows))
+    for xs, vs in cases:
         with pytest.raises(InvalidParameter):
             mg.Tomogram(tuple(settings), xs, vs)
 
@@ -242,6 +295,23 @@ def test_tomograms_copy_the_callers_arrays():
     assert x.flags.writeable and values.flags.writeable
     for own in (tabulated.x, tabulated.values, one.x, one.values, two.x1, two.values, plane.x1, plane.x2, plane.values):
         assert not own.flags.writeable
+
+
+def test_tomograms_adopt_a_read_only_table_that_owns_its_memory():
+    x = np.linspace(-6, 6, 301)
+    settings = mg.circle_settings(4)
+    owned = np.array(mg.tabulate_tomogram(st.Vacuum(), settings, x_grid=x).values)
+    owned.flags.writeable = False
+    view = owned[:, :]
+    two_settings = tuple(tm.TwoModeSetting(mu=[s.mu, 0.0], nu=[s.nu, 0.0]) for s in settings)
+    for make in (
+        lambda v: mg.Tomogram(tuple(settings), x, v).values,
+        lambda v: tm.TwoModeTomogram(two_settings, x, v).values,
+    ):
+        assert make(owned) is owned
+        for copied in (np.array(owned), view):  # writeable, or a read-only view
+            got = make(copied)
+            assert not np.shares_memory(got, copied) and np.array_equal(got, owned)
 
 
 # ---------------------------------------------------------------------------

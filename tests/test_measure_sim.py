@@ -204,6 +204,24 @@ def test_importance_schedule_refuses_a_bad_r_max(r_max):
         ms.importance_schedule(8, r_max=r_max)
 
 
+@pytest.mark.parametrize(
+    "entry, setting, weight",
+    [
+        ((1.0, 0.0), QuadratureSetting(1.0, 0.0), 1.0),
+        ((0.6, -0.8, 0.5), QuadratureSetting(0.6, -0.8, 0.5), 1.0),
+        (((0.6, -0.8, 0.5), 0.25), QuadratureSetting(0.6, -0.8, 0.5), 0.25),
+        ((np.array([0.0, 1.0]), 0.5), QuadratureSetting(0.0, 1.0), 0.5),
+    ],
+    ids=["bare (mu, nu)", "bare (mu, nu, delta)", "(tuple, weight)", "(array, weight)"],
+)
+def test_campaign_reads_tuple_entries_as_settings_or_pairs(entry, setting, weight):
+    # a 2-tuple is a (setting, weight) pair only when its first item is a setting or a sequence
+    got = ms.sample_campaign(st.Thermal(0.5), [entry], 300, seed=4)[0]
+    want = ms.sample_campaign(st.Thermal(0.5), [(setting, weight)], 300, seed=4)[0]
+    assert (got.setting, got.weight) == (setting, weight)
+    assert np.array_equal(got.outcomes, want.outcomes)
+
+
 def test_sample_marginal_is_the_one_setting_campaign():
     setting = QuadratureSetting(0.6, -0.8, 0.5)
     single = ms.sample_marginal(st.Thermal(0.5), setting, 300, seed=4, weight=0.5)

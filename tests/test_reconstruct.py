@@ -25,6 +25,8 @@ from symplectomo.reconstruct import (
 )
 from symplectomo.reconstruct import _project
 
+from oracles import wigner_from_tomogram_broadcast
+
 
 def thermal_coherent_element(lam, alpha, beta):
     eta = (1 - lam) / (1 + lam)
@@ -290,6 +292,28 @@ def test_dim_mismatch():
 # ---------------------------------------------------------------------------
 # Wigner inversion
 # ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def cat_tomogram_64():
+    return tabulate_tomogram(st.EvenCat(1.0, 0.5), circle_settings(64))
+
+
+def test_wigner_from_tomogram_matches_the_broadcast(cat_tomogram_64):
+    g = np.linspace(-2.5, 2.5, 41)
+    q, p = np.meshgrid(g, g)
+    got = wigner_from_tomogram(cat_tomogram_64, q.ravel(), p.ravel())
+    assert np.max(np.abs(got - wigner_from_tomogram_broadcast(cat_tomogram_64, q.ravel(), p.ravel()))) <= 1e-12
+    assert np.array_equal(wigner_from_tomogram(cat_tomogram_64, q, p), got.reshape(q.shape))
+    point = wigner_from_tomogram(cat_tomogram_64, 0.3, -0.2)
+    assert isinstance(point, float)
+    assert abs(point - wigner_from_tomogram_broadcast(cat_tomogram_64, 0.3, -0.2)[0]) <= 1e-12
+
+
+def test_wigner_from_tomogram_memory_is_bounded(cat_tomogram_64, traced_peak):
+    g = np.linspace(-2.5, 2.5, 41)
+    q, p = np.meshgrid(g, g)
+    assert traced_peak(wigner_from_tomogram, cat_tomogram_64, q.ravel(), p.ravel()) <= 16 * 2**20
 
 
 def test_wigner_from_tomogram_quick(thermal_tomogram):

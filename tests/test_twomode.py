@@ -308,6 +308,13 @@ def test_kernel_z2_needs_vector_setting():
 # ---------------------------------------------------------------------------
 
 
+def test_tilde_tabulation_memory_is_one_table(traced_peak):
+    # the default Hopf grid: the table plus a working set of a few chunks
+    state = st.TwoModeCat(np.array([0.8 + 0.3j, -0.4 + 0.6j]))
+    table = 12 * 12 * 12 * 1201 * 8
+    assert traced_peak(tm.tabulate_tilde_tomogram, state) <= table + 6 * 2**20
+
+
 def test_hopf_directions_cover_sphere():
     dirs, weights = tm.hopf_directions(8, 8)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
