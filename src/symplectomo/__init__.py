@@ -29,13 +29,13 @@ from .marginals import (
 from .kernels import (
     HomodyneSetting,
     KernelScale,
+    PolarGrid,
     kernel_coherent,
     kernel_coordinate_phase,
     kernel_homodyne_number,
     kernel_number,
 )
 from .reconstruct import (
-    PolarGrid,
     ReconstructionConfig,
     ReconstructionReport,
     fidelity,

@@ -30,7 +30,7 @@ from .errors import (
     TomographyError,
     TruncationTooSmall,
 )
-from .kernels import KernelScale
+from .kernels import KernelScale, PolarGrid
 from .marginals import QuadratureSetting, circle_settings, tabulate_tomogram
 from .measure_sim import (
     GENERATOR_NAME,
@@ -44,7 +44,6 @@ from .measure_sim import (
 )
 from .reconstruct import (
     PROJECTIONS,
-    PolarGrid,
     ReconstructionConfig,
     fidelity,
     reconstruct_from_samples,

@@ -16,22 +16,29 @@ as a computation path.
 Degenerate directions ``mu = nu = 0`` are meaningless for a marginal but keep
 the kernel finite, so the kernel evaluators also accept plain ``(mu, nu)``
 tuples that bypass the setting validation.
+
+Every reconstruction integrates the kernel over the (mu, nu) plane in polar
+coordinates: the angles are the record's, and ``PolarGrid`` alone decides
+and checks the Gauss-Legendre radii, sized by the damping
+``exp(-z^2 r^2 / 4)``.  Homodyne is its z = 1 preset over ``[0, r_cutoff]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import CutoffTooSmall, InvalidParameter
-from .marginals import QuadratureSetting
+from .errors import CutoffTooSmall, DegenerateConfig, InvalidParameter
+from .marginals import QuadratureSetting, _check_count
 from .states import _log_factorials
 
 __all__ = [
     "KernelScale",
+    "PolarGrid",
     "HomodyneSetting",
     "displacement_element",
     "displacement_matrix",
@@ -41,10 +48,6 @@ __all__ = [
     "kernel_coordinate_phase",
     "kernel_homodyne_number",
 ]
-
-# Gauss-Legendre radii of the homodyne radial integral, shared by the
-# per-element kernel and ``reconstruct_homodyne``
-HOMODYNE_RADII = 64
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,7 @@ def kernel_coordinate_phase(
 
 
 # ---------------------------------------------------------------------------
-# homodyne kernel (radial integral over the rotation subgroup)
+# radial quadrature of the (mu, nu) plane and the homodyne kernel
 # ---------------------------------------------------------------------------
 
 
@@ -222,6 +225,30 @@ def _radial_nodes(r_max: float, n_r: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * r_max * (t + 1.0), 0.5 * r_max * w
 
 
+@dataclass(frozen=True)
+class PolarGrid:
+    """Radii of the polar quadrature over the (mu, nu) plane; the angles are the record's.
+
+    ``n_r >= 4`` Gauss-Legendre radii cover ``[0, r_max]``.  ``r_max = None``
+    is ``8 / |z|``, where the kernel damping ``exp(-z^2 r^2 / 4)`` is ~1e-7.
+    """
+
+    r_max: float | None = None
+    n_r: int = 64
+
+    def __post_init__(self):
+        _check_count(self.n_r, 4, "n_r", DegenerateConfig)
+        if self.r_max is not None and not (isinstance(self.r_max, Real) and 0.0 < self.r_max < np.inf):
+            raise DegenerateConfig(f"r_max must be None or a positive finite radius, got {self.r_max!r}")
+
+    def resolve_r_max(self, z: float) -> float:
+        return self.r_max if self.r_max is not None else 8.0 / abs(z)
+
+    def nodes(self, z: float) -> tuple[np.ndarray, np.ndarray]:
+        """Radii and weights for the kernel scale ``z``."""
+        return _radial_nodes(self.resolve_r_max(z), self.n_r)
+
+
 def kernel_homodyne_number(n_row: int, n_col: int, homodyne: HomodyneSetting, r_cutoff: float = 12.0) -> complex:
     """Homodyne kernel element: the z = 1 kernel integrated along its ray.
 
@@ -231,7 +258,7 @@ def kernel_homodyne_number(n_row: int, n_col: int, homodyne: HomodyneSetting, r_
 
     ``K_phi(x) = (1/4pi) int_{-R}^{R} dr |r| exp(-i r x) D(zeta_r)``,
 
-    on the Gauss-Legendre radii of ``reconstruct_homodyne``, so integrating
+    on the radii ``PolarGrid(r_cutoff)`` of ``reconstruct_homodyne``, so integrating
     these elements against a tomogram reproduces that reconstruction.  The
     full line is the Hermitian combination of the two half-line integrals:
     integrating the half-line form over the full phase circle gives the same
@@ -243,7 +270,7 @@ def kernel_homodyne_number(n_row: int, n_col: int, homodyne: HomodyneSetting, r_
     _check_indices(n_row, n_col)
     if not 0.0 < r_cutoff < np.inf:
         raise InvalidParameter(f"r_cutoff must be a positive finite radius, got {r_cutoff!r}")
-    r, wr = _radial_nodes(r_cutoff, HOMODYNE_RADII)
+    r, wr = PolarGrid(r_cutoff).nodes(1.0)
     # the discarded tail, measured on 32 more radii over [R, R + 16]
     t, wt = _radial_nodes(16.0, 32)
     radii = np.concatenate([r, r_cutoff + t])

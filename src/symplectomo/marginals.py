@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DegenerateSetting, GridTooNarrow, InvalidParameter, UnsupportedVariant
 from . import states as st
+from .states import _check_count
 
 __all__ = [
     "QuadratureSetting",
@@ -74,14 +75,6 @@ class QuadratureSetting:
 
     def negated(self) -> "QuadratureSetting":
         return QuadratureSetting(-self.mu, -self.nu, self.delta)
-
-
-def _check_count(value, least: int, name: str, error: type = InvalidParameter) -> int:
-    """``value`` as an int, after checking that it is an integer (a bool is
-    not) of at least ``least``; ``error`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise error(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def circle_settings(n: int, radius: float = 1.0, delta: float = 0.0) -> list[QuadratureSetting]:

@@ -32,7 +32,7 @@ from .errors import (
     InvalidParameter,
     PhaseLockRequired,
 )
-from .kernels import KernelScale
+from .kernels import KernelScale, PolarGrid
 from .marginals import QuadratureSetting, _as_setting, _check_count, _half_width, _marginal_any, _marginal_key
 from .twomode import TwoModeSetting, tilde_marginal, _half_width as _tilde_half_width
 
@@ -245,9 +245,10 @@ def importance_schedule(
     """Random settings matched to the kernel damping, with their densities.
 
     Angles are uniform; radii follow ``p(r) ~ r exp(-z^2 r^2 / 4)`` on
-    ``(0, r_max]`` (inverted in closed form), so the kernel's Gaussian factor
-    cancels in the importance-weighted estimator.  The returned weight is the
-    plane density of the setting.
+    ``(0, r_max]`` (inverted in closed form; ``None`` is the ``PolarGrid``
+    default), so the kernel's Gaussian factor cancels in the
+    importance-weighted estimator.  The returned weight is the plane density
+    of the setting.
 
     By default the draws are Latin-hypercube stratified (one radius per
     quantile stratum, one angle per randomly permuted angle stratum): the
@@ -262,10 +263,9 @@ def importance_schedule(
     n_settings = _check_count(n_settings, 1, "the number of settings")
     seed = _check_count(seed, 0, "seed")
     z = scale.z
-    if r_max is None:
-        r_max = 8.0 / abs(z)
-    if not 0.0 < r_max < np.inf:
+    if r_max is not None and not 0.0 < r_max < np.inf:
         raise InvalidParameter(f"r_max must be a positive finite radius, got {r_max!r}")
+    r_max = PolarGrid(r_max).resolve_r_max(z)
     rng = _batch_seed(seed, 2**32)
     norm = (2.0 / z**2) * (1.0 - np.exp(-(z**2) * r_max**2 / 4.0))
     if stratified:

@@ -13,7 +13,9 @@ Two estimators are provided for the symplectic scheme::
 characteristic function, mirroring a record on less than half the circle by
 ``x_(phi+pi) = -x_phi``.  The exact scaling ``w(x, r u) = (r0/r) w(x r0 / r,
 r0 u)`` extends it over the plane: the x-integral at radius r is its Fourier
-transform at frequency ``z r / r0``.  Homodyne is the z = 1 case.
+transform at frequency ``z r / r0``.  The radii are those of a
+``kernels.PolarGrid``, for the tomogram, circle-sample, Wigner and two-mode
+paths alike; homodyne is its z = 1 preset over ``[0, r_cutoff]``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     InvalidParameter,
     UnsupportedVariant,
 )
-from .kernels import HOMODYNE_RADII, KernelScale, _radial_nodes, displacement_matrix, kernel_displacement_argument
+from .kernels import KernelScale, PolarGrid, displacement_matrix, kernel_displacement_argument
 from .marginals import _BLOCK_POINTS, QuadratureSetting, Tomogram, _check_count, _trapezoid_weights
 from .states import FockDensityMatrix
 
@@ -48,22 +50,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolarGrid:
-    """Polar quadrature grid over the (mu, nu) plane.
-
-    Only the radii are set here: the angles are those of the tomogram's
-    settings.  ``r_max = None`` defaults to ``8 / |z|``, sized so the kernel
-    damping ``exp(-z^2 r^2 / 4)`` is ~1e-7 at the boundary.
-    """
-
-    r_max: float | None = None
-    n_r: int = 64
-
-    def resolve_r_max(self, z: float) -> float:
-        return self.r_max if self.r_max is not None else 8.0 / abs(z)
-
-
 PROJECTIONS = ("none", "hermitize", "clip")
 
 
@@ -72,16 +58,16 @@ def _check_projection(projection: str) -> None:
         raise DegenerateConfig(f"unknown projection {projection!r}")
 
 
-def _check_config(dims, projection: str, r_max: float, n_r, z: float) -> None:
-    """Checks shared by the one- and two-mode configs: positive integer Fock
-    truncations, and ``n_r >= 4`` radii over a finite ``[0, r_max]`` on which the
-    kernel damping ``exp(-z^2 r^2 / 4)`` has decayed."""
+def _check_config(grid: PolarGrid, z: float, dims=(), projection: str = "none") -> None:
+    """Checks shared by the one- and two-mode configs and the Wigner inversion:
+    positive integer Fock truncations, a known projection, and radii over
+    ``[0, r_max]`` on which the kernel damping ``exp(-z^2 r^2 / 4)`` has decayed."""
     for dim in dims:
         _check_count(dim, 1, "dim", DegenerateConfig)
     _check_projection(projection)
-    _check_count(n_r, 4, "n_r", DegenerateConfig)
-    if not (np.isfinite(r_max) and r_max * abs(z) >= 6.0):
-        raise DegenerateConfig(f"r_max must be finite with r_max * |z| >= 6, got r_max = {r_max!r}")
+    r_max = grid.resolve_r_max(z)
+    if r_max * abs(z) < 6.0:
+        raise DegenerateConfig(f"r_max must have r_max * |z| >= 6, got r_max = {r_max!r}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +78,7 @@ class ReconstructionConfig:
     projection: str = "hermitize"  # none | hermitize | clip
 
     def __post_init__(self):
-        _check_config((self.dim,), self.projection, self.grid.resolve_r_max(self.scale.z), self.grid.n_r, self.scale.z)
+        _check_config(self.grid, self.scale.z, (self.dim,), self.projection)
 
 
 @dataclass(frozen=True)
@@ -278,7 +264,7 @@ def reconstruct_from_tomogram(tomo: Tomogram, cfg: ReconstructionConfig) -> Reco
     ``tabulate_tomogram``.
     """
     z = cfg.scale.z
-    r, wr = _radial_nodes(cfg.grid.resolve_r_max(z), cfg.grid.n_r)
+    r, wr = cfg.grid.nodes(z)
     phis, phi_weights, chi = _circle_chi(tomo, z * r)
     raw = _assemble_rho(chi, phis, phi_weights, r, wr, z, cfg.dim)
     return _finish(raw, cfg.projection, len(tomo.settings), 0, check_trace=True)
@@ -317,7 +303,7 @@ def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> Reconstructi
     z = cfg.scale.z
     r0 = _circle_radius([b.setting for b in batches])
     if r0 is not None:
-        r, wr = _radial_nodes(cfg.grid.resolve_r_max(z), cfg.grid.n_r)
+        r, wr = cfg.grid.nodes(z)
         pairs = [(b.setting.angle, (b.outcomes - b.setting.delta) / r0) for b in batches]
         phis, phi_weights, chi = _circle_chi(pairs, z * r)
         raw = _assemble_rho(chi, phis, phi_weights, r, wr, z, cfg.dim)
@@ -353,7 +339,7 @@ def reconstruct_homodyne(
 
     The phases ``phi`` are the settings ``(cos phi, sin phi)`` of the unit
     circle, so the estimate is the z = 1 symplectic quadrature on
-    Gauss-Legendre radii over ``[0, r_cutoff]``.  ``data`` is either a circle
+    the radii of ``PolarGrid(r_cutoff)``.  ``data`` is either a circle
     Tomogram (rows become exact phase distributions) or a list of
     ``(phi, samples)`` pairs.  Phases on less than half the circle are
     mirrored to the full circle using ``x_(phi+pi) = -x_phi``.
@@ -362,7 +348,7 @@ def reconstruct_homodyne(
     _check_projection(projection)
     if not 0.0 < r_cutoff < np.inf:
         raise InvalidParameter(f"r_cutoff must be a positive finite radius, got {r_cutoff!r}")
-    r, wr = _radial_nodes(r_cutoff, HOMODYNE_RADII)
+    r, wr = PolarGrid(r_cutoff).nodes(1.0)
     # one extra column at r_cutoff for the tail estimate: Gauss-Legendre
     # radii have no node on the boundary
     radii = np.append(r, r_cutoff)
@@ -396,6 +382,8 @@ def _empirical_characteristic(xs: np.ndarray, r: np.ndarray, chunk: int = 512) -
 
 def _as_matrix(rho) -> np.ndarray:
     m = rho.entries if isinstance(rho, FockDensityMatrix) else np.asarray(rho, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise InvalidParameter(f"a density matrix must be a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidParameter("density matrix entries must be finite")
     return m
@@ -444,14 +432,21 @@ def wigner_from_tomogram(
     ``W(q, p) = (z^2 / 2 pi) integral dx dmu dnu w(x, mu, nu)
     exp(-i z (x - mu q - nu p))``, evaluated on the tomogram's angles and the
     radii of ``grid`` with the same circle-plus-scaling representation as the
-    density reconstruction.  ``q`` and ``p`` broadcast together: the result
-    has their shape, or is a float at a single point.
+    density reconstruction.  ``q`` and ``p`` are finite and broadcast
+    together: the result has their shape, or is a float at a single point.
+    A grid that ends before the kernel damping raises ``DegenerateConfig``.
     """
     z = scale.z
-    r, wr = _radial_nodes(grid.resolve_r_max(z), grid.n_r)
+    _check_config(grid, z)
+    try:
+        q, p = np.broadcast_arrays(np.atleast_1d(np.asarray(q, dtype=float)), np.atleast_1d(np.asarray(p, dtype=float)))
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"q and p must be real arrays that broadcast together: {exc}") from exc
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        raise InvalidParameter("q and p must be finite")
+    r, wr = grid.nodes(z)
     phis, phi_weights, chi = _circle_chi(tomo, z * r)  # (n_angles, n_r)
     coeff = ((z**2 / (2 * np.pi)) * phi_weights[:, None] * (wr * r) * chi).ravel()
-    q, p = np.broadcast_arrays(np.atleast_1d(np.asarray(q, dtype=float)), np.atleast_1d(np.asarray(p, dtype=float)))
     shape = q.shape
     q, p = q.ravel(), p.ravel()
     # W is real: only Re(coeff e^{i z r proj}) is summed, over blocks of points

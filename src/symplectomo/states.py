@@ -56,6 +56,22 @@ __all__ = [
 ]
 
 
+def _check_count(value, least: int, name: str, error: type = InvalidParameter) -> int:
+    """``value`` as an int, after checking that it is an integer (a bool is
+    not) of at least ``least``; ``error`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _fixed_vector(values, size: int, dtype, name: str) -> np.ndarray:
+    """``values`` as a writable 1-d copy of ``size`` entries; ``InvalidParameter`` otherwise."""
+    arr = np.array(values, dtype=dtype)
+    if arr.size != size:
+        raise InvalidParameter(f"{name} must have {size} entries, got shape {arr.shape}")
+    return arr.reshape(size)
+
+
 # ---------------------------------------------------------------------------
 # density matrix container
 # ---------------------------------------------------------------------------
@@ -81,7 +97,9 @@ class FockDensityMatrix:
         if not np.all(np.isfinite(arr)):
             raise InvalidParameter("density matrix entries must be finite")
         if self.dims is not None:
-            d1, d2 = self.dims
+            if not (isinstance(self.dims, (tuple, list)) and len(self.dims) == 2):
+                raise InvalidParameter(f"dims must be a pair of positive integers, got {self.dims!r}")
+            d1, d2 = (_check_count(d, 1, "each of dims") for d in self.dims)
             if d1 * d2 != arr.shape[0]:
                 raise InvalidParameter("dims inconsistent with matrix size")
         arr = 0.5 * (arr + arr.conj().T)
@@ -188,6 +206,10 @@ class Thermal:
 class Custom:
     rho: FockDensityMatrix
 
+    def __post_init__(self):
+        if not isinstance(self.rho, FockDensityMatrix):
+            raise InvalidParameter(f"a Custom state needs a FockDensityMatrix, not {type(self.rho).__name__}")
+
 
 OneModeState = Union[Vacuum, NumberState, Coherent, EvenCat, Thermal, Custom]
 
@@ -269,8 +291,8 @@ def density_matrix(state: OneModeState, dim: int = DEFAULT_DIM) -> FockDensityMa
     ``1 - 1e-6`` for the displaced variants (Coherent, EvenCat), so a caller
     can retry with a larger ``dim``.
     """
-    if dim < 1 or int(dim) != dim:
-        raise InvalidParameter("dim must be a positive integer")
+    if not (np.isfinite(dim) and dim >= 1 and int(dim) == dim):
+        raise InvalidParameter(f"dim must be a positive integer, got {dim!r}")
     dim = int(dim)
 
     if isinstance(state, Custom):
@@ -429,7 +451,7 @@ class GaussianTwoMode:
     def __post_init__(self):
         if not isinstance(self.M, CovarianceMatrix):
             object.__setattr__(self, "M", CovarianceMatrix(np.asarray(self.M)))
-        mu = np.asarray(self.means, dtype=float).reshape(4).copy()
+        mu = _fixed_vector(self.means, 4, float, "means")
         if not np.all(np.isfinite(mu)):
             raise InvalidParameter("means must be finite")
         mu.flags.writeable = False
@@ -444,7 +466,7 @@ class TwoModeCat:
     parity: str = "plus"
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=complex).reshape(2).copy()
+        A = _fixed_vector(self.A, 2, complex, "cat amplitudes A")
         if not np.all(np.isfinite(A)):
             raise InvalidParameter("cat amplitudes must be finite")
         A.flags.writeable = False

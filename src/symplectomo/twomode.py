@@ -36,7 +36,7 @@ from .errors import (
     NotSymplectic,
     UnsupportedVariant,
 )
-from .kernels import KernelScale, _radial_nodes, displacement_matrix
+from .kernels import KernelScale, PolarGrid, displacement_matrix
 from .marginals import (
     QuadratureSetting,
     _check_count,
@@ -134,7 +134,7 @@ class TwoModeSetting:
 
 
 def _frozen_vec(v) -> np.ndarray:
-    arr = np.array(v, dtype=float).reshape(2)
+    arr = st._fixed_vector(v, 2, float, "setting components")
     if not (math.isfinite(arr[0]) and math.isfinite(arr[1])):
         raise InvalidParameter("setting components must be finite")
     arr.flags.writeable = False
@@ -429,8 +429,8 @@ class TwoModeConfig:
     """Radial quadrature of the 4-d (mu_vec, nu_vec) integration.
 
     The tomogram's Hopf grid covers the 3-sphere of directions; ``r_max`` and
-    ``n_r`` set the radii, with the radial extent again set by the kernel
-    damping ``exp(-z1^2 R^2 / 4)``.
+    ``n_r`` set the radii of ``PolarGrid(r_max, n_r)``, with the radial extent
+    again set by the kernel damping ``exp(-z1^2 R^2 / 4)``.
     """
 
     scale: KernelScale = field(default_factory=KernelScale)
@@ -442,10 +442,7 @@ class TwoModeConfig:
     def __post_init__(self):
         if len(self.dims) != 2:
             raise DegenerateConfig(f"dims must be a pair of per-mode truncations, got {self.dims!r}")
-        _check_config(self.dims, self.projection, self.resolve_r_max(), self.n_r, self.scale.z)
-
-    def resolve_r_max(self) -> float:
-        return self.r_max if self.r_max is not None else 8.0 / abs(self.scale.z)
+        _check_config(PolarGrid(self.r_max, self.n_r), self.scale.z, self.dims, self.projection)
 
 
 def _hopf_nodes(n_t: int, n_psi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -621,7 +618,7 @@ def reconstruct_two_mode(tomo: TwoModeTomogram, cfg: TwoModeConfig) -> Reconstru
             f"expected a TwoModeTomogram, got {type(tomo).__name__}: tabulate it with tabulate_tilde_tomogram"
         )
     n_t, n_psi, r0, weights = _hopf_layout(tomo)
-    R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
+    R, wR = PolarGrid(cfg.r_max, cfg.n_r).nodes(cfg.scale.z)
     rows = tomo.values
     if tomo.kind == "vector":
         rows = rows @ _trapezoid_weights(tomo.x2)

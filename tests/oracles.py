@@ -38,7 +38,6 @@ from symplectomo.reconstruct import (
     _circle_radius,
     _empirical_characteristic,
     _finish,
-    _radial_nodes,
 )
 from symplectomo.twomode import TwoModeSetting, TwoModeTomogram, characteristic_two_mode, hopf_directions
 
@@ -156,7 +155,7 @@ def row_fourier_weighted(values, x, deltas, freqs) -> np.ndarray:
 def wigner_from_tomogram_broadcast(tomo, q, p, scale=KernelScale(), grid=PolarGrid()) -> np.ndarray:
     """``W(q, p)`` by the 3-d Fourier inversion over one ``(n_angles, n_r, n_points)`` phase array."""
     z = scale.z
-    r, wr = _radial_nodes(grid.resolve_r_max(z), grid.n_r)
+    r, wr = grid.nodes(z)
     phis, phi_weights, chi = _circle_chi(tomo, z * r)
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
@@ -326,7 +325,7 @@ def two_mode_tomogram_loop(tomo, weights, cfg) -> np.ndarray:
     r0 = float(np.mean([s.radius for s in tomo.settings]))
     dirs = np.array([s.row1 / r0 for s in tomo.settings])
     deltas = np.array([s.delta[0] for s in tomo.settings])
-    R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
+    R, wR = PolarGrid(cfg.r_max, cfg.n_r).nodes(z1)
     chi = row_fourier_complex(tomo.values, tomo.x1, deltas, z1 * R / r0)
     d1, d2 = cfg.dims
     rho4 = np.zeros((d1, d1, d2, d2), dtype=complex)
@@ -348,7 +347,7 @@ def two_mode_grid_loop(chi_fn, cfg, n_t, n_psi, off=(0.0, 0.0)) -> np.ndarray:
     """
     z1 = cfg.scale.z
     d1, d2 = cfg.dims
-    R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
+    R, wR = PolarGrid(cfg.r_max, cfg.n_r).nodes(z1)
     tg, tw_ = leggauss(n_t)
     t = 0.5 * (tg + 1.0)
     wt = 0.5 * tw_
@@ -416,7 +415,7 @@ def reconstruct_two_mode_vector(state, second_row, cfg, n_t, n_psi, z2: float = 
     """
     u2 = np.asarray(second_row, dtype=float).reshape(4)
     z1 = cfg.scale.z
-    R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
+    R, wR = PolarGrid(cfg.r_max, cfg.n_r).nodes(z1)
     dirs, weights = hopf_directions(n_t, n_psi)
     chi = characteristic_two_mode(state, -z1 * R[None, :, None] * dirs[:, None, :] - z2 * u2)
     offset = -(z2 / np.sqrt(2)) * (u2[2:] - 1j * u2[:2])

@@ -9,9 +9,9 @@ from symplectomo import cli
 from symplectomo import states as st
 from symplectomo import twomode as tm
 from symplectomo.errors import InvalidParameter
-from symplectomo.kernels import KernelScale
+from symplectomo.kernels import KernelScale, PolarGrid
 from symplectomo.measure_sim import importance_schedule, sample_campaign
-from symplectomo.reconstruct import _assemble_rho, _circle_chi, _radial_nodes, _row_fourier, reconstruct_homodyne
+from symplectomo.reconstruct import _assemble_rho, _circle_chi, _row_fourier, reconstruct_homodyne
 
 from oracles import (
     _assemble_two_mode,
@@ -37,7 +37,7 @@ def _hermitized(raw):
 )
 def test_one_mode_assembler_matches_dense_table(dim, z, n_phi, n_r):
     tomo = sy.tabulate_tomogram(st.EvenCat(1.0, 0.8), sy.circle_settings(n_phi), num=801)
-    r, wr = _radial_nodes(8.0 / abs(z), n_r)
+    r, wr = PolarGrid(None, n_r).nodes(z)
     phis, phi_weights, chi = _circle_chi(tomo, z * r)
     fast = _assemble_rho(chi, phis, phi_weights, r, wr, z, dim)
     dense = assemble_rho_dense(chi, phis, phi_weights, r, wr, KernelScale(z), dim)
@@ -119,7 +119,7 @@ def test_two_mode_assembler_matches_loop_on_state():
     # the exact characteristic on a non-square Hopf grid (n_t != n_psi)
     state = st.TwoModeCat(np.array([1.0, 0.5j]) / np.sqrt(2))
     cfg = tm.TwoModeConfig(dims=(4, 3), n_r=24)
-    R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
+    R, wR = PolarGrid(cfg.r_max, cfg.n_r).nodes(cfg.scale.z)
     dirs, weights = tm.hopf_directions(6, 8)
     chi = tm.characteristic_two_mode(state, -R[None, :, None] * dirs[:, None, :])
     got = tm._assemble_hopf(chi, weights, 6, 8, R, wR, cfg)
@@ -145,7 +145,7 @@ def test_hopf_assembler_matches_gemm(dims, z):
     tomo = tm.tabulate_tilde_tomogram(state, num=601, n_t=8, n_psi=8)
     dirs, weights = tm.hopf_directions(8, 8)
     cfg = tm.TwoModeConfig(scale=KernelScale(z), dims=dims, n_r=32)
-    R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
+    R, wR = PolarGrid(cfg.r_max, cfg.n_r).nodes(cfg.scale.z)
     chi = _row_fourier(tomo.values, tomo.x1, np.zeros(len(dirs)), z * R)
     fast = tm._assemble_hopf(chi, weights, 8, 8, R, wR, cfg)
     assert np.max(np.abs(fast - _assemble_two_mode(chi, dirs, weights, R, wR, cfg))) <= 1e-10
@@ -165,7 +165,7 @@ def test_hopf_reconstruction_matches_gemm_on_scaled_sphere_with_offsets():
     got = tm.reconstruct_two_mode(tomo, cfg).rho.entries
     dirs, weights = tm.hopf_directions(6, 8)
     deltas = np.array([s.delta[0] for s in tomo.settings])
-    R, wR = _radial_nodes(cfg.resolve_r_max(), cfg.n_r)
+    R, wR = PolarGrid(cfg.r_max, cfg.n_r).nodes(cfg.scale.z)
     chi = _row_fourier(tomo.values, tomo.x1, deltas, -1.3 * R / 1.7)
     oracle = _assemble_two_mode(chi, dirs, weights, R, wR, cfg)
     assert np.max(np.abs(got - _hermitized(oracle))) <= 1e-10

@@ -1,7 +1,9 @@
 """Every ```python block and every CLI line of README.md runs as written, so an API change cannot leave it stale;
-FORMATS.md names every CSV header the library writes, so a layout change cannot leave the spec stale."""
+FORMATS.md names every CSV header the library writes and the radial defaults it uses, so a layout or default
+change cannot leave the spec stale."""
 
 import contextlib
+import inspect
 import io
 import pathlib
 import re
@@ -10,6 +12,7 @@ import time
 
 import pytest
 
+import symplectomo as sy
 from symplectomo import cli
 from symplectomo import io as tio
 
@@ -51,3 +54,17 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
 @pytest.mark.parametrize("header", tio.HEADERS)
 def test_formats_names_every_csv_header(header):
     assert header in FORMATS
+
+
+REACH = f"{sy.PolarGrid().resolve_r_max(1.0):g}/|z|"
+HOMODYNE_CUTOFF = inspect.signature(sy.reconstruct_homodyne).parameters["r_cutoff"].default
+RADIAL_DEFAULTS = {
+    "one mode": f"{REACH}:{sy.PolarGrid().n_r}",
+    "two modes": f"{REACH}:{sy.TwoModeConfig().n_r}",
+    "homodyne preset": f"--grid {HOMODYNE_CUTOFF:g}:{sy.PolarGrid().n_r}",
+}
+
+
+@pytest.mark.parametrize("case", list(RADIAL_DEFAULTS))
+def test_formats_states_the_radial_defaults(case):
+    assert RADIAL_DEFAULTS[case] in FORMATS

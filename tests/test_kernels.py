@@ -257,3 +257,13 @@ def test_kernel_scale_validation():
             kn.KernelScale(flag)
     with pytest.raises(InvalidParameter):
         kn.kernel_number(-1, 0, 0.0, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("r_max", [None, 4.0, 12.0])
+@pytest.mark.parametrize("z", [0.5, 1.0, -1.3, 2.0])
+def test_polar_grid_nodes_are_gauss_legendre_over_zero_to_r_max(r_max, z):
+    t, w = np.polynomial.legendre.leggauss(64)
+    reach = 8.0 / abs(z) if r_max is None else r_max
+    r, wr = kn.PolarGrid(r_max).nodes(z)
+    assert np.array_equal(r, 0.5 * reach * (t + 1.0))
+    assert np.array_equal(wr, 0.5 * reach * w)

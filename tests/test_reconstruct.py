@@ -469,3 +469,41 @@ def test_homodyne_rejects_unknown_projection(vacuum_tomogram):
         reconstruct_homodyne([(0.0, [0.1, -0.2, 0.3]), (1.0, [0.2])], dim=4, projection="bogus")
     with pytest.raises(DegenerateConfig, match="bogus"):
         sy.TwoModeConfig(projection="bogus")
+
+
+WIGNER_REFUSALS = {
+    "r_max nan": (DegenerateConfig, lambda tomo: wigner_from_tomogram(tomo, 0.0, 0.0, grid=PolarGrid(np.nan))),
+    "r_max inf": (DegenerateConfig, lambda tomo: wigner_from_tomogram(tomo, 0.0, 0.0, grid=PolarGrid(np.inf))),
+    "r_max * z < 6": (DegenerateConfig, lambda tomo: wigner_from_tomogram(tomo, 0.0, 0.0, grid=PolarGrid(1.0))),
+    "n_r 0": (DegenerateConfig, lambda tomo: wigner_from_tomogram(tomo, 0.0, 0.0, grid=PolarGrid(8.0, 0))),
+    "n_r 2.5": (DegenerateConfig, lambda tomo: wigner_from_tomogram(tomo, 0.0, 0.0, grid=PolarGrid(8.0, 2.5))),
+    "r_max '8'": (DegenerateConfig, lambda tomo: wigner_from_tomogram(tomo, 0.0, 0.0, grid=PolarGrid("8"))),
+    "q nan": (InvalidParameter, lambda tomo: wigner_from_tomogram(tomo, np.nan, 0.0)),
+    "p inf": (InvalidParameter, lambda tomo: wigner_from_tomogram(tomo, np.zeros(3), [0.0, np.inf, 0.0])),
+    "shapes (2,) (3,)": (InvalidParameter, lambda tomo: wigner_from_tomogram(tomo, np.zeros(2), np.zeros(3))),
+}
+
+
+@pytest.mark.parametrize("case", list(WIGNER_REFUSALS))
+def test_wigner_from_tomogram_refuses_bad_input(case):
+    error, call = WIGNER_REFUSALS[case]
+    tomo = tabulate_tomogram(st.Vacuum(), circle_settings(16), x_grid=np.linspace(-6, 6, 301))
+    with pytest.raises(error):
+        call(tomo)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: st.density_matrix(st.Vacuum(), np.nan),
+        lambda: st.density_matrix(st.Vacuum(), np.inf),
+        lambda: fidelity(np.eye(2, 3), np.eye(2, 3)),
+        lambda: fidelity(np.ones(3), np.ones(3)),
+        lambda: trace_distance(np.eye(2, 3), np.eye(2, 3)),
+        lambda: trace_distance(np.ones(3), np.ones(3)),
+    ],
+    ids=["dim-nan", "dim-inf", "fidelity-2x3", "fidelity-1d", "trace-distance-2x3", "trace-distance-1d"],
+)
+def test_malformed_density_inputs_are_refused(call):
+    with pytest.raises(InvalidParameter):
+        call()

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import eval_laguerre, gammaln
 
 from symplectomo import states as st
+from symplectomo import twomode as tm
 from symplectomo.errors import DimMismatch, InvalidParameter, TruncationTooSmall, UnsupportedVariant
 
 
@@ -314,4 +315,40 @@ def test_import_leaves_scipy_unloaded():
 )
 def test_nonfinite_amplitudes_are_refused(build):
     with pytest.raises(InvalidParameter, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: tm.TwoModeSetting(mu=[1.0, 0.0, 0.0], nu=[0.0, 0.0]),
+        lambda: tm.TwoModeSetting(mu=[1.0, 0.0], nu=[0.0]),
+        lambda: tm.TwoModeSetting(mu=[1.0, 0.0], nu=[0.0, 0.0], mu_p=[0.0, 1.0, 0.0], nu_p=[0.0, 0.0]),
+        lambda: tm.TwoModeSetting(mu=[1.0, 0.0], nu=[0.0, 0.0], mu_p=[0.0, 1.0], nu_p=[0.0]),
+        lambda: tm.TwoModeSetting(mu=[1.0, 0.0], nu=[0.0, 0.0], delta=[0.0]),
+        lambda: st.GaussianTwoMode(np.eye(4) * 0.5, means=[0.0, 0.0, 0.0]),
+        lambda: st.TwoModeCat([1.0, 0.5, 0.2]),
+        lambda: st.FockDensityMatrix(np.eye(2) / 2, dims=(2,)),
+        lambda: st.FockDensityMatrix(np.eye(4) / 4, dims=4),
+        lambda: st.FockDensityMatrix(np.eye(4) / 4, dims=(2.0, 2.0)),
+        lambda: st.FockDensityMatrix(np.eye(4) / 4, dims=(4, 1, 1)),
+        lambda: st.Custom(np.eye(2) / 2),
+    ],
+    ids=[
+        "setting-mu-3",
+        "setting-nu-1",
+        "setting-mu_p-3",
+        "setting-nu_p-1",
+        "setting-delta-1",
+        "gauss2-means-3",
+        "cat2-A-3",
+        "dims-one",
+        "dims-int",
+        "dims-floats",
+        "dims-three",
+        "custom-array",
+    ],
+)
+def test_malformed_shapes_are_refused(build):
+    with pytest.raises(InvalidParameter):
         build()
