@@ -62,6 +62,13 @@ class KernelScale:
         object.__setattr__(self, "z", float(self.z))
 
 
+def _scale_z(scale: KernelScale, error: type) -> float:
+    """The ``z`` of a ``KernelScale``; ``error`` for anything else."""
+    if not isinstance(scale, KernelScale):
+        raise error(f"scale must be a KernelScale, got {scale!r}")
+    return scale.z
+
+
 @dataclass(frozen=True)
 class HomodyneSetting:
     """Rotated-quadrature measurement: phase ``phi`` and outcome ``x_phi``."""
@@ -225,6 +232,12 @@ def _radial_nodes(r_max: float, n_r: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * r_max * (t + 1.0), 0.5 * r_max * w
 
 
+def _check_radius(value, name: str, error: type = InvalidParameter) -> None:
+    """Raise ``error`` unless ``value`` is a positive finite real."""
+    if not (isinstance(value, Real) and 0.0 < value < np.inf):
+        raise error(f"{name} must be a positive finite radius, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PolarGrid:
     """Radii of the polar quadrature over the (mu, nu) plane; the angles are the record's.
@@ -238,8 +251,8 @@ class PolarGrid:
 
     def __post_init__(self):
         _check_count(self.n_r, 4, "n_r", DegenerateConfig)
-        if self.r_max is not None and not (isinstance(self.r_max, Real) and 0.0 < self.r_max < np.inf):
-            raise DegenerateConfig(f"r_max must be None or a positive finite radius, got {self.r_max!r}")
+        if self.r_max is not None:
+            _check_radius(self.r_max, "r_max", DegenerateConfig)
 
     def resolve_r_max(self, z: float) -> float:
         return self.r_max if self.r_max is not None else 8.0 / abs(z)
@@ -268,8 +281,7 @@ def kernel_homodyne_number(n_row: int, n_col: int, homodyne: HomodyneSetting, r_
     exceeds ``1e-3`` of the element scale.
     """
     _check_indices(n_row, n_col)
-    if not 0.0 < r_cutoff < np.inf:
-        raise InvalidParameter(f"r_cutoff must be a positive finite radius, got {r_cutoff!r}")
+    _check_radius(r_cutoff, "r_cutoff")
     r, wr = PolarGrid(r_cutoff).nodes(1.0)
     # the discarded tail, measured on 32 more radii over [R, R + 16]
     t, wt = _radial_nodes(16.0, 32)

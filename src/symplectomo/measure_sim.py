@@ -32,7 +32,7 @@ from .errors import (
     InvalidParameter,
     PhaseLockRequired,
 )
-from .kernels import KernelScale, PolarGrid
+from .kernels import KernelScale, PolarGrid, _check_radius, _scale_z
 from .marginals import QuadratureSetting, _as_setting, _check_count, _half_width, _marginal_any, _marginal_key
 from .twomode import TwoModeSetting, tilde_marginal, _half_width as _tilde_half_width
 
@@ -262,9 +262,9 @@ def importance_schedule(
         raise EmptySchedule("need at least one setting")
     n_settings = _check_count(n_settings, 1, "the number of settings")
     seed = _check_count(seed, 0, "seed")
-    z = scale.z
-    if r_max is not None and not 0.0 < r_max < np.inf:
-        raise InvalidParameter(f"r_max must be a positive finite radius, got {r_max!r}")
+    z = _scale_z(scale, InvalidParameter)
+    if r_max is not None:
+        _check_radius(r_max, "r_max")
     r_max = PolarGrid(r_max).resolve_r_max(z)
     rng = _batch_seed(seed, 2**32)
     norm = (2.0 / z**2) * (1.0 - np.exp(-(z**2) * r_max**2 / 4.0))

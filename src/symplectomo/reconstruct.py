@@ -33,7 +33,7 @@ from .errors import (
     InvalidParameter,
     UnsupportedVariant,
 )
-from .kernels import KernelScale, PolarGrid, displacement_matrix, kernel_displacement_argument
+from .kernels import KernelScale, PolarGrid, _check_radius, _scale_z, displacement_matrix, kernel_displacement_argument
 from .marginals import _BLOCK_POINTS, QuadratureSetting, Tomogram, _check_count, _trapezoid_weights
 from .states import FockDensityMatrix
 
@@ -60,8 +60,10 @@ def _check_projection(projection: str) -> None:
 
 def _check_config(grid: PolarGrid, z: float, dims=(), projection: str = "none") -> None:
     """Checks shared by the one- and two-mode configs and the Wigner inversion:
-    positive integer Fock truncations, a known projection, and radii over
-    ``[0, r_max]`` on which the kernel damping ``exp(-z^2 r^2 / 4)`` has decayed."""
+    positive integer Fock truncations, a known projection, and a ``PolarGrid``
+    over ``[0, r_max]`` on which the kernel damping ``exp(-z^2 r^2 / 4)`` has decayed."""
+    if not isinstance(grid, PolarGrid):
+        raise DegenerateConfig(f"grid must be a PolarGrid, got {grid!r}")
     for dim in dims:
         _check_count(dim, 1, "dim", DegenerateConfig)
     _check_projection(projection)
@@ -78,7 +80,7 @@ class ReconstructionConfig:
     projection: str = "hermitize"  # none | hermitize | clip
 
     def __post_init__(self):
-        _check_config(self.grid, self.scale.z, (self.dim,), self.projection)
+        _check_config(self.grid, _scale_z(self.scale, DegenerateConfig), (self.dim,), self.projection)
 
 
 @dataclass(frozen=True)
@@ -346,8 +348,7 @@ def reconstruct_homodyne(
     """
     _check_count(dim, 1, "dim", DegenerateConfig)
     _check_projection(projection)
-    if not 0.0 < r_cutoff < np.inf:
-        raise InvalidParameter(f"r_cutoff must be a positive finite radius, got {r_cutoff!r}")
+    _check_radius(r_cutoff, "r_cutoff")
     r, wr = PolarGrid(r_cutoff).nodes(1.0)
     # one extra column at r_cutoff for the tail estimate: Gauss-Legendre
     # radii have no node on the boundary
@@ -436,7 +437,7 @@ def wigner_from_tomogram(
     together: the result has their shape, or is a float at a single point.
     A grid that ends before the kernel damping raises ``DegenerateConfig``.
     """
-    z = scale.z
+    z = _scale_z(scale, InvalidParameter)
     _check_config(grid, z)
     try:
         q, p = np.broadcast_arrays(np.atleast_1d(np.asarray(q, dtype=float)), np.atleast_1d(np.asarray(p, dtype=float)))

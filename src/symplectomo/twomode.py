@@ -17,13 +17,18 @@ commute, so tabulated vector tomograms are reduced to their tilde marginal
 first.  The vector-kernel z2 freedom is verified in ``tests/oracles.py``;
 the library reconstructs at ``z2 = 0`` from a tabulated tomogram on the Hopf
 grid of setting directions, whose levels, angles and radius it reads from the
-settings; there the direction sum factorises per mode.
+settings; there the direction sum factorises per mode.  A Hopf grid (its
+nodes, directions, weights and settings) is built once per process and
+``(n_t, n_psi)`` and shared by every tabulation and reconstruction on it; at
+most 4 grids are kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -36,7 +41,7 @@ from .errors import (
     NotSymplectic,
     UnsupportedVariant,
 )
-from .kernels import KernelScale, PolarGrid, displacement_matrix
+from .kernels import KernelScale, PolarGrid, _scale_z, displacement_matrix
 from .marginals import (
     QuadratureSetting,
     _check_count,
@@ -440,16 +445,44 @@ class TwoModeConfig:
     projection: str = "hermitize"
 
     def __post_init__(self):
-        if len(self.dims) != 2:
+        if not isinstance(self.dims, (tuple, list)) or len(self.dims) != 2:
             raise DegenerateConfig(f"dims must be a pair of per-mode truncations, got {self.dims!r}")
-        _check_config(PolarGrid(self.r_max, self.n_r), self.scale.z, self.dims, self.projection)
+        z = _scale_z(self.scale, DegenerateConfig)
+        _check_config(PolarGrid(self.r_max, self.n_r), z, self.dims, self.projection)
 
 
-def _hopf_nodes(n_t: int, n_psi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre levels ``t`` on [0, 1] with their weights, and the uniform angles."""
-    n_t, n_psi = _check_count(n_t, 1, "n_t"), _check_count(n_psi, 1, "n_psi")
+class _HopfGrid(NamedTuple):
+    """One Hopf grid, read-only: its Gauss-Legendre levels ``t``, the angles
+    ``psi``, the ``(n, 4)`` directions with their quadrature ``weights``, and
+    the directions as validated tilde settings."""
+
+    t: np.ndarray
+    psi: np.ndarray
+    dirs: np.ndarray
+    weights: np.ndarray
+    settings: tuple[TwoModeSetting, ...]
+
+
+def _hopf_grid(n_t: int, n_psi: int) -> _HopfGrid:
+    """The grid of ``hopf_directions(n_t, n_psi)``, built once per process and size pair."""
+    return _build_hopf_grid(_check_count(n_t, 1, "n_t"), _check_count(n_psi, 1, "n_psi"))
+
+
+# every state tabulated or reconstructed on one grid shares its settings;
+# the sizes are checked first, so a bad value is never a key
+@lru_cache(maxsize=4)
+def _build_hopf_grid(n_t: int, n_psi: int) -> _HopfGrid:
     tg, tw = leggauss(n_t)
-    return 0.5 * (tg + 1.0), 0.5 * tw, 2 * np.pi * np.arange(n_psi) / n_psi
+    t, wt, psi = 0.5 * (tg + 1.0), 0.5 * tw, 2 * np.pi * np.arange(n_psi) / n_psi
+    wpsi = 2 * np.pi / n_psi
+    T, P1, P2 = np.meshgrid(t, psi, psi, indexing="ij")
+    r1, r2 = np.sqrt(T), np.sqrt(1 - T)
+    dirs = np.stack([r1 * np.cos(P1), r2 * np.cos(P2), r1 * np.sin(P1), r2 * np.sin(P2)], axis=-1).reshape(-1, 4)
+    weights = np.repeat(0.5 * wt * wpsi * wpsi, n_psi * n_psi)
+    for arr in (t, psi, dirs, weights):
+        arr.flags.writeable = False
+    settings = tuple(TwoModeSetting(mu=d[:2], nu=d[2:]) for d in dirs)
+    return _HopfGrid(t, psi, dirs, weights, settings)
 
 
 def hopf_directions(n_t: int, n_psi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -458,14 +491,12 @@ def hopf_directions(n_t: int, n_psi: int) -> tuple[np.ndarray, np.ndarray]:
     Directions ``(mu1, mu2, nu1, nu2) = (sqrt(t) cos psi1, sqrt(1-t) cos psi2,
     sqrt(t) sin psi1, sqrt(1-t) sin psi2)`` with Gauss-Legendre ``t`` and
     uniform angles, ordered ``t``-major then ``psi1`` then ``psi2``; weights
-    sum to the sphere area ``2 pi^2``.
+    sum to the sphere area ``2 pi^2``.  The grid is built once per process and
+    ``(n_t, n_psi)``, at most 4 grids are kept, and the returned arrays are
+    writable copies of it.
     """
-    t, wt, psi = _hopf_nodes(n_t, n_psi)
-    wpsi = 2 * np.pi / n_psi
-    T, P1, P2 = np.meshgrid(t, psi, psi, indexing="ij")
-    r1, r2 = np.sqrt(T), np.sqrt(1 - T)
-    dirs = np.stack([r1 * np.cos(P1), r2 * np.cos(P2), r1 * np.sin(P1), r2 * np.sin(P2)], axis=-1)
-    return dirs.reshape(-1, 4), np.repeat(0.5 * wt * wpsi * wpsi, n_psi * n_psi)
+    grid = _hopf_grid(n_t, n_psi)
+    return grid.dirs.copy(), grid.weights.copy()
 
 
 def _half_widths(state, U: np.ndarray) -> np.ndarray:
@@ -511,16 +542,19 @@ def tabulate_tilde_tomogram(
     settings axis; other states (``ProductState``, the odd cat) invert the
     characteristic function one setting at a time.  ``reconstruct_two_mode``
     needs the settings of a Hopf grid, in its order, on a common radius;
-    other settings tabulate but do not reconstruct.
+    other settings tabulate but do not reconstruct.  The default grid's
+    settings are built once per process and ``(n_t, n_psi)`` (at most 4 grids
+    are kept), so every tomogram on one grid shares one settings tuple.
     """
+    num = _check_count(num, 1, "num")  # _outcome_grid refuses a one-point grid
     if settings is None:
-        settings = [TwoModeSetting(mu=d[:2], nu=d[2:]) for d in hopf_directions(n_t, n_psi)[0]]
+        grid = _hopf_grid(n_t, n_psi)
+        settings, U, deltas = grid.settings, grid.dirs, np.zeros(len(grid.dirs))
     else:
-        settings = list(settings)
+        settings = tuple(settings)
         if not settings:
             raise InvalidParameter("need at least one setting")
-    U = np.array([s.row1 for s in settings])
-    deltas = np.array([s.delta[0] for s in settings])
+        U, deltas = _setting_rows(settings)
     if x_grid is None:
         half = float(np.max(_half_widths(state, U) + np.abs(deltas)))
         x_grid = np.linspace(-half, half, num)
@@ -536,34 +570,36 @@ def tabulate_tilde_tomogram(
             values[chunk] = form(state, x_grid - deltas[chunk, None], U[chunk])
     # read-only and owning its memory: the constructor keeps this table, no copy
     values.flags.writeable = False
-    tomo = TwoModeTomogram(tuple(settings), x_grid, values)
+    tomo = TwoModeTomogram(settings, x_grid, values)
     tomo.validate_normalization()
     return tomo
 
 
-def _assemble_hopf(
-    chi: np.ndarray,
-    weights: np.ndarray,
-    n_t: int,
-    n_psi: int,
-    R: np.ndarray,
-    wR: np.ndarray,
-    cfg: TwoModeConfig,
-) -> np.ndarray:
+def _setting_rows(settings) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, 4)`` rows ``u = (mu, nu)`` and the offsets ``delta1`` of tilde settings."""
+    if not all(isinstance(s, TwoModeSetting) for s in settings):
+        raise InvalidParameter("two-mode settings must be TwoModeSetting instances")
+    mu = np.array([s.mu for s in settings])
+    nu = np.array([s.nu for s in settings])
+    return np.concatenate([mu, nu], axis=1), np.array([s.delta[0] for s in settings])
+
+
+def _assemble_hopf(chi: np.ndarray, grid: _HopfGrid, R: np.ndarray, wR: np.ndarray, cfg: TwoModeConfig) -> np.ndarray:
     """Sum ``w_s wR_k R_k^3 chi[s, k] (z1^4/(2pi)^2) D1 x D2`` over the radial x Hopf grid.
 
     ``chi[s, k]`` is the characteristic at the row ``R_k u_s`` for the
-    directions ``u_s`` of ``hopf_directions(n_t, n_psi)`` with quadrature
-    ``weights``.  There ``zeta_j = (z1 R r_j / sqrt 2) e^{i(psi_j + pi/2)}``
-    with ``r_1 = sqrt t`` and ``r_2 = sqrt(1 - t)``, so by
+    directions ``u_s`` of the Hopf ``grid`` with quadrature weights ``w_s``.
+    There ``zeta_j = (z1 R r_j / sqrt 2) e^{i(psi_j + pi/2)}`` with
+    ``r_1 = sqrt t`` and ``r_2 = sqrt(1 - t)``, so by
     ``<m|D(a e^{i theta})|n> = e^{i(m-n) theta} <m|D(a)|n>`` the direction sum
     is one real-axis table per ``(t, R)`` and mode, weighted by the 2-d angular
     Fourier sum of ``chi`` at the orders ``(m1 - n1, m2 - n2)``.
     """
     z1 = cfg.scale.z
     d1, d2 = cfg.dims
-    t, _, psi = _hopf_nodes(n_t, n_psi)
-    coeff = (weights[:, None] * chi * (wR * R**3 * z1**4 / (2 * np.pi) ** 2)).reshape(n_t, n_psi, n_psi, -1)
+    t, psi = grid.t, grid.psi
+    n_t, n_psi = t.size, psi.size
+    coeff = (grid.weights[:, None] * chi * (wR * R**3 * z1**4 / (2 * np.pi) ** 2)).reshape(n_t, n_psi, n_psi, -1)
     # angular[t, k, o1, o2] = sum over (psi1, psi2) of coeff e^{i o1 (psi1 + pi/2)} e^{i o2 (psi2 + pi/2)}
     e1 = np.exp(1j * np.outer(np.arange(1 - d1, d1), psi + np.pi / 2))
     e2 = np.exp(1j * np.outer(np.arange(1 - d2, d2), psi + np.pi / 2))
@@ -582,23 +618,21 @@ def _assemble_hopf(
     return rho4.reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
 
 
-def _hopf_layout(tomo: TwoModeTomogram) -> tuple[int, int, float, np.ndarray]:
-    """``(n_t, n_psi, r0, weights)`` of a tomogram on ``hopf_directions(n_t, n_psi)`` scaled by ``r0``.
+def _hopf_layout(rows: np.ndarray) -> tuple[_HopfGrid, float]:
+    """The Hopf grid of setting rows on ``hopf_directions(n_t, n_psi)`` scaled by ``r0``, and ``r0``.
 
     ``n_t`` is the number of distinct mode-1 levels ``(mu1^2 + nu1^2) / r0^2``;
-    the settings must then equal the grid's in order to a relative 1e-12, and
-    the grid's quadrature weights are returned.  Any other tomogram raises
-    ``InvalidParameter``.
+    the rows must then equal the grid's in order to a relative 1e-12.  Any
+    other rows raise ``InvalidParameter``.
     """
-    rows = np.array([s.row1 for s in tomo.settings])
     r0 = float(np.linalg.norm(rows, axis=1).mean())
     levels = np.sort(rows[:, 0] ** 2 + rows[:, 2] ** 2) / r0**2
     n_t = 1 + int(np.count_nonzero(np.diff(levels) > 1e-9))
     n_psi = int(round(np.sqrt(len(rows) / n_t)))
     if n_t * n_psi * n_psi == len(rows):
-        dirs, weights = hopf_directions(n_t, n_psi)
-        if np.max(np.abs(rows - r0 * dirs)) <= 1e-12 * r0:
-            return n_t, n_psi, r0, weights
+        grid = _hopf_grid(n_t, n_psi)
+        if np.max(np.abs(rows - r0 * grid.dirs)) <= 1e-12 * r0:
+            return grid, r0
     raise InvalidParameter(
         "a two-mode tomogram must be the hopf_directions(n_t, n_psi) grid, in its order, on a common radius"
     )
@@ -617,15 +651,17 @@ def reconstruct_two_mode(tomo: TwoModeTomogram, cfg: TwoModeConfig) -> Reconstru
         raise InvalidParameter(
             f"expected a TwoModeTomogram, got {type(tomo).__name__}: tabulate it with tabulate_tilde_tomogram"
         )
-    n_t, n_psi, r0, weights = _hopf_layout(tomo)
+    if not isinstance(cfg, TwoModeConfig):
+        raise InvalidParameter(f"expected a TwoModeConfig, got {type(cfg).__name__}")
+    U, deltas = _setting_rows(tomo.settings)
+    grid, r0 = _hopf_layout(U)
     R, wR = PolarGrid(cfg.r_max, cfg.n_r).nodes(cfg.scale.z)
     rows = tomo.values
     if tomo.kind == "vector":
         rows = rows @ _trapezoid_weights(tomo.x2)
-    deltas = np.array([s.delta[0] for s in tomo.settings])
     chi = _row_fourier(rows, tomo.x1, deltas, cfg.scale.z * R / r0)
-    raw = _assemble_hopf(chi, weights, n_t, n_psi, R, wR, cfg)
-    return _finish(raw, cfg.projection, len(weights), 0, check_trace=True, dims=cfg.dims)
+    raw = _assemble_hopf(chi, grid, R, wR, cfg)
+    return _finish(raw, cfg.projection, len(grid.weights), 0, check_trace=True, dims=cfg.dims)
 
 
 def partial_trace(rho: st.FockDensityMatrix, keep: int = 1) -> st.FockDensityMatrix:

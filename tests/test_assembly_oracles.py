@@ -122,7 +122,7 @@ def test_two_mode_assembler_matches_loop_on_state():
     R, wR = PolarGrid(cfg.r_max, cfg.n_r).nodes(cfg.scale.z)
     dirs, weights = tm.hopf_directions(6, 8)
     chi = tm.characteristic_two_mode(state, -R[None, :, None] * dirs[:, None, :])
-    got = tm._assemble_hopf(chi, weights, 6, 8, R, wR, cfg)
+    got = tm._assemble_hopf(chi, tm._hopf_grid(6, 8), R, wR, cfg)
     oracle = two_mode_grid_loop(lambda u: tm.characteristic_two_mode(state, -u), cfg, 6, 8)
     assert np.max(np.abs(got - oracle)) <= 1e-10
 
@@ -147,7 +147,7 @@ def test_hopf_assembler_matches_gemm(dims, z):
     cfg = tm.TwoModeConfig(scale=KernelScale(z), dims=dims, n_r=32)
     R, wR = PolarGrid(cfg.r_max, cfg.n_r).nodes(cfg.scale.z)
     chi = _row_fourier(tomo.values, tomo.x1, np.zeros(len(dirs)), z * R)
-    fast = tm._assemble_hopf(chi, weights, 8, 8, R, wR, cfg)
+    fast = tm._assemble_hopf(chi, tm._hopf_grid(8, 8), R, wR, cfg)
     assert np.max(np.abs(fast - _assemble_two_mode(chi, dirs, weights, R, wR, cfg))) <= 1e-10
 
 

@@ -13,7 +13,7 @@ import symplectomo.io as tio
 from symplectomo import cli
 from symplectomo import states as st
 from symplectomo.errors import EmptyBatches, InvalidParameter
-from symplectomo.marginals import QuadratureSetting, Tomogram, tabulate_tomogram
+from symplectomo.marginals import QuadratureSetting, Tomogram, circle_settings, tabulate_tomogram
 from symplectomo.measure_sim import SampleBatch, importance_schedule, sample_campaign
 from symplectomo.twomode import TwoModeSetting, TwoModeTomogram, tabulate_tilde_tomogram
 
@@ -411,6 +411,14 @@ def test_vector_shifted_grid_is_rejected(tmp_path):
     second = _vector_tomogram(x2=np.linspace(-2.5, 3.5, 7))
     with pytest.raises(InvalidParameter, match="outcome grid"):
         tio.load_two_mode_tomogram(_joined(tmp_path, tio.save_two_mode_tomogram, first, second))
+
+
+def test_load_tomogram_holds_little_beyond_its_table(tmp_path, traced_peak):
+    # the body is parsed from the open file: neither its text nor its lines are held
+    path = tmp_path / "cat.csv"
+    tio.save_tomogram(tabulate_tomogram(st.EvenCat(1.0, 1.0), circle_settings(1000)), path)
+    table = 1000 * 1201 * 8
+    assert traced_peak(tio.load_tomogram, path) <= 2.5 * table
 
 
 def _edited(tmp_path, save, obj, edit):

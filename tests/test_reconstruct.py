@@ -120,6 +120,25 @@ def test_config_validation(vacuum_tomogram):
     assert not accepted
 
 
+WRONG_TYPES = {
+    "config scale 1.0": (DegenerateConfig, "scale", lambda tomo: ReconstructionConfig(scale=1.0)),
+    "two-mode config scale 1.0": (DegenerateConfig, "scale", lambda tomo: sy.TwoModeConfig(scale=1.0)),
+    "config grid (8.0, 64)": (DegenerateConfig, "grid", lambda tomo: ReconstructionConfig(grid=(8.0, 64))),
+    "two-mode config dims 5": (DegenerateConfig, "dims", lambda tomo: sy.TwoModeConfig(dims=5)),
+    "wigner scale 1.0": (InvalidParameter, "scale", lambda tomo: wigner_from_tomogram(tomo, 0, 0, scale=1.0)),
+    "homodyne r_cutoff None": (InvalidParameter, "r_cutoff", lambda tomo: reconstruct_homodyne(tomo, 4, r_cutoff=None)),
+    "schedule r_max '8'": (InvalidParameter, "r_max", lambda tomo: sy.importance_schedule(4, r_max="8")),
+    "schedule scale 1.0": (InvalidParameter, "scale", lambda tomo: sy.importance_schedule(4, scale=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_TYPES))
+def test_arguments_of_the_wrong_type_raise_typed_errors(case, vacuum_tomogram):
+    error, name, call = WRONG_TYPES[case]
+    with pytest.raises(error, match=name):
+        call(vacuum_tomogram)
+
+
 @pytest.mark.parametrize(
     "call, tabulator",
     [

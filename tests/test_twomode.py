@@ -9,6 +9,7 @@ from symplectomo.errors import (
     DegenerateConfig,
     DegenerateSetting,
     GridTooNarrow,
+    GridUnderresolved,
     InvalidParameter,
     NotSymplectic,
     UnsupportedVariant,
@@ -341,6 +342,12 @@ def test_explicit_hopf_settings_reconstruct_like_the_default_grid():
 
 
 GAUSS = st.GaussianTwoMode(np.eye(4) * 0.5)
+
+
+def _small_gauss_tomogram():
+    return tm.tabulate_tilde_tomogram(GAUSS, num=301, n_t=4, n_psi=4)
+
+
 BAD_TWO_MODE_CONFIGS = {
     "n_r 0": (DegenerateConfig, lambda: tm.TwoModeConfig(n_r=0)),
     "dims 2.5": (DegenerateConfig, lambda: tm.TwoModeConfig(dims=(2.5, 2))),
@@ -349,6 +356,13 @@ BAD_TWO_MODE_CONFIGS = {
     "r_max nan": (DegenerateConfig, lambda: tm.TwoModeConfig(r_max=np.nan)),
     "r_max * z < 6": (DegenerateConfig, lambda: tm.TwoModeConfig(r_max=2.0)),
     "no settings": (InvalidParameter, lambda: tm.tabulate_tilde_tomogram(GAUSS, settings=[])),
+    "settings of tuples": (InvalidParameter, lambda: tm.tabulate_tilde_tomogram(GAUSS, settings=[(1.0, 0.0)])),
+    "num 2.5": (InvalidParameter, lambda: tm.tabulate_tilde_tomogram(GAUSS, num=2.5)),
+    "config None": (InvalidParameter, lambda: tm.reconstruct_two_mode(_small_gauss_tomogram(), None)),
+    "one-mode config": (
+        InvalidParameter,
+        lambda: tm.reconstruct_two_mode(_small_gauss_tomogram(), sy.ReconstructionConfig()),
+    ),
 }
 
 
@@ -510,3 +524,68 @@ def test_two_mode_tomogram_rejects_nonfinite_data():
 def test_hopf_grid_sizes_must_be_positive_integers(sizes):
     with pytest.raises(InvalidParameter):
         tm.hopf_directions(*sizes)
+
+
+# ---------------------------------------------------------------------------
+# the cached Hopf grid
+# ---------------------------------------------------------------------------
+
+EVEN_CAT = st.TwoModeCat(np.array([1.0, 0.5j]) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("sizes", [(12, 12), (6, 8), (1, 1)], ids=["12x12", "6x8", "1x1"])
+@pytest.mark.parametrize("state", [GAUSS, EVEN_CAT], ids=["gauss", "cat"])
+def test_default_grid_equals_freshly_built_settings(state, sizes):
+    fresh = [tm.TwoModeSetting(mu=d[:2], nu=d[2:]) for d in tm.hopf_directions(*sizes)[0]]
+    default = tm.tabulate_tilde_tomogram(state, num=401, n_t=sizes[0], n_psi=sizes[1])
+    explicit = tm.tabulate_tilde_tomogram(state, settings=fresh, num=401)
+    assert np.array_equal(default.x1, explicit.x1) and np.array_equal(default.values, explicit.values)
+    cfg = tm.TwoModeConfig(dims=(3, 3), n_r=24)
+    if sizes == (1, 1):  # one direction does not resolve a state: both refuse it alike
+        for tomo in (default, explicit):
+            with pytest.raises(GridUnderresolved):
+                tm.reconstruct_two_mode(tomo, cfg)
+        return
+    got = tm.reconstruct_two_mode(default, cfg).rho.entries
+    assert np.array_equal(got, tm.reconstruct_two_mode(explicit, cfg).rho.entries)
+
+
+def test_tomograms_on_one_grid_share_its_read_only_record():
+    gauss = tm.tabulate_tilde_tomogram(GAUSS, num=301, n_t=6, n_psi=8)
+    cat = tm.tabulate_tilde_tomogram(EVEN_CAT, num=301, n_t=6, n_psi=8)
+    grid = tm._hopf_grid(6, 8)
+    assert gauss.settings is cat.settings is grid.settings
+    for arr in (grid.t, grid.psi, grid.dirs, grid.weights):
+        assert not arr.flags.writeable
+    assert not grid.settings[0].mu.flags.writeable
+
+
+def test_hopf_directions_returns_copies_of_the_grid():
+    before = tm.tabulate_tilde_tomogram(EVEN_CAT, num=301, n_t=6, n_psi=8).values
+    dirs, weights = tm.hopf_directions(6, 8)
+    dirs[:] = 0.0
+    weights[:] = 0.0
+    assert np.array_equal(tm.tabulate_tilde_tomogram(EVEN_CAT, num=301, n_t=6, n_psi=8).values, before)
+    assert np.array_equal(tm.hopf_directions(6, 8)[0], tm._hopf_grid(6, 8).dirs)
+
+
+@pytest.mark.parametrize("bad", [0, 2.0, True, "4"])
+@pytest.mark.parametrize("which", ["n_t", "n_psi"])
+def test_bad_hopf_sizes_are_refused_and_never_cached(which, bad):
+    tm._build_hopf_grid.cache_clear()
+    sizes = {"n_t": 4, "n_psi": 4, which: bad}
+    with pytest.raises(InvalidParameter, match=which):
+        tm.tabulate_tilde_tomogram(GAUSS, num=301, **sizes)
+    with pytest.raises(InvalidParameter, match=which):
+        tm.hopf_directions(sizes["n_t"], sizes["n_psi"])
+    assert tm._build_hopf_grid.cache_info().currsize == 0
+
+
+def test_default_tabulations_build_each_grid_setting_once(count_calls):
+    # the grid's settings are built once and shared by every tomogram on it
+    n_t, n_psi = 3, 5
+    tm._build_hopf_grid.cache_clear()
+    built = count_calls(tm.TwoModeSetting, "__post_init__")
+    tm.tabulate_tilde_tomogram(GAUSS, num=301, n_t=n_t, n_psi=n_psi)
+    tm.tabulate_tilde_tomogram(EVEN_CAT, num=301, n_t=n_t, n_psi=n_psi)
+    assert 0 < len(built) <= n_t * n_psi**2
