@@ -18,9 +18,10 @@ first.  The vector-kernel z2 freedom is verified in ``tests/oracles.py``;
 the library reconstructs at ``z2 = 0`` from a tabulated tomogram on the Hopf
 grid of setting directions, whose levels, angles and radius it reads from the
 settings; there the direction sum factorises per mode.  A Hopf grid (its
-nodes, directions, weights and settings) is built once per process and
-``(n_t, n_psi)`` and shared by every tabulation and reconstruction on it; at
-most 4 grids are kept.
+nodes, directions and weights) is built once per process and ``(n_t, n_psi)``
+and shared by every tabulation and reconstruction on it; only a default
+tabulation also builds its directions as validated settings, once per grid.
+At most 4 grids and 4 settings tuples are kept.
 """
 
 from __future__ import annotations
@@ -453,14 +454,12 @@ class TwoModeConfig:
 
 class _HopfGrid(NamedTuple):
     """One Hopf grid, read-only: its Gauss-Legendre levels ``t``, the angles
-    ``psi``, the ``(n, 4)`` directions with their quadrature ``weights``, and
-    the directions as validated tilde settings."""
+    ``psi`` and the ``(n, 4)`` directions with their quadrature ``weights``."""
 
     t: np.ndarray
     psi: np.ndarray
     dirs: np.ndarray
     weights: np.ndarray
-    settings: tuple[TwoModeSetting, ...]
 
 
 def _hopf_grid(n_t: int, n_psi: int) -> _HopfGrid:
@@ -468,7 +467,7 @@ def _hopf_grid(n_t: int, n_psi: int) -> _HopfGrid:
     return _build_hopf_grid(_check_count(n_t, 1, "n_t"), _check_count(n_psi, 1, "n_psi"))
 
 
-# every state tabulated or reconstructed on one grid shares its settings;
+# every tabulation and reconstruction on one grid shares its arrays;
 # the sizes are checked first, so a bad value is never a key
 @lru_cache(maxsize=4)
 def _build_hopf_grid(n_t: int, n_psi: int) -> _HopfGrid:
@@ -481,8 +480,14 @@ def _build_hopf_grid(n_t: int, n_psi: int) -> _HopfGrid:
     weights = np.repeat(0.5 * wt * wpsi * wpsi, n_psi * n_psi)
     for arr in (t, psi, dirs, weights):
         arr.flags.writeable = False
-    settings = tuple(TwoModeSetting(mu=d[:2], nu=d[2:]) for d in dirs)
-    return _HopfGrid(t, psi, dirs, weights, settings)
+    return _HopfGrid(t, psi, dirs, weights)
+
+
+# only default tabulations need the directions as validated settings;
+# reconstructions and hopf_directions read the arrays alone and never build them
+@lru_cache(maxsize=4)
+def _hopf_settings(n_t: int, n_psi: int) -> tuple[TwoModeSetting, ...]:
+    return tuple(TwoModeSetting(mu=d[:2], nu=d[2:]) for d in _build_hopf_grid(n_t, n_psi).dirs)
 
 
 def hopf_directions(n_t: int, n_psi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -542,14 +547,14 @@ def tabulate_tilde_tomogram(
     settings axis; other states (``ProductState``, the odd cat) invert the
     characteristic function one setting at a time.  ``reconstruct_two_mode``
     needs the settings of a Hopf grid, in its order, on a common radius;
-    other settings tabulate but do not reconstruct.  The default grid's
+    other settings tabulate but do not reconstruct.  The default grid and its
     settings are built once per process and ``(n_t, n_psi)`` (at most 4 grids
     are kept), so every tomogram on one grid shares one settings tuple.
     """
     num = _check_count(num, 1, "num")  # _outcome_grid refuses a one-point grid
     if settings is None:
         grid = _hopf_grid(n_t, n_psi)
-        settings, U, deltas = grid.settings, grid.dirs, np.zeros(len(grid.dirs))
+        settings, U, deltas = _hopf_settings(grid.t.size, grid.psi.size), grid.dirs, np.zeros(len(grid.dirs))
     else:
         settings = tuple(settings)
         if not settings:

@@ -554,10 +554,10 @@ def test_tomograms_on_one_grid_share_its_read_only_record():
     gauss = tm.tabulate_tilde_tomogram(GAUSS, num=301, n_t=6, n_psi=8)
     cat = tm.tabulate_tilde_tomogram(EVEN_CAT, num=301, n_t=6, n_psi=8)
     grid = tm._hopf_grid(6, 8)
-    assert gauss.settings is cat.settings is grid.settings
+    assert gauss.settings is cat.settings is tm._hopf_settings(6, 8)
     for arr in (grid.t, grid.psi, grid.dirs, grid.weights):
         assert not arr.flags.writeable
-    assert not grid.settings[0].mu.flags.writeable
+    assert not gauss.settings[0].mu.flags.writeable
 
 
 def test_hopf_directions_returns_copies_of_the_grid():
@@ -573,19 +573,33 @@ def test_hopf_directions_returns_copies_of_the_grid():
 @pytest.mark.parametrize("which", ["n_t", "n_psi"])
 def test_bad_hopf_sizes_are_refused_and_never_cached(which, bad):
     tm._build_hopf_grid.cache_clear()
+    tm._hopf_settings.cache_clear()
     sizes = {"n_t": 4, "n_psi": 4, which: bad}
     with pytest.raises(InvalidParameter, match=which):
         tm.tabulate_tilde_tomogram(GAUSS, num=301, **sizes)
     with pytest.raises(InvalidParameter, match=which):
         tm.hopf_directions(sizes["n_t"], sizes["n_psi"])
-    assert tm._build_hopf_grid.cache_info().currsize == 0
+    assert tm._build_hopf_grid.cache_info().currsize == tm._hopf_settings.cache_info().currsize == 0
 
 
 def test_default_tabulations_build_each_grid_setting_once(count_calls):
     # the grid's settings are built once and shared by every tomogram on it
     n_t, n_psi = 3, 5
     tm._build_hopf_grid.cache_clear()
+    tm._hopf_settings.cache_clear()
     built = count_calls(tm.TwoModeSetting, "__post_init__")
     tm.tabulate_tilde_tomogram(GAUSS, num=301, n_t=n_t, n_psi=n_psi)
     tm.tabulate_tilde_tomogram(EVEN_CAT, num=301, n_t=n_t, n_psi=n_psi)
     assert 0 < len(built) <= n_t * n_psi**2
+
+
+def test_grid_readers_other_than_default_tabulation_build_no_settings(count_calls):
+    # a cold reconstruction or hopf_directions needs the grid's arrays, not its settings
+    fresh = [tm.TwoModeSetting(mu=d[:2], nu=d[2:]) for d in tm.hopf_directions(4, 6)[0]]
+    tomo = tm.tabulate_tilde_tomogram(GAUSS, settings=fresh, num=301)
+    tm._build_hopf_grid.cache_clear()
+    tm._hopf_settings.cache_clear()
+    built = count_calls(tm.TwoModeSetting, "__post_init__")
+    tm.hopf_directions(4, 6)
+    tm.reconstruct_two_mode(tomo, tm.TwoModeConfig(dims=(3, 3), n_r=24))
+    assert built == [] and tm._hopf_settings.cache_info().currsize == 0
