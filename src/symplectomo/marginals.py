@@ -88,7 +88,10 @@ def _outcome_grid(x, name: str) -> np.ndarray:
     """A read-only copy of ``x`` after checking it is a finite, 1-d, uniform and
     ascending grid of two or more points: the row integrals and Fourier
     transforms use the trapezoid rule of spacing ``x[1] - x[0]``."""
-    x = np.array(x, dtype=float)
+    try:
+        x = np.array(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"{name} grid must be an array of real numbers: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise InvalidParameter(f"{name} grid must be finite")
     if x.ndim != 1 or x.size < 2:
@@ -342,4 +345,9 @@ def tabulate_tomogram(state, settings, x_grid: np.ndarray | None = None, num: in
 def _as_setting(setting) -> QuadratureSetting:
     if isinstance(setting, QuadratureSetting):
         return setting
-    return QuadratureSetting(*setting)
+    try:
+        return QuadratureSetting(*setting)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(
+            f"a setting must be a QuadratureSetting or a (mu, nu[, delta]) tuple, got {setting!r}"
+        ) from exc

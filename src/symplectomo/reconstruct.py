@@ -83,6 +83,11 @@ class ReconstructionConfig:
         _check_config(self.grid, _scale_z(self.scale, DegenerateConfig), (self.dim,), self.projection)
 
 
+def _check_config_type(cfg, kind: type) -> None:
+    if not isinstance(cfg, kind):
+        raise InvalidParameter(f"expected a {kind.__name__}, got {type(cfg).__name__}")
+
+
 @dataclass(frozen=True)
 class ReconstructionReport:
     rho: FockDensityMatrix
@@ -265,6 +270,7 @@ def reconstruct_from_tomogram(tomo: Tomogram, cfg: ReconstructionConfig) -> Reco
     only the radii.  A state must be tabulated first with
     ``tabulate_tomogram``.
     """
+    _check_config_type(cfg, ReconstructionConfig)
     z = cfg.scale.z
     r, wr = cfg.grid.nodes(z)
     phis, phi_weights, chi = _circle_chi(tomo, z * r)
@@ -292,6 +298,7 @@ def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> Reconstructi
     distinct ``(mu, nu)`` raises ``InvalidParameter``, and two-mode batches
     raise ``UnsupportedVariant``.
     """
+    _check_config_type(cfg, ReconstructionConfig)
     batches = list(batches)
     if not batches or all(len(b.outcomes) == 0 for b in batches):
         raise EmptyBatches("no samples to average")

@@ -18,10 +18,11 @@ first.  The vector-kernel z2 freedom is verified in ``tests/oracles.py``;
 the library reconstructs at ``z2 = 0`` from a tabulated tomogram on the Hopf
 grid of setting directions, whose levels, angles and radius it reads from the
 settings; there the direction sum factorises per mode.  A Hopf grid (its
-nodes, directions and weights) is built once per process and ``(n_t, n_psi)``
-and shared by every tabulation and reconstruction on it; only a default
-tabulation also builds its directions as validated settings, once per grid.
-At most 4 grids and 4 settings tuples are kept.
+nodes, directions, weights and exactly antipodal direction pairs) is built
+once per process and ``(n_t, n_psi)`` and shared by every tabulation and
+reconstruction on it; only a default tabulation also builds its directions as
+validated settings, once per grid.  At most 4 grids and 4 settings tuples are
+kept.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .marginals import (
     _sigma_and_span,
     _trapezoid_weights,
 )
-from .reconstruct import ReconstructionReport, _check_config, _finish, _row_fourier
+from .reconstruct import ReconstructionReport, _check_config, _check_config_type, _finish, _row_fourier
 from . import states as st
 
 __all__ = [
@@ -331,8 +332,14 @@ def _stacked_form(state):
     return None
 
 
+def _check_setting(setting) -> None:
+    if not isinstance(setting, TwoModeSetting):
+        raise InvalidParameter(f"a two-mode setting must be a TwoModeSetting, got {type(setting).__name__}")
+
+
 def _one_row(rows, state, x1, setting: TwoModeSetting):
     """One setting's marginal by the stacked form ``rows``, shaped like ``x1``."""
+    _check_setting(setting)
     x1 = np.asarray(x1, dtype=float)
     return rows(state, x1.reshape(1, -1), setting.row1[None])[0].reshape(x1.shape)[()]
 
@@ -363,6 +370,7 @@ def tilde_marginal(state, x1, setting: TwoModeSetting):
     """
     rows = _stacked_form(state)
     if rows is None:
+        _check_setting(setting)
         return _tilde_from_characteristic(state, x1, setting)
     return _one_row(rows, state, x1, setting)
 
@@ -454,12 +462,14 @@ class TwoModeConfig:
 
 class _HopfGrid(NamedTuple):
     """One Hopf grid, read-only: its Gauss-Legendre levels ``t``, the angles
-    ``psi`` and the ``(n, 4)`` directions with their quadrature ``weights``."""
+    ``psi``, the ``(n, 4)`` directions with their quadrature ``weights`` and
+    the ``_antipodes`` pairs of the directions."""
 
     t: np.ndarray
     psi: np.ndarray
     dirs: np.ndarray
     weights: np.ndarray
+    pairs: np.ndarray
 
 
 def _hopf_grid(n_t: int, n_psi: int) -> _HopfGrid:
@@ -474,13 +484,18 @@ def _build_hopf_grid(n_t: int, n_psi: int) -> _HopfGrid:
     tg, tw = leggauss(n_t)
     t, wt, psi = 0.5 * (tg + 1.0), 0.5 * tw, 2 * np.pi * np.arange(n_psi) / n_psi
     wpsi = 2 * np.pi / n_psi
-    T, P1, P2 = np.meshgrid(t, psi, psi, indexing="ij")
-    r1, r2 = np.sqrt(T), np.sqrt(1 - T)
-    dirs = np.stack([r1 * np.cos(P1), r2 * np.cos(P2), r1 * np.sin(P1), r2 * np.sin(P2)], axis=-1).reshape(-1, 4)
+    cos, sin = np.cos(psi), np.sin(psi)
+    if n_psi % 2 == 0:  # psi + pi is on the grid: make its direction the exact antipode
+        half = n_psi // 2
+        cos[half:], sin[half:] = -cos[:half], -sin[:half]
+    r1, r2 = np.sqrt(t)[:, None, None], np.sqrt(1 - t)[:, None, None]
+    c1, s1, c2, s2 = cos[:, None], sin[:, None], cos[None, :], sin[None, :]
+    dirs = np.stack(np.broadcast_arrays(r1 * c1, r2 * c2, r1 * s1, r2 * s2), axis=-1).reshape(-1, 4)
     weights = np.repeat(0.5 * wt * wpsi * wpsi, n_psi * n_psi)
-    for arr in (t, psi, dirs, weights):
+    pairs = _antipodes(dirs, np.zeros(len(dirs)))
+    for arr in (t, psi, dirs, weights, pairs):
         arr.flags.writeable = False
-    return _HopfGrid(t, psi, dirs, weights)
+    return _HopfGrid(t, psi, dirs, weights, pairs)
 
 
 # only default tabulations need the directions as validated settings;
@@ -496,7 +511,10 @@ def hopf_directions(n_t: int, n_psi: int) -> tuple[np.ndarray, np.ndarray]:
     Directions ``(mu1, mu2, nu1, nu2) = (sqrt(t) cos psi1, sqrt(1-t) cos psi2,
     sqrt(t) sin psi1, sqrt(1-t) sin psi2)`` with Gauss-Legendre ``t`` and
     uniform angles, ordered ``t``-major then ``psi1`` then ``psi2``; weights
-    sum to the sphere area ``2 pi^2``.  The grid is built once per process and
+    sum to the sphere area ``2 pi^2``.  For even ``n_psi`` the direction at
+    ``(t, psi1 + pi, psi2 + pi)`` is the exact negative of the one at
+    ``(t, psi1, psi2)``: the second half of the angles takes the first half's
+    cosines and sines negated.  The grid is built once per process and
     ``(n_t, n_psi)``, at most 4 grids are kept, and the returned arrays are
     writable copies of it.
     """
@@ -533,6 +551,30 @@ def _half_width(state, setting: TwoModeSetting) -> float:
 _TILDE_CHUNK = 32  # settings per stacked evaluation; no full table is held beside the tomogram's
 
 
+def _antipodes(U: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """The ``(m, 2)`` pairs ``(i, j)`` of rows with ``(U[j], deltas[j]) == -(U[i], deltas[i])``, sorted by ``i``.
+
+    Rows are compared exactly, zeros of either sign alike.  ``i`` is the
+    first row of its value and comes before every row of the negated value;
+    each such later row ``j`` is paired with it.  No row is both an ``i`` and
+    a ``j``, and rows without an exact partner are in no pair.
+    """
+    n = len(U)
+    rows = np.column_stack([U, deltas])
+    both = np.concatenate([rows, -rows])
+    order = np.lexsort(both.T)
+    ranked = both[order]
+    # value[k]: one label per distinct row value among the rows and their negatives
+    value = np.empty(2 * n, dtype=np.intp)
+    value[order] = np.concatenate([[0], np.cumsum(np.any(ranked[1:] != ranked[:-1], axis=1))])
+    first = np.full(value[order[-1]] + 1, n)
+    np.minimum.at(first, value[:n], np.arange(n))
+    source = first[value[n:]]  # the first row equal to -row j, or n if there is none
+    mirror = np.flatnonzero(source < first[value[:n]])
+    pairs = np.column_stack([source[mirror], mirror])
+    return pairs[np.argsort(pairs[:, 0], kind="stable")]
+
+
 def tabulate_tilde_tomogram(
     state,
     settings=None,
@@ -545,34 +587,49 @@ def tabulate_tilde_tomogram(
 
     Gaussian states and the even cat use their closed forms over the stacked
     settings axis; other states (``ProductState``, the odd cat) invert the
-    characteristic function one setting at a time.  ``reconstruct_two_mode``
-    needs the settings of a Hopf grid, in its order, on a common radius;
-    other settings tabulate but do not reconstruct.  The default grid and its
-    settings are built once per process and ``(n_t, n_psi)`` (at most 4 grids
-    are kept), so every tomogram on one grid shares one settings tuple.
+    characteristic function one setting at a time.  Marginals are homogeneous,
+    ``w(x; -u, -delta) = w(-x; u, delta)``: on an x grid with
+    ``x[::-1] == -x`` exactly, as the default one is, a row whose setting is
+    the exact negative of an earlier one is that row reversed, and is copied
+    rather than evaluated.  The default grid's directions come in exact
+    antipodal pairs for even ``n_psi``, so half its rows are copies.
+    ``reconstruct_two_mode`` needs the settings of a Hopf grid, in its order,
+    on a common radius; other settings tabulate but do not reconstruct.  The
+    default grid and its settings are built once per process and
+    ``(n_t, n_psi)`` (at most 4 grids are kept), so every tomogram on one grid
+    shares one settings tuple.
     """
     num = _check_count(num, 1, "num")  # _outcome_grid refuses a one-point grid
     if settings is None:
         grid = _hopf_grid(n_t, n_psi)
         settings, U, deltas = _hopf_settings(grid.t.size, grid.psi.size), grid.dirs, np.zeros(len(grid.dirs))
+        pairs = grid.pairs
     else:
         settings = tuple(settings)
         if not settings:
             raise InvalidParameter("need at least one setting")
         U, deltas = _setting_rows(settings)
+        pairs = _antipodes(U, deltas)
     if x_grid is None:
         half = float(np.max(_half_widths(state, U) + np.abs(deltas)))
-        x_grid = np.linspace(-half, half, num)
+        # integer offsets times one step: x[::-1] == -x holds bit for bit, which linspace does not give
+        x_grid = (np.arange(num) - (num - 1) / 2) * (2 * half / max(num - 1, 1))
     x_grid = _outcome_grid(x_grid, "x1")
+    if not np.array_equal(x_grid[::-1], -x_grid):
+        pairs = pairs[:0]
     values = np.empty((len(settings), x_grid.size))
     form = _stacked_form(state)
-    if form is None:
-        for i, s in enumerate(settings):
-            values[i] = _tilde_from_characteristic(state, x_grid - s.delta[0], s)
-    else:
-        for i in range(0, len(U), _TILDE_CHUNK):
-            chunk = slice(i, i + _TILDE_CHUNK)
-            values[chunk] = form(state, x_grid - deltas[chunk, None], U[chunk])
+    evaluated = np.delete(np.arange(len(settings)), pairs[:, 1])
+    for start in range(0, evaluated.size, _TILDE_CHUNK):
+        rows = evaluated[start : start + _TILDE_CHUNK]
+        if form is None:
+            for i in rows:
+                values[i] = _tilde_from_characteristic(state, x_grid - deltas[i], settings[i])
+        else:
+            values[rows] = form(state, x_grid - deltas[rows, None], U[rows])
+        # the partners of this chunk's rows, while the rows are fresh
+        lo, hi = np.searchsorted(pairs[:, 0], (rows[0], rows[-1] + 1))
+        values[pairs[lo:hi, 1]] = values[pairs[lo:hi, 0], ::-1]
     # read-only and owning its memory: the constructor keeps this table, no copy
     values.flags.writeable = False
     tomo = TwoModeTomogram(settings, x_grid, values)
@@ -656,8 +713,7 @@ def reconstruct_two_mode(tomo: TwoModeTomogram, cfg: TwoModeConfig) -> Reconstru
         raise InvalidParameter(
             f"expected a TwoModeTomogram, got {type(tomo).__name__}: tabulate it with tabulate_tilde_tomogram"
         )
-    if not isinstance(cfg, TwoModeConfig):
-        raise InvalidParameter(f"expected a TwoModeConfig, got {type(cfg).__name__}")
+    _check_config_type(cfg, TwoModeConfig)
     U, deltas = _setting_rows(tomo.settings)
     grid, r0 = _hopf_layout(U)
     R, wR = PolarGrid(cfg.r_max, cfg.n_r).nodes(cfg.scale.z)
@@ -671,6 +727,8 @@ def reconstruct_two_mode(tomo: TwoModeTomogram, cfg: TwoModeConfig) -> Reconstru
 
 def partial_trace(rho: st.FockDensityMatrix, keep: int = 1) -> st.FockDensityMatrix:
     """Reduce a two-mode matrix to one mode (``keep`` = 1 or 2)."""
+    if not isinstance(rho, st.FockDensityMatrix):
+        raise InvalidParameter(f"partial trace needs a FockDensityMatrix, got {type(rho).__name__}")
     if rho.dims is None:
         raise InvalidParameter("partial trace needs a two-mode matrix with dims")
     d1, d2 = rho.dims

@@ -10,10 +10,12 @@ import re
 import shlex
 import time
 
+import numpy as np
 import pytest
 
 import symplectomo as sy
 from symplectomo import cli
+from symplectomo import states as st
 from symplectomo import io as tio
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -39,6 +41,20 @@ def test_readme_python_block_runs(index):
     with contextlib.redirect_stdout(io.StringIO()):
         exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
     assert time.monotonic() - started < 3.0
+
+
+def test_readme_two_mode_example_reconstructs_its_state():
+    # the example's Hopf grid resolves its dims: the estimate is the truncated cat, not just a trace-one matrix
+    block = next(b for b in BLOCKS if "reconstruct_two_mode" in b)
+    names = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(block, "README.md two-mode block", "exec"), names)
+    cat, rho = names["cat2"], names["rep2"].rho
+    d1, d2 = rho.dims
+    mode1 = [st.fock_coefficients(sy.Coherent(s * cat.A[0]), d1) for s in (1, -1)]
+    mode2 = [st.fock_coefficients(sy.Coherent(s * cat.A[1]), d2) for s in (1, -1)]
+    ket = np.kron(mode1[0], mode2[0]) + np.kron(mode1[1], mode2[1])
+    assert sy.trace_distance(rho, cat.norm_factor_squared * np.outer(ket, ket.conj())) <= 1e-3
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch):

@@ -129,6 +129,37 @@ WRONG_TYPES = {
     "homodyne r_cutoff None": (InvalidParameter, "r_cutoff", lambda tomo: reconstruct_homodyne(tomo, 4, r_cutoff=None)),
     "schedule r_max '8'": (InvalidParameter, "r_max", lambda tomo: sy.importance_schedule(4, r_max="8")),
     "schedule scale 1.0": (InvalidParameter, "scale", lambda tomo: sy.importance_schedule(4, scale=1.0)),
+    "tomogram config None": (
+        InvalidParameter,
+        "ReconstructionConfig",
+        lambda tomo: reconstruct_from_tomogram(tomo, None),
+    ),
+    "samples config None": (
+        InvalidParameter,
+        "ReconstructionConfig",
+        lambda tomo: reconstruct_from_samples([sy.SampleBatch(s, np.zeros(3), seed=0) for s in tomo.settings], None),
+    ),
+    "tomogram two-mode config": (
+        InvalidParameter,
+        "ReconstructionConfig",
+        lambda tomo: reconstruct_from_tomogram(tomo, sy.TwoModeConfig()),
+    ),
+    "setting of four numbers": (
+        InvalidParameter,
+        "setting",
+        lambda tomo: tabulate_tomogram(st.Vacuum(), [(1.0, 0.0, 0.0, 1)]),
+    ),
+    "two-mode setting tuple": (
+        InvalidParameter,
+        "TwoModeSetting",
+        lambda tomo: sy.twomode.tilde_marginal(st.GaussianTwoMode(np.eye(4) * 0.5), 0.0, (1.0, 0.0)),
+    ),
+    "partial trace of an array": (InvalidParameter, "FockDensityMatrix", lambda tomo: sy.partial_trace(np.eye(4))),
+    "two-mode x_grid 'a'": (
+        InvalidParameter,
+        "x1 grid",
+        lambda tomo: sy.twomode.tabulate_tilde_tomogram(st.GaussianTwoMode(np.eye(4) * 0.5), x_grid="a"),
+    ),
 }
 
 

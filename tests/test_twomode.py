@@ -603,3 +603,92 @@ def test_grid_readers_other_than_default_tabulation_build_no_settings(count_call
     tm.hopf_directions(4, 6)
     tm.reconstruct_two_mode(tomo, tm.TwoModeConfig(dims=(3, 3), n_r=24))
     assert built == [] and tm._hopf_settings.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# antipodal rows: w(x; -u, -delta) = w(-x; u, delta)
+# ---------------------------------------------------------------------------
+
+# nonzero means: no row of this state equals itself reversed, so a copy that is not reversed shows
+SHIFTED_GAUSS = st.GaussianTwoMode(random_covariance(np.random.default_rng(5)), means=np.array([0.3, -0.2, 0.5, 0.1]))
+ODD_CAT = st.TwoModeCat(np.array([1.0, 0.5j]) / np.sqrt(2), parity="minus")
+MIRROR_TOL = 1e-14  # of each row's maximum: a copied row is its partner's evaluated row reversed
+
+
+def _per_setting(state, tomo):
+    """Every row by ``tilde_marginal`` at the tomogram's x1, one setting at a time."""
+    return np.array([tm.tilde_marginal(state, tomo.x1 - s.delta[0], s) for s in tomo.settings])
+
+
+def _stacked(state, tomo):
+    """Every row by one stacked closed-form evaluation, with no rows copied."""
+    U, deltas = tm._setting_rows(tomo.settings)
+    return tm._stacked_form(state)(state, tomo.x1 - deltas[:, None], U)
+
+
+def _assert_rows_match(tomo, want):
+    assert np.all(np.abs(tomo.values - want) <= MIRROR_TOL * want.max(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize(
+    "state, sizes",
+    [(SHIFTED_GAUSS, (4, 6)), (EVEN_CAT, (4, 6)), (ODD_CAT, (2, 4))],
+    ids=["shifted-gauss", "even-cat", "odd-cat"],
+)
+def test_mirrored_default_tabulation_matches_per_setting_marginals(state, sizes):
+    n_t, n_psi = sizes
+    tomo = tm.tabulate_tilde_tomogram(state, num=201, n_t=n_t, n_psi=n_psi)
+    assert len(tm._hopf_grid(n_t, n_psi).pairs) == n_t * n_psi**2 // 2
+    want = _per_setting(state, tomo)
+    if state is SHIFTED_GAUSS:
+        assert np.all(np.max(np.abs(want - want[:, ::-1]), axis=1) > 1e-3 * want.max(axis=1))
+    _assert_rows_match(tomo, want)
+
+
+def test_explicit_antipodal_settings_are_mirrored():
+    rng = np.random.default_rng(11)
+    u1, u2, u3 = rng.normal(size=(3, 4))
+
+    def setting(u, delta1=0.0):
+        return tm.TwoModeSetting(mu=u[:2], nu=u[2:], delta=[delta1, 0.0])
+
+    # rows 0/2 and 1/4 are exact antipodes; row 5 negates row 3's direction but not its offset
+    settings = [setting(u1, 0.4), setting(u2), setting(-u1, -0.4), setting(u3, 0.2), setting(-u2), setting(-u3, 0.2)]
+    assert tm._antipodes(*tm._setting_rows(settings)).tolist() == [[0, 2], [1, 4]]
+    tomo = tm.tabulate_tilde_tomogram(SHIFTED_GAUSS, settings=settings, num=401)
+    _assert_rows_match(tomo, _per_setting(SHIFTED_GAUSS, tomo))
+
+
+@pytest.mark.parametrize("state", [SHIFTED_GAUSS, EVEN_CAT], ids=["shifted-gauss", "even-cat"])
+@pytest.mark.parametrize("case", ["odd n_psi", "linspace x1"])
+def test_tabulations_without_pairs_evaluate_every_row(state, case):
+    if case == "odd n_psi":
+        assert len(tm._hopf_grid(3, 5).pairs) == 0
+        tomo = tm.tabulate_tilde_tomogram(state, num=401, n_t=3, n_psi=5)
+    else:
+        x = np.linspace(-12.0, 12.0, 401)
+        assert not np.array_equal(x[::-1], -x)
+        tomo = tm.tabulate_tilde_tomogram(state, x_grid=x, n_t=4, n_psi=6)
+    assert np.array_equal(tomo.values, _stacked(state, tomo))
+
+
+@pytest.mark.parametrize("num", [401, 400])
+@pytest.mark.parametrize("state", [SHIFTED_GAUSS, EVEN_CAT], ids=["shifted-gauss", "even-cat"])
+def test_default_x1_is_exactly_mirror_symmetric(state, num):
+    x1 = tm.tabulate_tilde_tomogram(state, num=num, n_t=2, n_psi=4).x1
+    assert np.array_equal(x1[::-1], -x1)
+
+
+@pytest.mark.parametrize("sizes", [(1, 2), (3, 4), (12, 12)], ids=["1x2", "3x4", "12x12"])
+def test_hopf_directions_of_even_n_psi_are_exact_antipodes(sizes):
+    n_t, n_psi = sizes
+    half = n_psi // 2
+    dirs = tm.hopf_directions(n_t, n_psi)[0].reshape(n_t, n_psi, n_psi, 4)
+    # (t, psi1 + pi, psi2 + pi) against (t, psi1, psi2) for psi1 in the first half
+    assert np.array_equal(dirs[:, half:][:, :, np.r_[half:n_psi, :half]], -dirs[:, :half])
+
+
+def test_odd_cat_evaluates_one_row_per_antipodal_pair(count_calls):
+    calls = count_calls(tm, "_tilde_from_characteristic")
+    tomo = tm.tabulate_tilde_tomogram(ODD_CAT, num=201, n_t=3, n_psi=4)
+    assert len(tomo.settings) == 48 and len(calls) == 24
