@@ -31,7 +31,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .kernels import KernelScale, PolarGrid
-from .marginals import QuadratureSetting, circle_settings, tabulate_tomogram
+from .marginals import QuadratureSetting, _centred_grid, circle_settings, tabulate_tomogram
 from .measure_sim import (
     GENERATOR_NAME,
     HeterodyneSettingTwoMode,
@@ -208,9 +208,11 @@ def parse_scheme(spec: str):
 def parse_x_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise SpecError(f"x grid is lo:hi:n, got {spec!r}") from exc
+    # about its centre, so that -h:h:n is exactly mirror symmetric
+    return _centred_grid((lo + hi) / 2, (hi - lo) / 2, n)
 
 
 def parse_polar_grid(spec: str) -> PolarGrid:
@@ -365,7 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tomogram", help="tabulate marginal distributions to CSV")
     p.add_argument("--state", required=True, help="e.g. vacuum | cat:a=1,b=1 | thermal:lambda=0.5 | gauss2:M=diag:...")
     p.add_argument("--settings", required=True, help="circle:8 | mu,nu[,delta];... | hopf:nt:npsi")
-    p.add_argument("--x", default=None, help="x grid lo:hi:n (default: auto)")
+    p.add_argument(
+        "--x",
+        default=None,
+        help="x grid lo:hi:n, built about its centre (lo+hi)/2 in n-1 equal steps, so -h:h:n is exactly "
+        "mirror symmetric (default: auto)",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tomogram)
 

@@ -103,6 +103,15 @@ def _outcome_grid(x, name: str) -> np.ndarray:
     return x
 
 
+def _centred_grid(centre: float, half: float, num: int) -> np.ndarray:
+    """``num`` uniform points from ``centre - half`` to ``centre + half``.
+
+    Built as the centre plus integer offsets times one step, so a grid about
+    0 has ``x[::-1] == -x`` bit for bit, which ``np.linspace`` does not give.
+    """
+    return centre + (np.arange(num) - (num - 1) / 2) * (2 * half / max(num - 1, 1))
+
+
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     w = np.full(x.size, x[1] - x[0])
     w[0] *= 0.5

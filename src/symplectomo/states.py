@@ -494,6 +494,23 @@ class ProductState:
 TwoModeState = Union[GaussianTwoMode, TwoModeCat, ProductState]
 
 
+def _inversion_symmetric(state) -> bool:
+    """Whether ``W(-xi) = W(xi)``, so that every marginal is even: ``w(-x; u) = w(x; u)``.
+
+    By Royer's parity relation this holds for eigenstates of parity and
+    mixtures of them: two-mode cats of either parity, centred Gaussians and
+    products of vacuum, thermal or number modes.  Every other state is
+    reported as not symmetric, whether or not it happens to be.
+    """
+    if isinstance(state, TwoModeCat):
+        return True
+    if isinstance(state, GaussianTwoMode):
+        return not np.any(state.means)
+    if isinstance(state, ProductState):
+        return all(isinstance(mode, (Vacuum, Thermal, NumberState)) for mode in (state.mode1, state.mode2))
+    return False
+
+
 def _cross_wigner_two_mode(A: np.ndarray, B: np.ndarray, q: np.ndarray, p: np.ndarray):
     """Wigner transform of the two-mode dyad |A><B|; factorizes over modes."""
     return (

@@ -23,6 +23,14 @@ once per process and ``(n_t, n_psi)`` and shared by every tabulation and
 reconstruction on it; only a default tabulation also builds its directions as
 validated settings, once per grid.  At most 4 grids and 4 settings tuples are
 kept.
+
+Tabulation uses two exact symmetries on an x grid with ``x[::-1] == -x`` bit
+for bit.  Marginals are homogeneous, ``w(x; -u, -delta) = w(-x; u, delta)``,
+so a setting that is the exact negative of an earlier one gets that row
+reversed.  An inversion-symmetric state, ``W(-xi) = W(xi)`` (Royer's parity
+relation: two-mode cats, centred Gaussians, products of vacuum, thermal or
+number modes), has even marginals at zero offsets, so each of its rows is
+evaluated on ``x >= 0`` and mirrored.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from .errors import (
 from .kernels import KernelScale, PolarGrid, _scale_z, displacement_matrix
 from .marginals import (
     QuadratureSetting,
+    _centred_grid,
     _check_count,
     _density_table,
     _outcome_grid,
@@ -592,7 +601,13 @@ def tabulate_tilde_tomogram(
     ``x[::-1] == -x`` exactly, as the default one is, a row whose setting is
     the exact negative of an earlier one is that row reversed, and is copied
     rather than evaluated.  The default grid's directions come in exact
-    antipodal pairs for even ``n_psi``, so half its rows are copies.
+    antipodal pairs for even ``n_psi``, so half its rows are copies.  On such
+    a grid, when every offset ``delta`` is zero and the state is inversion
+    symmetric (a two-mode cat of either parity, a Gaussian with zero
+    ``means``, or a product of vacuum, thermal or number modes), every row is
+    even, ``w(-x; u) = w(x; u)``: it is evaluated on ``x[n // 2:]`` of the
+    ``n`` points and its ``x < 0`` half is that part reversed.  Every other state is evaluated
+    over the whole grid.
     ``reconstruct_two_mode`` needs the settings of a Hopf grid, in its order,
     on a common radius; other settings tabulate but do not reconstruct.  The
     default grid and its settings are built once per process and
@@ -611,22 +626,26 @@ def tabulate_tilde_tomogram(
         U, deltas = _setting_rows(settings)
         pairs = _antipodes(U, deltas)
     if x_grid is None:
-        half = float(np.max(_half_widths(state, U) + np.abs(deltas)))
-        # integer offsets times one step: x[::-1] == -x holds bit for bit, which linspace does not give
-        x_grid = (np.arange(num) - (num - 1) / 2) * (2 * half / max(num - 1, 1))
+        x_grid = _centred_grid(0.0, float(np.max(_half_widths(state, U) + np.abs(deltas))), num)
     x_grid = _outcome_grid(x_grid, "x1")
-    if not np.array_equal(x_grid[::-1], -x_grid):
+    n_x = x_grid.size
+    mirrored = np.array_equal(x_grid[::-1], -x_grid)
+    if not mirrored:
         pairs = pairs[:0]
-    values = np.empty((len(settings), x_grid.size))
+    # even rows, w(-x; u) = w(x; u): evaluate x[h:] and fill x[:h] with it reversed
+    h = n_x // 2 if mirrored and not np.any(deltas) and st._inversion_symmetric(state) else 0
+    x_eval = x_grid[h:]
+    values = np.empty((len(settings), n_x))
     form = _stacked_form(state)
     evaluated = np.delete(np.arange(len(settings)), pairs[:, 1])
     for start in range(0, evaluated.size, _TILDE_CHUNK):
         rows = evaluated[start : start + _TILDE_CHUNK]
         if form is None:
             for i in rows:
-                values[i] = _tilde_from_characteristic(state, x_grid - deltas[i], settings[i])
+                values[i, h:] = _tilde_from_characteristic(state, x_eval - deltas[i], settings[i])
         else:
-            values[rows] = form(state, x_grid - deltas[rows, None], U[rows])
+            values[rows, h:] = form(state, x_eval - deltas[rows, None], U[rows])
+        values[rows, :h] = values[rows, n_x - h :][:, ::-1]
         # the partners of this chunk's rows, while the rows are fresh
         lo, hi = np.searchsorted(pairs[:, 0], (rows[0], rows[-1] + 1))
         values[pairs[lo:hi, 1]] = values[pairs[lo:hi, 0], ::-1]

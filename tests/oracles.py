@@ -6,7 +6,8 @@ element-by-element displacement table, the one-shot Wigner line integral,
 the dense per-angle one-mode polar assembly, the weighted-copy and
 complex-phase row Fourier transforms, the broadcast Wigner inversion,
 the per-batch campaign estimator, the per-setting two-mode closed-form
-marginals and their 3-d Wigner reduction, the per-direction two-mode einsum
+marginals and their 3-d Wigner reduction, the two-mode tabulation loop that
+evaluates every row over its whole x grid, the per-direction two-mode einsum
 loops and per-radius GEMM, the vector-kernel reconstruction with a fixed
 second row, the 4001-node trapezoid homodyne estimator and kernel element,
 the line-by-line CSV writers and readers (and writers of the long
@@ -39,7 +40,17 @@ from symplectomo.reconstruct import (
     _empirical_characteristic,
     _finish,
 )
-from symplectomo.twomode import TwoModeSetting, TwoModeTomogram, characteristic_two_mode, hopf_directions
+from symplectomo.twomode import (
+    _TILDE_CHUNK,
+    TwoModeSetting,
+    TwoModeTomogram,
+    _antipodes,
+    _setting_rows,
+    _stacked_form,
+    _tilde_from_characteristic,
+    characteristic_two_mode,
+    hopf_directions,
+)
 
 
 def _displacement_element_series(m: int, n: int, zeta: complex) -> complex:
@@ -312,6 +323,31 @@ def tilde_rows_loop(state, x1, settings) -> np.ndarray:
     """Tilde-marginal table over ``x1 - delta1``, one closed-form call per setting."""
     one = tilde_gaussian_loop if isinstance(state, st.GaussianTwoMode) else tilde_cat_loop
     return np.array([one(state, x1 - s.delta[0], s) for s in settings])
+
+
+def tilde_table_full_rows(state, settings, x1) -> np.ndarray:
+    """Tilde table with each evaluated row taken over all of ``x1``.
+
+    The chunk loop of ``tabulate_tilde_tomogram`` without its mirror of even
+    rows: the stacked closed form, 32 settings at a time, or the
+    characteristic path one setting at a time, with every exactly antipodal
+    row copied reversed on an exactly mirror-symmetric ``x1``.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    U, deltas = _setting_rows(settings)
+    pairs = _antipodes(U, deltas) if np.array_equal(x1[::-1], -x1) else np.empty((0, 2), dtype=np.intp)
+    form = _stacked_form(state)
+    values = np.empty((len(settings), x1.size))
+    evaluated = np.delete(np.arange(len(settings)), pairs[:, 1])
+    for start in range(0, evaluated.size, _TILDE_CHUNK):
+        rows = evaluated[start : start + _TILDE_CHUNK]
+        if form is None:
+            for i in rows:
+                values[i] = _tilde_from_characteristic(state, x1 - deltas[i], settings[i])
+        else:
+            values[rows] = form(state, x1 - deltas[rows, None], U[rows])
+    values[pairs[:, 1]] = values[pairs[:, 0], ::-1]
+    return values
 
 
 # ---------------------------------------------------------------------------

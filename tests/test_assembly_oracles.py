@@ -108,10 +108,10 @@ def test_default_hopf_tabulation_matches_per_setting_loop(state):
 
 def test_two_mode_assembler_matches_loop_on_tomogram():
     state = st.TwoModeCat(np.array([1.0, 0.5j]) / np.sqrt(2))
-    tomo = tm.tabulate_tilde_tomogram(state, num=601, n_t=6, n_psi=6)
+    tomo = tm.tabulate_tilde_tomogram(state, num=601, n_t=6, n_psi=10)  # n_psi >= 2 max(dims) resolves it
     cfg = tm.TwoModeConfig(dims=(4, 3), n_r=24)
     got = tm.reconstruct_two_mode(tomo, cfg).rho.entries
-    weights = tm.hopf_directions(6, 6)[1]
+    weights = tm.hopf_directions(6, 10)[1]
     assert np.max(np.abs(got - _hermitized(two_mode_tomogram_loop(tomo, weights, cfg)))) <= 1e-10
 
 
@@ -152,8 +152,8 @@ def test_hopf_assembler_matches_gemm(dims, z):
 
 
 def _scaled_hopf_tomogram():
-    """A cat tomogram on the hopf(6, 8) grid of radius 1.7 with per-setting offsets delta."""
-    dirs = tm.hopf_directions(6, 8)[0]
+    """A cat tomogram on the hopf(6, 12) grid of radius 1.7 with per-setting offsets delta."""
+    dirs = tm.hopf_directions(6, 12)[0]
     deltas = np.random.default_rng(5).uniform(-0.5, 0.5, len(dirs))
     settings = [tm.TwoModeSetting(1.7 * d[:2], 1.7 * d[2:], delta=[dl, 0.0]) for d, dl in zip(dirs, deltas)]
     return tm.tabulate_tilde_tomogram(st.TwoModeCat(np.array([0.8, 0.4j])), settings=settings, num=801)
@@ -163,7 +163,7 @@ def test_hopf_reconstruction_matches_gemm_on_scaled_sphere_with_offsets():
     tomo = _scaled_hopf_tomogram()
     cfg = tm.TwoModeConfig(scale=KernelScale(-1.3), dims=(5, 4), n_r=32)
     got = tm.reconstruct_two_mode(tomo, cfg).rho.entries
-    dirs, weights = tm.hopf_directions(6, 8)
+    dirs, weights = tm.hopf_directions(6, 12)
     deltas = np.array([s.delta[0] for s in tomo.settings])
     R, wR = PolarGrid(cfg.r_max, cfg.n_r).nodes(cfg.scale.z)
     chi = _row_fourier(tomo.values, tomo.x1, deltas, -1.3 * R / 1.7)

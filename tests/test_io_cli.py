@@ -8,7 +8,8 @@ import symplectomo.io as tio
 from symplectomo import cli
 from symplectomo import states as st
 from symplectomo.errors import InvalidParameter
-from symplectomo.marginals import QuadratureSetting, circle_settings, tabulate_tomogram
+from symplectomo import twomode as tm
+from symplectomo.marginals import QuadratureSetting, _outcome_grid, circle_settings, tabulate_tomogram
 from symplectomo.measure_sim import importance_schedule, sample_campaign, sample_marginal
 from symplectomo.twomode import TwoModeSetting, hopf_directions, tabulate_tilde_tomogram
 
@@ -193,6 +194,38 @@ def test_cli_grid_too_narrow_exit_code(tmp_path):
         ["tomogram", "--state", "thermal:lambda=0.3", "--settings", "1,0", "--x", "-1:1:101", "--out", str(tmp_path / "x.csv")]
     )
     assert rc == 3
+
+
+def test_cli_reconstruct_refuses_an_unresolved_record(tmp_path, capsys):
+    # 16 settings do not resolve a cat at dim 40: the raw estimate's least eigenvalue is -0.33
+    tomo_path = tmp_path / "cat.csv"
+    assert cli.main(["tomogram", "--state", "cat:a=1,b=1", "--settings", "circle:16", "--out", str(tomo_path)]) == 0
+    rc = cli.main(["reconstruct", "--input", str(tomo_path), "--dim", "40", "--out", str(tmp_path / "rho.json")])
+    err = capsys.readouterr().err
+    assert rc == 3 and "eigenvalue" in err and "Traceback" not in err
+    assert not (tmp_path / "rho.json").exists()
+
+
+@pytest.mark.parametrize("n", [301, 1201])
+def test_cli_x_grid_about_zero_is_exactly_mirror_symmetric(n):
+    for half in np.random.default_rng(3).uniform(1.0, 30.0, 200):
+        x = cli.parse_x_grid(f"{-float(half)!r}:{float(half)!r}:{n}")
+        assert x.size == n and np.array_equal(x[::-1], -x)
+
+
+@pytest.mark.parametrize("spec", ["-2.5:7.25:401", "0.1:0.7:13", "3:1e3:1201"])
+def test_cli_asymmetric_x_grid_spans_lo_to_hi(spec):
+    lo, hi, n = (float(v) for v in spec.split(":"))
+    x = _outcome_grid(cli.parse_x_grid(spec), "x")
+    assert x.size == n and abs(x[0] - lo) <= 1e-12 * max(1.0, abs(lo)) and abs(x[-1] - hi) <= 1e-12 * max(1.0, abs(hi))
+
+
+def test_cli_two_mode_tomogram_on_a_symmetric_x_grid_evaluates_half_rows(tmp_path, count_calls):
+    # even cat rows on -9:9:301: one row of each antipodal pair, on x >= 0 only
+    calls = count_calls(tm, "_cat_rows")
+    argv = ["tomogram", "--state", "cat2:q1=1,p1=0,q2=0.5,p2=0", "--settings", "hopf:2:4", "--x", "-9:9:301"]
+    assert cli.main(argv + ["--out", str(tmp_path / "c2.csv")]) == 0
+    assert sum(len(U) for _, _, U in calls) == 16 and {x.shape[1] for _, x, _ in calls} == {151}
 
 
 def test_cli_sample_deterministic(tmp_path):

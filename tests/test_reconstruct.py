@@ -14,6 +14,7 @@ from symplectomo.errors import (
 from symplectomo.kernels import KernelScale, HomodyneSetting, kernel_homodyne_number
 from symplectomo.marginals import QuadratureSetting, Tomogram, circle_settings, tabulate_tomogram
 from symplectomo.reconstruct import (
+    PROJECTIONS,
     PolarGrid,
     ReconstructionConfig,
     fidelity,
@@ -92,6 +93,21 @@ def test_grid_underresolved_raises():
     tomo = Tomogram(tuple(settings), x, rows)
     with pytest.raises(GridUnderresolved):
         reconstruct_from_tomogram(tomo, ReconstructionConfig(dim=4))
+
+
+@pytest.mark.parametrize(
+    "state, n_settings, dim",
+    [(st.EvenCat(3.0, 3.0), 256, 80), (st.EvenCat(1.0, 1.0), 16, 40)],
+    ids=["cat-dim80", "16-settings-dim40"],
+)
+@pytest.mark.parametrize("projection", PROJECTIONS)
+def test_unresolved_record_with_a_good_trace_raises(state, n_settings, dim, projection):
+    # the raw trace is right to 1e-3, but the raw estimate is far from a state
+    # (trace distance 0.80 and 2.6 to the truth); the bound is read on the raw
+    # estimate, so the clip projection, whose output is a state, is refused too
+    tomo = tabulate_tomogram(state, circle_settings(n_settings), num=1201)
+    with pytest.raises(GridUnderresolved, match="eigenvalue"):
+        reconstruct_from_tomogram(tomo, ReconstructionConfig(dim=dim, projection=projection))
 
 
 BAD_CONFIGS = {
@@ -482,7 +498,7 @@ def test_cat_z_invariance_and_exact_match():
 
 
 def test_clip_projection_is_trace_preserving():
-    tomo = tabulate_tomogram(st.EvenCat(1.0, 1.0), circle_settings(8), num=1201)
+    tomo = tabulate_tomogram(st.EvenCat(1.0, 1.0), circle_settings(32), num=1201)
     rep = reconstruct_from_tomogram(tomo, ReconstructionConfig(dim=12, projection="clip"))
     assert abs(rep.rho.trace() - 1.0) < 1e-12
     assert rep.rho.min_eigenvalue() >= -1e-12

@@ -18,7 +18,7 @@ from symplectomo.kernels import KernelScale, kernel_number
 from symplectomo.marginals import QuadratureSetting, marginal_numeric
 
 from conftest import dense_ladder
-from oracles import reconstruct_two_mode_vector, tilde_marginal_numeric, vector_marginal_numeric
+from oracles import reconstruct_two_mode_vector, tilde_marginal_numeric, tilde_table_full_rows, vector_marginal_numeric
 
 
 def random_covariance(rng, lo=0.4, hi=1.6):
@@ -440,7 +440,7 @@ def test_reconstruct_two_mode_gaussian_vector_tomogram():
 def test_reconstruct_two_mode_cat_partial_trace():
     A = np.array([1.0 + 0j, 0.0 + 0j])
     state = st.TwoModeCat(A, parity="plus")
-    tomo = tm.tabulate_tilde_tomogram(state, n_t=10, n_psi=12)
+    tomo = tm.tabulate_tilde_tomogram(state, n_t=10, n_psi=16)  # n_psi >= 2 max(dims) resolves it
     rep = tm.reconstruct_two_mode(tomo, tm.TwoModeConfig(dims=(8, 3), n_r=48))
     reduced = tm.partial_trace(rep.rho, keep=1)
     # expected reduced state: one-mode antipodal cat |1> + |-1>
@@ -449,6 +449,13 @@ def test_reconstruct_two_mode_cat_partial_trace():
     n2 = np.exp(1.0) / (4 * np.cosh(1.0))
     target = n2 * (np.outer(v, v.conj()) + np.outer(v, w.conj()) + np.outer(w, v.conj()) + np.outer(w, w.conj()))
     assert sy.fidelity(reduced, target) >= 0.98
+
+
+def test_unresolved_two_mode_record_raises():
+    # 12 angles resolve orders up to 6 per mode, not dims 12: trace distance 0.27 to the truth
+    tomo = tm.tabulate_tilde_tomogram(st.TwoModeCat(np.array([1.0, 0.5]) / np.sqrt(2)), n_t=12, n_psi=12)
+    with pytest.raises(GridUnderresolved, match="eigenvalue"):
+        tm.reconstruct_two_mode(tomo, tm.TwoModeConfig(dims=(12, 12)))
 
 
 def test_reconstruct_two_mode_vector_kernel_z2_invariance():
@@ -692,3 +699,69 @@ def test_odd_cat_evaluates_one_row_per_antipodal_pair(count_calls):
     calls = count_calls(tm, "_tilde_from_characteristic")
     tomo = tm.tabulate_tilde_tomogram(ODD_CAT, num=201, n_t=3, n_psi=4)
     assert len(tomo.settings) == 48 and len(calls) == 24
+
+
+# ---------------------------------------------------------------------------
+# even rows: w(-x; u) = w(x; u) for inversion-symmetric states
+# ---------------------------------------------------------------------------
+
+CENTRED_GAUSS = st.GaussianTwoMode(SHIFTED_GAUSS.M)
+THERMAL_NUMBER = st.ProductState(st.Thermal(0.6), st.NumberState(1))
+COHERENT_VACUUM = st.ProductState(st.Coherent(0.8 + 0.3j), st.Vacuum())
+
+
+def test_inversion_symmetric_states():
+    symmetric = [EVEN_CAT, ODD_CAT, CENTRED_GAUSS, GAUSS, THERMAL_NUMBER, st.ProductState(st.Vacuum(), st.NumberState(3))]
+    others = [SHIFTED_GAUSS, COHERENT_VACUUM, st.ProductState(st.EvenCat(1.0, 1.0), st.Vacuum()), st.Vacuum()]
+    assert all(st._inversion_symmetric(s) for s in symmetric)
+    assert not any(st._inversion_symmetric(s) for s in others)
+
+
+@pytest.mark.parametrize("sizes", [(12, 12), (6, 8), (5, 5)], ids=["12x12", "6x8", "5x5"])
+@pytest.mark.parametrize("state", [CENTRED_GAUSS, EVEN_CAT], ids=["centred-gauss", "even-cat"])
+def test_even_closed_form_rows_are_mirrored_bit_for_bit(state, sizes):
+    tomo = tm.tabulate_tilde_tomogram(state, n_t=sizes[0], n_psi=sizes[1])
+    assert np.array_equal(tomo.values, tilde_table_full_rows(state, tomo.settings, tomo.x1))
+
+
+@pytest.mark.parametrize("state", [ODD_CAT, THERMAL_NUMBER], ids=["odd-cat", "thermal-number1"])
+def test_even_characteristic_rows_are_mirrored(state, count_calls):
+    calls = count_calls(tm, "_tilde_from_characteristic")
+    tomo = tm.tabulate_tilde_tomogram(state, num=201, n_t=2, n_psi=4)
+    assert len(calls) == 16 and {x.size for _, x, _ in calls} == {101}
+    want = tilde_table_full_rows(state, tomo.settings, tomo.x1)
+    assert np.array_equal(tomo.values, want) or np.all(
+        np.abs(tomo.values - want) <= MIRROR_TOL * want.max(axis=1, keepdims=True)
+    )
+
+
+def test_even_cat_rows_take_half_the_x_grid_per_chunk(count_calls):
+    calls = count_calls(tm, "_cat_rows")
+    num = 1201
+    tm.tabulate_tilde_tomogram(EVEN_CAT, num=num, n_t=12, n_psi=12)
+    assert sum(len(U) for _, _, U in calls) == 864 and {x.shape[1] for _, x, _ in calls} == {num // 2 + 1}
+
+
+def _hopf_settings_with_offsets(n_t, n_psi):
+    dirs = tm.hopf_directions(n_t, n_psi)[0]
+    deltas = np.random.default_rng(7).uniform(-0.5, 0.5, len(dirs))
+    return [tm.TwoModeSetting(d[:2], d[2:], delta=[dl, 0.0]) for d, dl in zip(dirs, deltas)]
+
+
+NOT_MIRRORED = {
+    "shifted-gauss": (SHIFTED_GAUSS, {"n_t": 4, "n_psi": 6}),
+    "coherent-vacuum": (COHERENT_VACUUM, {"n_t": 1, "n_psi": 2}),
+    "nonzero-delta": (EVEN_CAT, {"settings": _hopf_settings_with_offsets(2, 4)}),
+    "linspace-x1": (EVEN_CAT, {"x_grid": np.linspace(-12.0, 12.0, 401), "n_t": 2, "n_psi": 4}),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_MIRRORED))
+def test_rows_that_may_be_uneven_are_evaluated_in_full(case, count_calls):
+    state, kwargs = NOT_MIRRORED[case]
+    num = kwargs.get("x_grid", np.empty(301)).size
+    evaluate = "_tilde_from_characteristic" if tm._stacked_form(state) is None else tm._stacked_form(state).__name__
+    calls = count_calls(tm, evaluate)
+    tomo = tm.tabulate_tilde_tomogram(state, num=num, **kwargs)
+    assert calls and {np.shape(args[1])[-1] for args in calls} == {num}
+    _assert_rows_match(tomo, _per_setting(state, tomo))
