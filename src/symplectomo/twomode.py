@@ -628,24 +628,23 @@ def tabulate_tilde_tomogram(
     if x_grid is None:
         x_grid = _centred_grid(0.0, float(np.max(_half_widths(state, U) + np.abs(deltas))), num)
     x_grid = _outcome_grid(x_grid, "x1")
-    n_x = x_grid.size
     mirrored = np.array_equal(x_grid[::-1], -x_grid)
     if not mirrored:
         pairs = pairs[:0]
     # even rows, w(-x; u) = w(x; u): evaluate x[h:] and fill x[:h] with it reversed
-    h = n_x // 2 if mirrored and not np.any(deltas) and st._inversion_symmetric(state) else 0
+    h = x_grid.size // 2 if mirrored and not np.any(deltas) and st._inversion_symmetric(state) else 0
     x_eval = x_grid[h:]
-    values = np.empty((len(settings), n_x))
+    values = np.empty((len(settings), x_grid.size))
     form = _stacked_form(state)
     evaluated = np.delete(np.arange(len(settings)), pairs[:, 1])
     for start in range(0, evaluated.size, _TILDE_CHUNK):
         rows = evaluated[start : start + _TILDE_CHUNK]
         if form is None:
-            for i in rows:
-                values[i, h:] = _tilde_from_characteristic(state, x_eval - deltas[i], settings[i])
+            part = np.array([_tilde_from_characteristic(state, x_eval - deltas[i], settings[i]) for i in rows])
         else:
-            values[rows, h:] = form(state, x_eval - deltas[rows, None], U[rows])
-        values[rows, :h] = values[rows, n_x - h :][:, ::-1]
+            part = form(state, x_eval - deltas[rows, None], U[rows])
+        values[rows, h:] = part
+        values[rows, :h] = part[:, ::-1][:, :h]
         # the partners of this chunk's rows, while the rows are fresh
         lo, hi = np.searchsorted(pairs[:, 0], (rows[0], rows[-1] + 1))
         values[pairs[lo:hi, 1]] = values[pairs[lo:hi, 0], ::-1]
