@@ -7,8 +7,8 @@ import symplectomo as sy
 import symplectomo.io as tio
 from symplectomo import cli
 from symplectomo import states as st
-from symplectomo.errors import InvalidParameter
 from symplectomo import twomode as tm
+from symplectomo.errors import InvalidParameter
 from symplectomo.marginals import QuadratureSetting, _outcome_grid, circle_settings, tabulate_tomogram
 from symplectomo.measure_sim import importance_schedule, sample_campaign, sample_marginal
 from symplectomo.twomode import TwoModeSetting, hopf_directions, tabulate_tilde_tomogram
