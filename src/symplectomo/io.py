@@ -3,7 +3,9 @@
 All CSVs are UTF-8 with LF line endings and 17-significant-digit floats, so a
 written file round-trips bit-exactly through ``float``.  A tomogram file holds
 one line per setting over an outcome grid written once; a sample file holds
-one line per batch.
+one line per batch.  Each distinct row is formatted once: a row of equal
+bytes, forward or reversed, reuses its text, so a file's bytes are those of
+formatting every row.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
-# the same round-trip format, which the writers apply to a whole line at once
+# the same round-trip format, which the writers apply to a whole row at once
 _FLOAT = "%.17g"
 
 
@@ -85,10 +87,57 @@ def _read_header(fh, path, *headers: str) -> str:
     return header
 
 
+def _row_text(row) -> str:
+    """The cells of one row of values, the only place the writers format a row."""
+    return ",".join([_FLOAT] * row.size) % tuple(row.tolist())
+
+
+def _repeats(rows) -> tuple[list[int], list[bool]]:
+    """Per row, the first row of equal bytes, read forward (``False``) or reversed (``True``).
+
+    Each row's bytes are hashed, and every candidate of equal hash is
+    confirmed byte for byte, so ``-0.0`` and ``0.0`` stay apart.  A row with
+    no earlier equal is its own source.  Only hashes are kept, never bytes.
+    """
+    distinct: dict[int, list[int]] = {}  # hash of a source's bytes -> the sources with it
+
+    def earlier(data: bytes):
+        return next((j for j in distinct.get(hash(data), ()) if rows[j].tobytes() == data), None)
+
+    source, flips = [], []
+    for i, row in enumerate(rows):
+        forward = row.tobytes()
+        j, flip = earlier(forward), False
+        if j is None:
+            j, flip = earlier(row[::-1].tobytes()), True
+        if j is None:
+            distinct.setdefault(hash(forward), []).append(i)
+            j, flip = i, False
+        source.append(j)
+        flips.append(flip)
+    return source, flips
+
+
 def _write_body(fh, keys, rows) -> None:
-    """One line per entry: its key cells, then its row of values."""
-    for key, row in zip(keys, rows):
-        fh.write(",".join([_FLOAT] * (len(key) + row.size)) % (*key, *row.tolist()) + "\n")
+    """One line per entry: its key cells, then its row of values.
+
+    Each distinct row is formatted once.  A row whose bytes equal an earlier
+    row's, read forward or reversed, reuses that row's text, its cells in
+    reverse order for a reversed match, so the bytes are those of formatting
+    every row.  A text is dropped after its last copy is written, so only the
+    rows still to be copied are held.
+    """
+    rows = list(rows)
+    source, flips = _repeats(rows)
+    last = {j: i for i, j in enumerate(source)}
+    texts: dict[int, str] = {}
+    for i, (key, j, flip) in enumerate(zip(keys, source, flips)):
+        text = texts.pop(j) if j in texts else _row_text(rows[j])
+        if last[j] > i:
+            texts[j] = text
+        if flip:
+            text = ",".join(text.split(",")[::-1])
+        fh.write((_FLOAT + ",") * len(key) % tuple(key) + text + "\n")
 
 
 def _write_tomogram(path, header: str, grids, keys, rows) -> None:

@@ -78,10 +78,17 @@ class QuadratureSetting:
 
 
 def circle_settings(n: int, radius: float = 1.0, delta: float = 0.0) -> list[QuadratureSetting]:
-    """``n`` settings uniformly spaced on the circle ``mu^2 + nu^2 = radius^2``."""
+    """``n`` settings uniformly spaced on the circle ``mu^2 + nu^2 = radius^2``.
+
+    For even ``n`` the setting at angle ``phi + pi`` has the exact negatives
+    of the ``mu`` and ``nu`` at ``phi``: the second half of the circle is the
+    first half negated, as on a Hopf grid of even ``n_psi``.
+    """
     n = _check_count(n, 1, "the number of settings")
     phis = 2 * np.pi * np.arange(n) / n
-    return [QuadratureSetting(radius * np.cos(p), radius * np.sin(p), delta) for p in phis]
+    half = n // 2 if n % 2 == 0 else n
+    first = [QuadratureSetting(radius * np.cos(p), radius * np.sin(p), delta) for p in phis[:half]]
+    return first + [s.negated() for s in first[: n - half]]
 
 
 def _outcome_grid(x, name: str) -> np.ndarray:
@@ -110,6 +117,30 @@ def _centred_grid(centre: float, half: float, num: int) -> np.ndarray:
     0 has ``x[::-1] == -x`` bit for bit, which ``np.linspace`` does not give.
     """
     return centre + (np.arange(num) - (num - 1) / 2) * (2 * half / max(num - 1, 1))
+
+
+def _antipodes(U: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """The ``(m, 2)`` pairs ``(i, j)`` of rows with ``(U[j], deltas[j]) == -(U[i], deltas[i])``, sorted by ``i``.
+
+    Rows are compared exactly, zeros of either sign alike.  ``i`` is the
+    first row of its value and comes before every row of the negated value;
+    each such later row ``j`` is paired with it.  No row is both an ``i`` and
+    a ``j``, and rows without an exact partner are in no pair.
+    """
+    n = len(U)
+    rows = np.column_stack([U, deltas])
+    both = np.concatenate([rows, -rows])
+    order = np.lexsort(both.T)
+    ranked = both[order]
+    # value[k]: one label per distinct row value among the rows and their negatives
+    value = np.empty(2 * n, dtype=np.intp)
+    value[order] = np.concatenate([[0], np.cumsum(np.any(ranked[1:] != ranked[:-1], axis=1))])
+    first = np.full(value[order[-1]] + 1, n)
+    np.minimum.at(first, value[:n], np.arange(n))
+    source = first[value[n:]]  # the first row equal to -row j, or n if there is none
+    mirror = np.flatnonzero(source < first[value[:n]])
+    pairs = np.column_stack([source[mirror], mirror])
+    return pairs[np.argsort(pairs[:, 0], kind="stable")]
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -292,10 +323,10 @@ def _half_width(state, setting: QuadratureSetting) -> float:
 
 
 def default_x_grid(state, setting: QuadratureSetting, num: int = 1201) -> np.ndarray:
-    """Uniform centered grid covering 8 standard deviations plus displacements."""
+    """Uniform centered grid covering 8 standard deviations plus displacements,
+    with ``x[::-1] == -x`` exactly (see ``_centred_grid``)."""
     num = _check_count(num, 2, "num")
-    half = _half_width(state, _as_setting(setting))
-    return np.linspace(-half, half, num)
+    return _centred_grid(0.0, _half_width(state, _as_setting(setting)), num)
 
 
 def _marginal_any(state, x, setting: QuadratureSetting):
@@ -324,23 +355,33 @@ def tabulate_tomogram(state, settings, x_grid: np.ndarray | None = None, num: in
     Prefers the closed forms, falling back to the Wigner line integral.  Each
     distinct row is evaluated once, on the first setting that has it: every
     phase of one radius and shift shares the row of a vacuum, thermal or
-    number state.  The per-setting normalization is validated; a deficit
-    above ``1e-3`` raises ``GridTooNarrow``.
+    number state.  Marginals are homogeneous, ``w(x; -mu, -nu, -delta) =
+    w(-x; mu, nu, delta)``: on an x grid with ``x[::-1] == -x`` exactly, as
+    the default one is, a row whose setting is the exact negative of an
+    earlier one is that row reversed, and is copied rather than evaluated.
+    ``circle_settings`` of even ``n`` at zero ``delta`` is such a record, so
+    half its rows are copies.  The per-setting normalization is validated; a
+    deficit above ``1e-3`` raises ``GridTooNarrow``.
     """
     settings = [_as_setting(s) for s in settings]
     if not settings:
         raise InvalidParameter("need at least one setting")
     num = _check_count(num, 2, "num")
     if x_grid is None:
-        half = max(_half_width(state, s) + abs(s.delta) for s in settings)
-        x_grid = np.linspace(-half, half, num)
+        x_grid = _centred_grid(0.0, max(_half_width(state, s) + abs(s.delta) for s in settings), num)
     x_grid = _outcome_grid(x_grid, "x")
+    mirror = {}  # a row -> the earlier row whose setting is its exact negative
+    if np.array_equal(x_grid[::-1], -x_grid):
+        keys = np.array([(s.mu, s.nu, s.delta) for s in settings])
+        mirror = {j: i for i, j in _antipodes(keys[:, :2], keys[:, 2]).tolist()}
     values = np.empty((len(settings), x_grid.size))
     first = {}
     for i, s in enumerate(settings):
         key = (_marginal_key(state, s), s.delta)
         if key in first:
             values[i] = values[first[key]]
+        elif i in mirror:
+            values[i] = values[mirror[i], ::-1]
         else:
             first[key] = i
             values[i] = _marginal_any(state, x_grid - s.delta, s)

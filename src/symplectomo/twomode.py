@@ -54,6 +54,7 @@ from .errors import (
 from .kernels import KernelScale, PolarGrid, _scale_z, displacement_matrix
 from .marginals import (
     QuadratureSetting,
+    _antipodes,
     _centred_grid,
     _check_count,
     _density_table,
@@ -558,30 +559,6 @@ def _half_width(state, setting: TwoModeSetting) -> float:
 
 
 _TILDE_CHUNK = 32  # settings per stacked evaluation; no full table is held beside the tomogram's
-
-
-def _antipodes(U: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """The ``(m, 2)`` pairs ``(i, j)`` of rows with ``(U[j], deltas[j]) == -(U[i], deltas[i])``, sorted by ``i``.
-
-    Rows are compared exactly, zeros of either sign alike.  ``i`` is the
-    first row of its value and comes before every row of the negated value;
-    each such later row ``j`` is paired with it.  No row is both an ``i`` and
-    a ``j``, and rows without an exact partner are in no pair.
-    """
-    n = len(U)
-    rows = np.column_stack([U, deltas])
-    both = np.concatenate([rows, -rows])
-    order = np.lexsort(both.T)
-    ranked = both[order]
-    # value[k]: one label per distinct row value among the rows and their negatives
-    value = np.empty(2 * n, dtype=np.intp)
-    value[order] = np.concatenate([[0], np.cumsum(np.any(ranked[1:] != ranked[:-1], axis=1))])
-    first = np.full(value[order[-1]] + 1, n)
-    np.minimum.at(first, value[:n], np.arange(n))
-    source = first[value[n:]]  # the first row equal to -row j, or n if there is none
-    mirror = np.flatnonzero(source < first[value[:n]])
-    pairs = np.column_stack([source[mirror], mirror])
-    return pairs[np.argsort(pairs[:, 0], kind="stable")]
 
 
 def tabulate_tilde_tomogram(

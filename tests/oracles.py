@@ -1,17 +1,18 @@
 """Slow reference paths that the library's fast paths are tested against.
 
 Each function is the direct, unfactorised form of a computation the library
-performs faster: the explicit displacement-element series, the
-element-by-element displacement table, the one-shot Wigner line integral,
-the dense per-angle one-mode polar assembly, the weighted-copy and
-complex-phase row Fourier transforms, the broadcast Wigner inversion,
-the per-batch campaign estimator, the per-setting two-mode closed-form
-marginals and their 3-d Wigner reduction, the two-mode tabulation loop that
-evaluates every row over its whole x grid, the per-direction two-mode einsum
-loops and per-radius GEMM, the vector-kernel reconstruction with a fixed
-second row, the 4001-node trapezoid homodyne estimator and kernel element,
-the line-by-line CSV writers and readers (and writers of the long
-tomogram and sample layouts, which the library refuses), and the two-mode
+performs faster: circle settings each from its own angle, the explicit
+displacement-element series, the element-by-element displacement table, the
+one-shot Wigner line integral, the dense per-angle one-mode polar assembly,
+the weighted-copy and complex-phase row Fourier transforms, the broadcast
+Wigner inversion, the per-batch campaign estimator, the per-setting two-mode
+closed-form marginals and their 3-d Wigner reduction, the two-mode
+tabulation loop that evaluates every row over its whole x grid, the
+per-direction two-mode einsum loops and per-radius GEMM, the vector-kernel
+reconstruction with a fixed second row, the 4001-node trapezoid homodyne
+estimator and kernel element, the line-by-line CSV writers and readers (and
+writers of the long tomogram and sample layouts, which the library refuses),
+the CSV body writer that formats every row, and the two-mode
 Wigner-quadrature marginals and moments.
 It also holds exact forms the library does not evaluate, such as the
 Hermite-function marginal of a number state.  None of them is used by the
@@ -30,7 +31,7 @@ from symplectomo import states as st
 from symplectomo.errors import CutoffTooSmall, EmptyBatches, InvalidParameter, NotSymplectic
 from symplectomo.io import format_float
 from symplectomo.kernels import KernelScale, displacement_matrix, kernel_displacement_argument
-from symplectomo.marginals import QuadratureSetting, Tomogram, _as_setting, _trapezoid_weights
+from symplectomo.marginals import QuadratureSetting, Tomogram, _antipodes, _as_setting, _trapezoid_weights
 from symplectomo.measure_sim import SampleBatch
 from symplectomo.reconstruct import (
     PolarGrid,
@@ -44,7 +45,6 @@ from symplectomo.twomode import (
     _TILDE_CHUNK,
     TwoModeSetting,
     TwoModeTomogram,
-    _antipodes,
     _setting_rows,
     _stacked_form,
     _tilde_from_characteristic,
@@ -118,6 +118,12 @@ def displacement_matrix_loop(zetas, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one mode: dense (n_phi, n_r, dim, dim) displacement table
 # ---------------------------------------------------------------------------
+
+
+def circle_settings_by_angle(n: int, radius: float = 1.0, delta: float = 0.0) -> list[QuadratureSetting]:
+    """``n`` circle settings, each from the cosine and sine of its own angle,
+    with no exact antipodes built in."""
+    return [QuadratureSetting(radius * np.cos(p), radius * np.sin(p), delta) for p in 2 * np.pi * np.arange(n) / n]
 
 
 def line_marginal_broadcast(wigner_fn, x, setting, extent: float = 8.0, num: int = 2001):
@@ -538,6 +544,13 @@ def save_tomogram_lines(tomo: Tomogram, path) -> None:
     for s, row in zip(tomo.settings, tomo.values):
         lines.append(",".join(format_float(v) for v in [s.mu, s.nu, s.delta, *row]))
     _write_lines(path, lines)
+
+
+def write_body_per_row(fh, keys, rows) -> None:
+    """The CSV body writer that formats every row: one line per entry, its key
+    cells then its row of values, each line formatted in one call."""
+    for key, row in zip(keys, rows):
+        fh.write(",".join(["%.17g"] * (len(key) + row.size)) % (*key, *row.tolist()) + "\n")
 
 
 def save_tomogram_long_lines(tomo: Tomogram, path) -> None:

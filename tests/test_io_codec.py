@@ -26,6 +26,7 @@ from oracles import (
     save_tomogram_lines,
     save_tomogram_long_lines,
     save_two_mode_tomogram_lines,
+    write_body_per_row,
 )
 
 
@@ -123,6 +124,125 @@ def test_tomogram_codec_matches_oracle(case, tmp_path):
     assert _file_bytes(ours) == _file_bytes(theirs)
     _assert_same_tomogram(load(theirs), load_oracle(theirs))
     _assert_same_tomogram(load(theirs), tomo)
+
+
+# ---------------------------------------------------------------------------
+# each distinct row is formatted once, and the bytes are those of the writer
+# that formats every row
+# ---------------------------------------------------------------------------
+
+_HOPF_CAT = st.TwoModeCat(np.array([1.0, 0.5]) / np.sqrt(2))
+_HOPF_GAUSS = st.GaussianTwoMode(np.diag([0.6, 0.7, 0.6, 0.7]))
+
+
+def _repeating_rows_tomogram():
+    """Row 1 differs from row 0 only by the sign of a zero, row 2 is row 1
+    reversed, row 3 is its own mirror and row 4 repeats row 0."""
+    rows = [
+        [0.0, 0.5, 1.0, 0.25, 0.0],
+        [-0.0, 0.5, 1.0, 0.25, 0.0],
+        [0.0, 0.25, 1.0, 0.5, -0.0],
+        [0.25, 0.5, 0.75, 0.5, 0.25],
+        [0.0, 0.5, 1.0, 0.25, 0.0],
+    ]
+    return Tomogram(tuple(circle_settings(5)), np.linspace(-1.0, 1.0, 5), np.array(rows))
+
+
+def _repeating_vector_tomogram():
+    """A vector tomogram whose second row is its first mirrored in both
+    outcomes, and whose third repeats the first."""
+    tomo = _vector_tomogram()
+    values = np.stack([tomo.values[0], tomo.values[0, ::-1, ::-1], tomo.values[0]])
+    return TwoModeTomogram(tomo.settings + tomo.settings[:1], tomo.x1, values, x2=tomo.x2)
+
+
+def _ragged_campaign():
+    """Batches of 1 to 9 outcomes: repeats, reversed repeats, a self-mirror and a signed zero."""
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=9), rng.normal(size=4)
+    outcomes = [a, b, a[::-1], [0.5], b, [1.0, 2.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [1.0, 0.0], a]
+    settings = circle_settings(len(outcomes))
+    return [SampleBatch(s, x, seed=3, weight=0.5 + k) for k, (s, x) in enumerate(zip(settings, outcomes))]
+
+
+def _circle_tomogram(state, n, x_grid=None):
+    return lambda: tabulate_tomogram(state, circle_settings(n), x_grid=x_grid)
+
+
+_CAT, _COHERENT = st.EvenCat(1.0, 0.8), st.Coherent(0.9 - 0.4j)
+_LINSPACE = np.linspace(-9.0, 9.0, 1201)  # not exactly mirror symmetric: no antipodal copies
+
+WRITER_CASES = {
+    "thermal circle:64": (_circle_tomogram(st.Thermal(0.4), 64), tio.save_tomogram),
+    "number circle:64": (_circle_tomogram(st.NumberState(2), 64), tio.save_tomogram),
+    "cat circle:64": (_circle_tomogram(_CAT, 64), tio.save_tomogram),
+    "cat circle:63": (_circle_tomogram(_CAT, 63), tio.save_tomogram),
+    "cat linspace": (_circle_tomogram(_CAT, 64, _LINSPACE), tio.save_tomogram),
+    "coherent circle:64": (_circle_tomogram(_COHERENT, 64), tio.save_tomogram),
+    "coherent circle:63": (_circle_tomogram(_COHERENT, 63), tio.save_tomogram),
+    "coherent linspace": (_circle_tomogram(_COHERENT, 64, _LINSPACE), tio.save_tomogram),
+    "hopf 12x12 cat": (lambda: tabulate_tilde_tomogram(_HOPF_CAT, num=301), tio.save_two_mode_tomogram),
+    "hopf 12x12 gauss": (lambda: tabulate_tilde_tomogram(_HOPF_GAUSS, num=301), tio.save_two_mode_tomogram),
+    "vector": (_repeating_vector_tomogram, tio.save_two_mode_tomogram),
+    "ragged samples": (_ragged_campaign, tio.save_samples),
+    "signed zeros and self-mirrors": (_repeating_rows_tomogram, tio.save_tomogram),
+}
+
+
+def _rows(obj):
+    if isinstance(obj, list):
+        return [b.outcomes for b in obj]
+    return list(obj.values.reshape(len(obj.settings), -1))
+
+
+def _distinct_rows(rows) -> int:
+    """Rows up to a repeat or a reversed repeat, compared as bytes."""
+    seen, count = set(), 0
+    for row in rows:
+        if row.tobytes() not in seen:
+            count += 1
+            seen.update((row.tobytes(), row[::-1].tobytes()))
+    return count
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_writer_bytes_equal_the_per_row_writer(case, tmp_path, monkeypatch):
+    make, save = WRITER_CASES[case]
+    obj = make()
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    save(obj, ours)
+    monkeypatch.setattr(tio, "_write_body", write_body_per_row)
+    save(obj, theirs)
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_writer_formats_each_distinct_row_once(case, tmp_path, count_calls):
+    make, save = WRITER_CASES[case]
+    obj = make()
+    calls = count_calls(tio, "_row_text")
+    save(obj, tmp_path / "t.csv")
+    assert len(calls) == _distinct_rows(_rows(obj))
+
+
+def test_distinct_rows_of_symmetric_records():
+    # a phase-invariant state has one row; an even circle's antipodes are reversed rows
+    assert _distinct_rows(_rows(WRITER_CASES["thermal circle:64"][0]())) == 1
+    assert _distinct_rows(_rows(WRITER_CASES["cat circle:64"][0]())) <= 32
+    assert _distinct_rows(_rows(_repeating_rows_tomogram())) == 3
+
+
+def test_writer_holds_only_the_texts_still_to_be_copied(tmp_path, traced_peak):
+    # Hopf 12x12: 1728 rows of 1201 points (27 kB of text each); a text is
+    # held from its row to the row's last copy, at most 72 of them
+    hopf = tabulate_tilde_tomogram(_HOPF_CAT)
+    assert traced_peak(tio.save_two_mode_tomogram, hopf, tmp_path / "hopf.csv") <= 4 * 2**20
+    circle = tabulate_tomogram(st.EvenCat(1.0, 0.8), circle_settings(64))
+    assert traced_peak(tio.save_tomogram, circle, tmp_path / "circle.csv") <= 1.5 * 2**20
+    # each antipode right after its row: one text is held at a time
+    order = [k for pair in zip(range(32), range(32, 64)) for k in pair]
+    paired = Tomogram(tuple(circle.settings[k] for k in order), circle.x, circle.values[order])
+    assert traced_peak(tio.save_tomogram, paired, tmp_path / "paired.csv") <= 0.25 * 2**20
 
 
 # ---------------------------------------------------------------------------

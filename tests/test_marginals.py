@@ -6,7 +6,7 @@ from symplectomo import states as st
 from symplectomo import twomode as tm
 from symplectomo.errors import DegenerateSetting, GridTooNarrow, InvalidParameter, UnsupportedVariant
 
-from oracles import line_marginal_broadcast, number_state_marginal
+from oracles import circle_settings_by_angle, line_marginal_broadcast, number_state_marginal
 
 MB = 2**20
 
@@ -373,3 +373,71 @@ def test_grid_sizes_must_be_integers_of_two_or_more(num):
         mg.tabulate_tomogram(st.Vacuum(), [s], num=num)
     with pytest.raises(InvalidParameter, match="num"):
         mg.default_x_grid(st.Vacuum(), s, num=num)
+
+
+# ---------------------------------------------------------------------------
+# exact antipodes: even circles are built with them, and their rows are copied
+# ---------------------------------------------------------------------------
+
+
+def _setting_bits(s):
+    return np.array([s.mu, s.nu, s.delta]).tobytes()
+
+
+@pytest.mark.parametrize("radius, delta", [(1.0, 0.0), (2.5, -0.3)])
+def test_even_circle_second_half_is_the_exact_negative_of_the_first(radius, delta):
+    settings = mg.circle_settings(64, radius, delta)
+    for k in range(32):
+        s, t = settings[k], settings[k + 32]
+        assert (t.mu, t.nu, t.delta) == (-s.mu, -s.nu, delta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 63, 64])
+@pytest.mark.parametrize("radius, delta", [(1.0, 0.0), (2.5, -0.3)])
+def test_circle_settings_keep_the_angle_formula_where_no_antipode_is_built(n, radius, delta):
+    # odd n, and the first half of even n, keep each setting's own cosine and sine
+    kept = n // 2 if n % 2 == 0 else n
+    got = mg.circle_settings(n, radius, delta)[:kept]
+    want = circle_settings_by_angle(n, radius, delta)[:kept]
+    assert [_setting_bits(s) for s in got] == [_setting_bits(s) for s in want]
+
+
+@pytest.mark.parametrize("state", [st.EvenCat(1.0, 0.8), st.Coherent(0.9 - 0.4j)], ids=["cat", "coherent"])
+def test_antipodal_rows_are_reversed_copies_that_match_a_full_evaluation(state, count_calls):
+    calls = count_calls(mg, "_marginal_any")
+    tomo = mg.tabulate_tomogram(state, mg.circle_settings(64))
+    assert len(calls) == 32
+    for k in range(32):
+        assert np.array_equal(tomo.values[k + 32], tomo.values[k, ::-1])
+    for s, row in zip(tomo.settings, tomo.values):
+        full = mg.marginal_analytic(state, tomo.x - s.delta, s)
+        assert np.max(np.abs(row - full)) <= 1e-14 * np.max(full)
+
+
+EVERY_ROW = {
+    # x[::-1] == -x fails on this grid, so a reversed row is not the antipode's row
+    "linspace grid": lambda: (mg.circle_settings(64), np.linspace(-9.0, 9.0, 1201)),
+    # the antipode of (mu, nu, 0.3) is (-mu, -nu, -0.3), which is not on this circle
+    "nonzero delta": lambda: (mg.circle_settings(64, delta=0.3), None),
+    "odd n": lambda: (mg.circle_settings(63), None),
+}
+
+
+@pytest.mark.parametrize("case", list(EVERY_ROW))
+def test_records_without_exact_antipodes_evaluate_every_row(case, count_calls):
+    settings, x_grid = EVERY_ROW[case]()
+    state = st.EvenCat(1.0, 0.8)
+    calls = count_calls(mg, "_marginal_any")
+    tomo = mg.tabulate_tomogram(state, settings, x_grid=x_grid)
+    assert len(calls) == len(settings)
+    for s, row in zip(settings, tomo.values):
+        assert np.array_equal(row, mg.marginal_analytic(state, tomo.x - s.delta, s))
+
+
+@pytest.mark.parametrize("num", [301, 1200, 1201])
+@pytest.mark.parametrize("state", [st.Vacuum(), st.Thermal(0.3), st.Coherent(1.1 + 0.5j), st.EvenCat(1.2, 0.7)])
+def test_default_grids_are_exactly_mirror_symmetric(state, num):
+    tabulated = mg.tabulate_tomogram(state, mg.circle_settings(8), num=num).x
+    single = mg.default_x_grid(state, mg.QuadratureSetting(0.6, -0.8), num)
+    for x in (tabulated, single):
+        assert np.array_equal(x[::-1], -x)
