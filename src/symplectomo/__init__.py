@@ -26,15 +26,7 @@ from .marginals import (
     marginal_numeric,
     tabulate_tomogram,
 )
-from .kernels import (
-    HomodyneSetting,
-    KernelScale,
-    PolarGrid,
-    kernel_coherent,
-    kernel_coordinate_phase,
-    kernel_homodyne_number,
-    kernel_number,
-)
+from .kernels import KernelScale, PolarGrid
 from .reconstruct import (
     ReconstructionConfig,
     ReconstructionReport,
@@ -49,7 +41,6 @@ from .twomode import (
     TwoModeConfig,
     TwoModeSetting,
     TwoModeTomogram,
-    kernel_two_mode_number,
     partial_trace,
     reconstruct_two_mode,
     tilde_marginal_cat,

@@ -262,15 +262,13 @@ def cmd_tomogram(args) -> int:
             ]
             tomo = tabulate_tilde_tomogram(state, settings=two_settings, x_grid=x_grid)
         tio.save_two_mode_tomogram(tomo, args.out)
-        dx = tomo.x1[1] - tomo.x1[0]
-        integrals = np.trapezoid(tomo.values, dx=dx, axis=1)
     else:
         if isinstance(settings, tuple):
             raise SpecError("hopf grids apply to two-mode states only")
         tomo = tabulate_tomogram(state, settings, x_grid=x_grid)
         tio.save_tomogram(tomo, args.out)
-        integrals = tomo.row_integrals()
 
+    integrals = tomo.row_integrals()
     print(
         f"tomogram: {len(tomo.settings)} settings, normalization in "
         f"[{integrals.min():.9f}, {integrals.max():.9f}]"

@@ -3,9 +3,10 @@
 All CSVs are UTF-8 with LF line endings and 17-significant-digit floats, so a
 written file round-trips bit-exactly through ``float``.  A tomogram file holds
 one line per setting over an outcome grid written once; a sample file holds
-one line per batch.  Each distinct row is formatted once: a row of equal
-bytes, forward or reversed, reuses its text, so a file's bytes are those of
-formatting every row.
+one line per batch.  Each distinct tomogram row is formatted once: a row of
+equal bytes, forward or reversed, reuses its text, so a file's bytes are those
+of formatting every row.  Sample rows are independent draws and never repeat,
+so each is formatted as it comes.
 """
 
 from __future__ import annotations
@@ -118,8 +119,13 @@ def _repeats(rows) -> tuple[list[int], list[bool]]:
     return source, flips
 
 
+def _key_text(key) -> str:
+    """The key cells of one line, each followed by its comma."""
+    return (_FLOAT + ",") * len(key) % tuple(key)
+
+
 def _write_body(fh, keys, rows) -> None:
-    """One line per entry: its key cells, then its row of values.
+    """One line per tomogram setting: its key cells, then its row of densities.
 
     Each distinct row is formatted once.  A row whose bytes equal an earlier
     row's, read forward or reversed, reuses that row's text, its cells in
@@ -137,7 +143,7 @@ def _write_body(fh, keys, rows) -> None:
             texts[j] = text
         if flip:
             text = ",".join(text.split(",")[::-1])
-        fh.write((_FLOAT + ",") * len(key) % tuple(key) + text + "\n")
+        fh.write(_key_text(key) + text + "\n")
 
 
 def _write_tomogram(path, header: str, grids, keys, rows) -> None:
@@ -265,7 +271,8 @@ def save_samples(batches: list[SampleBatch], path, state_label: str = "") -> Non
     two_mode = isinstance(batches[0].setting, TwoModeSetting)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write((TWO_MODE_SAMPLES_HEADER if two_mode else SAMPLES_HEADER) + "\n")
-        _write_body(fh, map(_sample_key, batches), (b.outcomes for b in batches))
+        for b in batches:
+            fh.write(_key_text(_sample_key(b)) + _row_text(b.outcomes) + "\n")
     sidecar = {
         "generator": batches[0].generator,
         "seed": batches[0].seed,

@@ -1,4 +1,4 @@
-"""Reconstruction kernel operators for symplectic and homodyne tomography.
+"""The reconstruction kernel of symplectic and homodyne tomography.
 
 For the generalized quadrature ``X = mu q + nu p + delta`` and a Fourier
 component ``z``, the kernel is a scaled displacement operator::
@@ -6,16 +6,11 @@ component ``z``, the kernel is a scaled displacement operator::
     K(x; mu, nu, z) = (z^2 / 2 pi) exp(-i z x) D(zeta),
     zeta = -(z / sqrt(2)) (nu - i mu),
 
-so every matrix element reduces to a displacement-operator element.  The
-number-basis elements are bounded (Gaussian envelope ``exp(-z^2 (mu^2+nu^2)/4)``
-times a polynomial), which is what makes sample averaging of the density
-matrix possible in this basis; the coordinate-basis kernel is distributional
-and is therefore exposed as a phase factor plus a delta-support residual, not
-as a computation path.
-
-Degenerate directions ``mu = nu = 0`` are meaningless for a marginal but keep
-the kernel finite, so the kernel evaluators also accept plain ``(mu, nu)``
-tuples that bypass the setting validation.
+and the library builds it one way: ``displacement_matrix`` tables of the
+number-basis elements ``<m|D(zeta)|n>``, batched over zeta, which the polar
+assemblers integrate against the marginals.  These elements are bounded
+(Gaussian envelope ``exp(-z^2 (mu^2+nu^2)/4)`` times a polynomial), which is
+what makes sample averaging of the density matrix possible in this basis.
 
 Every reconstruction integrates the kernel over the (mu, nu) plane in polar
 coordinates: the angles are the record's, and ``PolarGrid`` alone decides
@@ -32,22 +27,11 @@ from numbers import Real
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import CutoffTooSmall, DegenerateConfig, InvalidParameter
+from .errors import DegenerateConfig, InvalidParameter
 from .marginals import QuadratureSetting, _check_count
 from .states import _log_factorials
 
-__all__ = [
-    "KernelScale",
-    "PolarGrid",
-    "HomodyneSetting",
-    "displacement_element",
-    "displacement_matrix",
-    "kernel_number",
-    "kernel_matrix",
-    "kernel_coherent",
-    "kernel_coordinate_phase",
-    "kernel_homodyne_number",
-]
+__all__ = ["KernelScale", "PolarGrid", "displacement_matrix"]
 
 
 @dataclass(frozen=True)
@@ -69,30 +53,8 @@ def _scale_z(scale: KernelScale, error: type) -> float:
     return scale.z
 
 
-@dataclass(frozen=True)
-class HomodyneSetting:
-    """Rotated-quadrature measurement: phase ``phi`` and outcome ``x_phi``."""
-
-    phi: float
-    x_phi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.phi) and np.isfinite(self.x_phi)):
-            raise InvalidParameter(f"homodyne phase and outcome must be finite, got {self.phi!r}, {self.x_phi!r}")
-        object.__setattr__(self, "phi", float(self.phi) % (2 * np.pi))
-        object.__setattr__(self, "x_phi", float(self.x_phi))
-
-
-def _mu_nu(setting) -> tuple[float, float]:
-    if isinstance(setting, QuadratureSetting):
-        return setting.mu, setting.nu
-    mu, nu = setting[0], setting[1]
-    return float(mu), float(nu)
-
-
-def kernel_displacement_argument(setting, scale: KernelScale) -> complex:
-    mu, nu = _mu_nu(setting)
-    return -(scale.z / np.sqrt(2)) * (nu - 1j * mu)
+def kernel_displacement_argument(setting: QuadratureSetting, scale: KernelScale) -> complex:
+    return -(scale.z / np.sqrt(2)) * (setting.nu - 1j * setting.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -151,85 +113,13 @@ def displacement_matrix(zetas, dim: int) -> np.ndarray:
     return out
 
 
-def _check_indices(m: int, n: int) -> None:
-    if m < 0 or n < 0:
-        raise InvalidParameter("number-state indices must be nonnegative")
-
-
-def displacement_element(m: int, n: int, zeta: complex) -> complex:
-    """Single element ``<m|D(zeta)|n>``."""
-    _check_indices(m, n)
-    return complex(displacement_matrix(complex(zeta), max(m, n) + 1)[m, n])
-
-
 # ---------------------------------------------------------------------------
-# kernel in the three representations
+# radial quadrature of the (mu, nu) plane
 # ---------------------------------------------------------------------------
 
 
-def _prefactor(x: float, scale: KernelScale) -> complex:
-    return scale.z**2 / (2 * np.pi) * np.exp(-1j * scale.z * x)
-
-
-def kernel_number(
-    n_row: int, n_col: int, x: float, setting, scale: KernelScale = KernelScale()
-) -> complex:
-    """Number-basis kernel element ``<n_row| K(x; mu, nu, z) |n_col>``."""
-    zeta = kernel_displacement_argument(setting, scale)
-    return _prefactor(x, scale) * displacement_element(n_row, n_col, zeta)
-
-
-def kernel_matrix(x: float, setting, scale: KernelScale, dim: int) -> np.ndarray:
-    """Dense ``dim x dim`` number-basis kernel at one (x, setting) point."""
-    zeta = kernel_displacement_argument(setting, scale)
-    return _prefactor(x, scale) * displacement_matrix(np.asarray(zeta), dim)
-
-
-def kernel_coherent(
-    alpha: complex, beta: complex, x: float, setting, scale: KernelScale = KernelScale()
-) -> complex:
-    """Coherent-basis kernel element ``<alpha| K |beta>`` (closed form)."""
-    mu, nu = _mu_nu(setting)
-    z = scale.z
-    overlap = np.exp(-abs(alpha) ** 2 / 2 - abs(beta) ** 2 / 2 + np.conj(alpha) * beta)
-    return (
-        _prefactor(x, scale)
-        * np.exp(-(z / np.sqrt(2)) * (nu - 1j * mu) * np.conj(alpha))
-        * np.exp((z / np.sqrt(2)) * (nu + 1j * mu) * beta)
-        * np.exp(-(z**2) * (mu**2 + nu**2) / 4)
-        * overlap
-    )
-
-
-def kernel_coordinate_phase(
-    q_row: float, q_col: float, x: float, setting, scale: KernelScale = KernelScale()
-) -> tuple[complex, float]:
-    """Coordinate-basis kernel as (phase factor, delta-constraint residual).
-
-    The element is ``phase * delta(q_col - z nu - q_row)``: supported only
-    where the returned residual vanishes, and unbounded there — which is why
-    sampling-based reconstruction works in the number or coherent basis only.
-    """
-    mu, nu = _mu_nu(setting)
-    z = scale.z
-    phase = _prefactor(x, scale) * np.exp(1j * z**2 * mu * nu / 2) * np.exp(1j * z * mu * q_row)
-    residual = q_col - z * nu - q_row
-    return complex(phase), float(residual)
-
-
-# ---------------------------------------------------------------------------
-# radial quadrature of the (mu, nu) plane and the homodyne kernel
-# ---------------------------------------------------------------------------
-
-
-# the nodes cost milliseconds and every per-element homodyne kernel needs them
+# the nodes cost milliseconds, and reconstructions ask for the same few sizes
 _leggauss = lru_cache(maxsize=8)(leggauss)
-
-
-def _radial_nodes(r_max: float, n_r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre radii and weights over ``[0, r_max]``."""
-    t, w = _leggauss(n_r)
-    return 0.5 * r_max * (t + 1.0), 0.5 * r_max * w
 
 
 def _check_radius(value, name: str, error: type = InvalidParameter) -> None:
@@ -258,42 +148,7 @@ class PolarGrid:
         return self.r_max if self.r_max is not None else 8.0 / abs(z)
 
     def nodes(self, z: float) -> tuple[np.ndarray, np.ndarray]:
-        """Radii and weights for the kernel scale ``z``."""
-        return _radial_nodes(self.resolve_r_max(z), self.n_r)
-
-
-def kernel_homodyne_number(n_row: int, n_col: int, homodyne: HomodyneSetting, r_cutoff: float = 12.0) -> complex:
-    """Homodyne kernel element: the z = 1 kernel integrated along its ray.
-
-    The phase ``phi`` is the unit setting ``(cos phi, sin phi)``, whose ray
-    ``r (cos phi, sin phi)`` has ``zeta = i r e^{i phi} / sqrt 2``; the
-    radial integral runs over the full line with ``|r|/2`` weight,
-
-    ``K_phi(x) = (1/4pi) int_{-R}^{R} dr |r| exp(-i r x) D(zeta_r)``,
-
-    on the radii ``PolarGrid(r_cutoff)`` of ``reconstruct_homodyne``, so integrating
-    these elements against a tomogram reproduces that reconstruction.  The
-    full line is the Hermitian combination of the two half-line integrals:
-    integrating the half-line form over the full phase circle gives the same
-    density matrix, but only this combination satisfies
-    ``conj(<n|K_phi(x)|m>) = <m|K_phi(x)|n>`` element by element.
-    ``CutoffTooSmall`` is raised when the tail ``int_R^{R+16} r |T(r)| dr / 2pi``
-    exceeds ``1e-3`` of the element scale.
-    """
-    _check_indices(n_row, n_col)
-    _check_radius(r_cutoff, "r_cutoff")
-    r, wr = PolarGrid(r_cutoff).nodes(1.0)
-    # the discarded tail, measured on 32 more radii over [R, R + 16]
-    t, wt = _radial_nodes(16.0, 32)
-    radii = np.concatenate([r, r_cutoff + t])
-    table = displacement_matrix(1j * radii * np.exp(1j * homodyne.phi) / np.sqrt(2), max(n_row, n_col) + 1)
-    ray = radii * np.exp(-1j * radii * homodyne.x_phi) / (2 * np.pi)
-    inner = r.size
-    half_nm = (wr * ray[:inner]) @ table[:inner, n_row, n_col]
-    half_mn = (wr * ray[:inner]) @ table[:inner, n_col, n_row]
-    value = 0.5 * (half_nm + np.conj(half_mn))
-    tail = wt @ np.abs(ray[inner:] * table[inner:, n_row, n_col])
-    scale = max(abs(value), 1.0 / (2 * np.pi))
-    if tail > 1e-3 * scale:
-        raise CutoffTooSmall(f"radial tail estimate {tail:.3g} at r_cutoff {r_cutoff}")
-    return complex(value)
+        """Gauss-Legendre radii and weights over ``[0, r_max]`` for the kernel scale ``z``."""
+        r_max = self.resolve_r_max(z)
+        t, w = _leggauss(self.n_r)
+        return 0.5 * r_max * (t + 1.0), 0.5 * r_max * w

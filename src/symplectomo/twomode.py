@@ -1,4 +1,4 @@
-"""Two-mode marginals, kernels and reconstruction.
+"""Two-mode marginals and reconstruction.
 
 A two-mode vector quadrature is ``(X1, X2) = Lambda (q1, q2, p1, p2)^T +
 (delta1, delta2)`` with the first two rows of the symplectic ``Lambda`` given
@@ -53,6 +53,7 @@ from .errors import (
 )
 from .kernels import KernelScale, PolarGrid, _scale_z, displacement_matrix
 from .marginals import (
+    NORMALIZATION_TOL,
     QuadratureSetting,
     _antipodes,
     _centred_grid,
@@ -74,7 +75,6 @@ __all__ = [
     "tilde_marginal_cat",
     "tilde_marginal",
     "characteristic_two_mode",
-    "kernel_two_mode_number",
     "hopf_directions",
     "tabulate_tilde_tomogram",
     "TwoModeConfig",
@@ -242,10 +242,14 @@ class TwoModeTomogram:
     def kind(self) -> str:
         return "vector" if self.x2 is not None else "tilde"
 
-    def validate_normalization(self, tol: float = 1e-3) -> None:
-        # trapezoid sums as products with the rule's weights: no table-sized temporaries
+    def row_integrals(self) -> np.ndarray:
+        """Each setting's trapezoid integral, over x2 and then x1 for the vector kind."""
+        # products with the rule's weights: no table-sized temporaries
         rows = self.values if self.kind == "tilde" else self.values @ _trapezoid_weights(self.x2)
-        worst = float(np.max(np.abs(rows @ _trapezoid_weights(self.x1) - 1.0)))
+        return rows @ _trapezoid_weights(self.x1)
+
+    def validate_normalization(self, tol: float = NORMALIZATION_TOL) -> None:
+        worst = float(np.max(np.abs(self.row_integrals() - 1.0)))
         if worst > tol:
             raise GridTooNarrow(f"worst two-mode normalization deficit {worst:.3g}")
 
@@ -398,49 +402,6 @@ def _tilde_from_characteristic(state, x1, setting: TwoModeSetting, k_points: int
     kernel = np.exp(-1j * np.multiply.outer(x1, k))
     out = ((kernel @ (phi * _trapezoid_weights(k))) / (2 * np.pi)).real
     return out if out.ndim else float(out)
-
-
-# ---------------------------------------------------------------------------
-# two-mode kernel
-# ---------------------------------------------------------------------------
-
-
-def _per_mode_zetas(setting: TwoModeSetting, z1: float, z2: float) -> np.ndarray:
-    zetas = -(z1 / np.sqrt(2)) * (setting.nu - 1j * setting.mu)
-    if z2 != 0.0:
-        if not setting.is_vector:
-            raise InvalidParameter("z2 != 0 needs the second quadrature row")
-        zetas = zetas - (z2 / np.sqrt(2)) * (setting.nu_p - 1j * setting.mu_p)
-    return zetas
-
-
-def kernel_two_mode_number(
-    n_row: tuple[int, int],
-    n_col: tuple[int, int],
-    x,
-    setting: TwoModeSetting,
-    scales: tuple[float, float] = (1.0, 0.0),
-) -> complex:
-    """``<n_row| K |n_col>`` for the two-mode kernel; factorizes over modes.
-
-    ``K = (z1^4 / (2 pi)^2) exp(-i (z1 x1 + z2 x2)) D1(zeta1) D2(zeta2)`` with
-    per-mode displacement arguments built from the first row (scaled by z1)
-    and, for z2 != 0, the second row.  ``scales = (z1, 0)`` is the kernel for
-    tilde marginals.
-
-    As in the one-mode case the elements are bounded only in the number (or
-    coherent) basis; the quadrature representation is distributional, so
-    sample averaging of matrix elements is possible here alone.
-    """
-    z1, z2 = float(scales[0]), float(scales[1])
-    if z1 == 0.0:
-        raise InvalidParameter("z1 must be nonzero")
-    x = np.asarray(x, dtype=float).reshape(2)
-    zetas = _per_mode_zetas(setting, z1, z2)
-    pref = z1**4 / (2 * np.pi) ** 2 * np.exp(-1j * (z1 * x[0] + z2 * x[1]))
-    d1 = displacement_matrix(np.asarray(zetas[0]), max(n_row[0], n_col[0]) + 1)
-    d2 = displacement_matrix(np.asarray(zetas[1]), max(n_row[1], n_col[1]) + 1)
-    return complex(pref * d1[n_row[0], n_col[0]] * d2[n_row[1], n_col[1]])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import symplectomo as sy
 from symplectomo import states as st
 from symplectomo import twomode as tm
-from symplectomo.kernels import KernelScale, kernel_number
+from symplectomo.kernels import KernelScale
 from symplectomo.marginals import QuadratureSetting, circle_settings, marginal_analytic, marginal_numeric, tabulate_tomogram
 from symplectomo.reconstruct import (
     PolarGrid,
@@ -26,7 +26,7 @@ from symplectomo.reconstruct import (
     wigner_from_tomogram,
 )
 
-from oracles import wigner_moment_numeric
+from oracles import kernel_number, wigner_moment_numeric
 
 RNG_SEED = 20240811
 

@@ -127,8 +127,8 @@ def test_tomogram_codec_matches_oracle(case, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# each distinct row is formatted once, and the bytes are those of the writer
-# that formats every row
+# each distinct tomogram row is formatted once, each sample row as it comes,
+# and the bytes are those of the writer that formats every row
 # ---------------------------------------------------------------------------
 
 _HOPF_CAT = st.TwoModeCat(np.array([1.0, 0.5]) / np.sqrt(2))
@@ -216,13 +216,31 @@ def test_writer_bytes_equal_the_per_row_writer(case, tmp_path, monkeypatch):
     assert ours.read_bytes() == theirs.read_bytes()
 
 
-@pytest.mark.parametrize("case", list(WRITER_CASES))
+@pytest.mark.parametrize("case", [case for case, (_, save) in WRITER_CASES.items() if save is not tio.save_samples])
 def test_writer_formats_each_distinct_row_once(case, tmp_path, count_calls):
     make, save = WRITER_CASES[case]
     obj = make()
     calls = count_calls(tio, "_row_text")
     save(obj, tmp_path / "t.csv")
     assert len(calls) == _distinct_rows(_rows(obj))
+
+
+@pytest.mark.parametrize(
+    "make", [_ragged_campaign, _one_mode_campaign, _two_mode_campaign], ids=["ragged", "one-mode", "two-mode"]
+)
+def test_save_samples_formats_every_row_without_a_reuse_pass(make, tmp_path, monkeypatch, count_calls):
+    # sample rows are independent draws: repeats, as in the ragged campaign, are formatted again
+    def refuse(rows):
+        raise AssertionError("a sample file takes no row-reuse pass")
+
+    monkeypatch.setattr(tio, "_repeats", refuse)
+    batches = make()
+    calls = count_calls(tio, "_row_text")
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    tio.save_samples(batches, ours, state_label="s")
+    assert len(calls) == len(batches)
+    save_samples_lines(batches, theirs, state_label="s")
+    assert _file_bytes(ours) == _file_bytes(theirs)
 
 
 def test_distinct_rows_of_symmetric_records():

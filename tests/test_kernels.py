@@ -8,7 +8,18 @@ from symplectomo.errors import CutoffTooSmall, InvalidParameter
 from symplectomo.marginals import QuadratureSetting
 
 from conftest import dense_ladder
-from oracles import _displacement_element_series, displacement_matrix_loop, kernel_homodyne_trapezoid
+from oracles import (
+    HomodyneSetting,
+    _displacement_element_series,
+    displacement_element,
+    displacement_matrix_loop,
+    kernel_coherent,
+    kernel_coordinate_phase,
+    kernel_homodyne_number,
+    kernel_homodyne_trapezoid,
+    kernel_matrix,
+    kernel_number,
+)
 
 
 def dense_kernel_element(n, m, x, mu, nu, z, dim=None):
@@ -30,13 +41,13 @@ def dense_kernel_element(n, m, x, mu, nu, z, dim=None):
 def test_ground_element_closed_form():
     for z in (0.7, 1.0, 1.8):
         for mu, nu, x in ((1.0, 0.0, 0.0), (0.4, -1.2, 0.9), (0.0, 0.0, 0.3)):
-            got = kn.kernel_number(0, 0, x, (mu, nu), kn.KernelScale(z))
+            got = kernel_number(0, 0, x, (mu, nu), kn.KernelScale(z))
             want = z**2 / (2 * np.pi) * np.exp(-1j * z * x) * np.exp(-(z**2) * (mu**2 + nu**2) / 4)
             assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_one_zero_element_value():
-    got = kn.kernel_number(1, 0, 0.0, QuadratureSetting(1.0, 0.0), kn.KernelScale(1.0))
+    got = kernel_number(1, 0, 0.0, QuadratureSetting(1.0, 0.0), kn.KernelScale(1.0))
     want = (1 / (2 * np.pi)) * np.exp(-0.25) * (1j / np.sqrt(2))
     assert got == pytest.approx(want, abs=1e-15)
     assert got == pytest.approx(dense_kernel_element(1, 0, 0.0, 1.0, 0.0, 1.0), abs=1e-14)
@@ -47,7 +58,7 @@ def test_number_elements_match_operator_exponential_oracle(rng):
         n, m = rng.integers(0, 9, size=2)
         x, mu, nu = rng.normal(size=3) * 1.5
         z = rng.uniform(0.4, 2.0)
-        got = kn.kernel_number(int(n), int(m), x, (mu, nu), kn.KernelScale(z))
+        got = kernel_number(int(n), int(m), x, (mu, nu), kn.KernelScale(z))
         want = dense_kernel_element(int(n), int(m), x, mu, nu, z)
         assert abs(got - want) < 1e-12
 
@@ -62,7 +73,7 @@ def test_z_equal_one_matches_quadrature_exponential(rng):
         x, mu, nu = rng.normal(size=3)
         K = np.exp(-1j * x) / (2 * np.pi) * expm(1j * (mu * q + nu * p))
         for n, m in ((0, 0), (1, 0), (2, 3), (4, 1)):
-            got = kn.kernel_number(n, m, x, (mu, nu), kn.KernelScale(1.0))
+            got = kernel_number(n, m, x, (mu, nu), kn.KernelScale(1.0))
             assert abs(got - K[n, m]) < 1e-10
 
 
@@ -71,8 +82,8 @@ def test_conjugation_symmetry(rng):
         n, m = (int(v) for v in rng.integers(0, 12, size=2))
         x, mu, nu = rng.normal(size=3) * 2
         z = rng.uniform(0.3, 2.5)
-        lhs = kn.kernel_number(n, m, x, (mu, nu), kn.KernelScale(z))
-        rhs = np.conj(kn.kernel_number(m, n, -x, (-mu, -nu), kn.KernelScale(z)))
+        lhs = kernel_number(n, m, x, (mu, nu), kn.KernelScale(z))
+        rhs = np.conj(kernel_number(m, n, -x, (-mu, -nu), kn.KernelScale(z)))
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -82,7 +93,7 @@ def test_gaussian_bound_and_monotone_decay():
     phi = 0.7
     prev = None
     for r in np.linspace(4.0 / z, 10.0 / z, 13):
-        val = abs(kn.kernel_number(2, 1, 0.3, (r * np.cos(phi), r * np.sin(phi)), scale))
+        val = abs(kernel_number(2, 1, 0.3, (r * np.cos(phi), r * np.sin(phi)), scale))
         assert val <= z**2 / (2 * np.pi) + 1e-15  # |<n|D|m>| <= 1
         if prev is not None:
             assert val < prev
@@ -95,7 +106,7 @@ def test_series_form_agrees_with_recurrence(rng):
         d = int(rng.integers(0, 6))
         zeta = (rng.normal() + 1j * rng.normal()) * 0.9
         series = _displacement_element_series(n + d, n, zeta)
-        direct = kn.displacement_element(n + d, n, zeta)
+        direct = displacement_element(n + d, n, zeta)
         assert abs(series - direct) < 1e-12
 
 
@@ -148,9 +159,9 @@ def test_displacement_matrix_matches_the_element_loop(dim, rng):
 def test_coherent_kernel_degenerate_and_general():
     z = 1.3
     scale = kn.KernelScale(z)
-    got = kn.kernel_coherent(0, 0, 0.4, (0.0, 0.0), scale)
+    got = kernel_coherent(0, 0, 0.4, (0.0, 0.0), scale)
     assert got == pytest.approx(z**2 / (2 * np.pi) * np.exp(-1j * z * 0.4), abs=1e-15)
-    got = kn.kernel_coherent(0, 0, 0.4, (0.8, -0.6), scale)
+    got = kernel_coherent(0, 0, 0.4, (0.8, -0.6), scale)
     want = z**2 / (2 * np.pi) * np.exp(-1j * z * 0.4) * np.exp(-(z**2) * 1.0 / 4)
     assert got == pytest.approx(want, abs=1e-15)
 
@@ -164,9 +175,9 @@ def test_coherent_kernel_number_basis_resummation(rng):
         x, mu, nu = rng.normal(size=3)
         va = st.coherent_amplitudes(alpha, dim)
         vb = st.coherent_amplitudes(beta, dim)
-        K = kn.kernel_matrix(x, (mu, nu), scale, dim)
+        K = kernel_matrix(x, (mu, nu), scale, dim)
         resummed = va.conj() @ K @ vb
-        direct = kn.kernel_coherent(alpha, beta, x, (mu, nu), scale)
+        direct = kernel_coherent(alpha, beta, x, (mu, nu), scale)
         assert abs(resummed - direct) < 1e-8
 
 
@@ -177,20 +188,20 @@ def test_coherent_kernel_number_basis_resummation(rng):
 
 def test_coordinate_phase_on_support():
     z, mu, nu, x = 1.2, 0.7, -0.4, 0.9
-    phase, resid = kn.kernel_coordinate_phase(0.0, z * nu, x, (mu, nu), kn.KernelScale(z))
+    phase, resid = kernel_coordinate_phase(0.0, z * nu, x, (mu, nu), kn.KernelScale(z))
     assert resid == pytest.approx(0.0, abs=1e-15)
     want = z**2 / (2 * np.pi) * np.exp(-1j * z * x) * np.exp(1j * z**2 * mu * nu / 2)
     assert phase == pytest.approx(want, abs=1e-15)
 
 
 def test_coordinate_off_support_residual():
-    _, resid = kn.kernel_coordinate_phase(0.3, 2.0, 0.0, (0.5, 0.5), kn.KernelScale(1.0))
+    _, resid = kernel_coordinate_phase(0.3, 2.0, 0.0, (0.5, 0.5), kn.KernelScale(1.0))
     assert resid == pytest.approx(2.0 - 0.5 - 0.3)
     assert resid != 0.0
 
 
 def test_coordinate_identity_limit():
-    phase, resid = kn.kernel_coordinate_phase(0.4, 0.9, 0.0, (0.0, 0.0), kn.KernelScale(1.0))
+    phase, resid = kernel_coordinate_phase(0.4, 0.9, 0.0, (0.0, 0.0), kn.KernelScale(1.0))
     assert phase == pytest.approx(1 / (2 * np.pi))
     assert resid == pytest.approx(0.5)
 
@@ -202,7 +213,7 @@ def test_coordinate_identity_limit():
 
 def test_homodyne_diagonal_phase_independent():
     vals = [
-        kn.kernel_homodyne_number(2, 2, kn.HomodyneSetting(phi, 0.7))
+        kernel_homodyne_number(2, 2, HomodyneSetting(phi, 0.7))
         for phi in (0.0, 0.8, 1.9, 4.5)
     ]
     for v in vals[1:]:
@@ -211,42 +222,42 @@ def test_homodyne_diagonal_phase_independent():
 
 def test_homodyne_hermiticity():
     for n, m, x in ((0, 3, 0.4), (2, 1, -1.1), (4, 4, 0.0)):
-        h = kn.HomodyneSetting(0.6, x)
-        lhs = np.conj(kn.kernel_homodyne_number(n, m, h))
-        rhs = kn.kernel_homodyne_number(m, n, h)
+        h = HomodyneSetting(0.6, x)
+        lhs = np.conj(kernel_homodyne_number(n, m, h))
+        rhs = kernel_homodyne_number(m, n, h)
         assert abs(lhs - rhs) < 1e-10
 
 
 def test_homodyne_kernel_matches_trapezoid_oracle(rng):
     for _ in range(40):
         n, m = (int(v) for v in rng.integers(0, 11, size=2))
-        h = kn.HomodyneSetting(rng.uniform(0, 2 * np.pi), rng.normal() * 1.5)
-        assert abs(kn.kernel_homodyne_number(n, m, h) - kernel_homodyne_trapezoid(n, m, h)) <= 1e-6
+        h = HomodyneSetting(rng.uniform(0, 2 * np.pi), rng.normal() * 1.5)
+        assert abs(kernel_homodyne_number(n, m, h) - kernel_homodyne_trapezoid(n, m, h)) <= 1e-6
 
 
 def test_homodyne_tail_is_measured_beyond_the_cutoff():
     # the (10, 10) tail over [12, 28] is 2.2e-5, under the 1.6e-4 threshold; (15, 15) is 1.4e-2
-    h = kn.HomodyneSetting(0.0, 0.0)
-    assert abs(kn.kernel_homodyne_number(10, 10, h) - kernel_homodyne_trapezoid(10, 10, h)) <= 1e-6
+    h = HomodyneSetting(0.0, 0.0)
+    assert abs(kernel_homodyne_number(10, 10, h) - kernel_homodyne_trapezoid(10, 10, h)) <= 1e-6
     with pytest.raises(CutoffTooSmall):
-        kn.kernel_homodyne_number(15, 15, h)
+        kernel_homodyne_number(15, 15, h)
 
 
 def test_homodyne_cutoff_guard():
     with pytest.raises(CutoffTooSmall):
-        kn.kernel_homodyne_number(0, 0, kn.HomodyneSetting(0.0, 0.0), r_cutoff=1.5)
+        kernel_homodyne_number(0, 0, HomodyneSetting(0.0, 0.0), r_cutoff=1.5)
     with pytest.raises(InvalidParameter):
-        kn.kernel_homodyne_number(0, 0, kn.HomodyneSetting(0.0, 0.0), r_cutoff=-1.0)
+        kernel_homodyne_number(0, 0, HomodyneSetting(0.0, 0.0), r_cutoff=-1.0)
     with pytest.raises(InvalidParameter):
-        kn.kernel_homodyne_number(0, 0, kn.HomodyneSetting(0.0, 0.0), r_cutoff=np.nan)
+        kernel_homodyne_number(0, 0, HomodyneSetting(0.0, 0.0), r_cutoff=np.nan)
     with pytest.raises(InvalidParameter):
-        kn.kernel_homodyne_number(-1, 2, kn.HomodyneSetting(0.0, 0.0))
+        kernel_homodyne_number(-1, 2, HomodyneSetting(0.0, 0.0))
 
 
 @pytest.mark.parametrize("phi, x_phi", [(np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan), (0.5, -np.inf)])
 def test_homodyne_setting_refuses_nonfinite_values(phi, x_phi):
     with pytest.raises(InvalidParameter, match="finite"):
-        kn.HomodyneSetting(phi, x_phi)
+        HomodyneSetting(phi, x_phi)
 
 
 def test_kernel_scale_validation():
@@ -256,7 +267,7 @@ def test_kernel_scale_validation():
         with pytest.raises(InvalidParameter):
             kn.KernelScale(flag)
     with pytest.raises(InvalidParameter):
-        kn.kernel_number(-1, 0, 0.0, (1.0, 0.0))
+        kernel_number(-1, 0, 0.0, (1.0, 0.0))
 
 
 @pytest.mark.parametrize("r_max", [None, 4.0, 12.0])

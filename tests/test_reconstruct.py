@@ -14,7 +14,7 @@ from symplectomo.errors import (
     InvalidParameter,
     UnsupportedVariant,
 )
-from symplectomo.kernels import KernelScale, HomodyneSetting, kernel_homodyne_number
+from symplectomo.kernels import KernelScale
 from symplectomo.marginals import QuadratureSetting, Tomogram, circle_settings, tabulate_tomogram
 from symplectomo.reconstruct import (
     PROJECTIONS,
@@ -29,7 +29,7 @@ from symplectomo.reconstruct import (
 )
 from symplectomo.reconstruct import _project
 
-from oracles import wigner_from_tomogram_broadcast
+from oracles import HomodyneSetting, kernel_homodyne_number, wigner_from_tomogram_broadcast
 
 
 def thermal_coherent_element(lam, alpha, beta):

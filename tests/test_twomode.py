@@ -14,11 +14,18 @@ from symplectomo.errors import (
     NotSymplectic,
     UnsupportedVariant,
 )
-from symplectomo.kernels import KernelScale, kernel_number
+from symplectomo.kernels import KernelScale
 from symplectomo.marginals import QuadratureSetting, marginal_numeric
 
 from conftest import dense_ladder
-from oracles import reconstruct_two_mode_vector, tilde_marginal_numeric, tilde_table_full_rows, vector_marginal_numeric
+from oracles import (
+    kernel_number,
+    kernel_two_mode_number,
+    reconstruct_two_mode_vector,
+    tilde_marginal_numeric,
+    tilde_table_full_rows,
+    vector_marginal_numeric,
+)
 
 
 def random_covariance(rng, lo=0.4, hi=1.6):
@@ -250,7 +257,7 @@ def test_kernel_two_mode_ground_element():
     s = tm.TwoModeSetting(mu=[0.7, -0.2], nu=[0.1, 0.5])
     z1 = 1.3
     x = (0.4, 9.9)  # x2 irrelevant at z2 = 0
-    got = tm.kernel_two_mode_number((0, 0), (0, 0), x, s, scales=(z1, 0.0))
+    got = kernel_two_mode_number((0, 0), (0, 0), x, s, scales=(z1, 0.0))
     r2 = float(s.mu @ s.mu + s.nu @ s.nu)
     want = z1**4 / (2 * np.pi) ** 2 * np.exp(-1j * z1 * x[0]) * np.exp(-(z1**2) * r2 / 4)
     assert got == pytest.approx(want, abs=1e-15)
@@ -261,7 +268,7 @@ def test_kernel_two_mode_factorizes_into_one_mode_kernels(rng):
     z1 = 0.9
     x1 = 0.6
     for n_row, n_col in (((1, 0), (0, 2)), ((2, 1), (1, 1))):
-        got = tm.kernel_two_mode_number(n_row, n_col, (x1, 0.0), s, scales=(z1, 0.0))
+        got = kernel_two_mode_number(n_row, n_col, (x1, 0.0), s, scales=(z1, 0.0))
         k1 = kernel_number(n_row[0], n_col[0], x1, (s.mu[0], s.nu[0]), KernelScale(z1))
         k2 = kernel_number(n_row[1], n_col[1], 0.0, (s.mu[1], s.nu[1]), KernelScale(z1))
         # one-mode kernels carry (z^2/2pi) e^{-izx} each; rescale to the
@@ -293,7 +300,7 @@ def test_kernel_two_mode_dense_oracle():
         arg += cj * aj - dj * aj.conj().T
     K = z1**4 / (2 * np.pi) ** 2 * np.exp(-1j * (z1 * x[0] + z2 * x[1])) * expm(arg)
     for n_row, n_col in (((0, 0), (0, 0)), ((1, 0), (0, 1)), ((2, 2), (1, 0))):
-        got = tm.kernel_two_mode_number(n_row, n_col, x, s, scales=(z1, z2))
+        got = kernel_two_mode_number(n_row, n_col, x, s, scales=(z1, z2))
         want = K[n_row[0] * per_mode + n_row[1], n_col[0] * per_mode + n_col[1]]
         assert abs(got - want) < 1e-12
 
@@ -301,7 +308,7 @@ def test_kernel_two_mode_dense_oracle():
 def test_kernel_z2_needs_vector_setting():
     s = tm.TwoModeSetting(mu=[1, 0], nu=[0, 0])
     with pytest.raises(InvalidParameter):
-        tm.kernel_two_mode_number((0, 0), (0, 0), (0.0, 0.0), s, scales=(1.0, 0.5))
+        kernel_two_mode_number((0, 0), (0, 0), (0.0, 0.0), s, scales=(1.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +407,22 @@ def test_two_mode_normalization_deficit_is_the_trapezoid_rule(kind):
     with pytest.raises(GridTooNarrow, match=f"deficit {abs(want - 1.0):.3g}$"):
         tomo.validate_normalization()
     tomo.validate_normalization(tol=abs(want - 1.0) + 1e-12)
+
+
+def test_row_integrals_are_the_trapezoid_rule(rng):
+    x1, x2 = np.linspace(-3.0, 3.0, 31), np.linspace(-2.0, 2.0, 21)
+    tilde = tm.TwoModeTomogram((S0, S0), x1, rng.uniform(size=(2, x1.size)))
+    vector = tm.TwoModeTomogram((S0, S0), x1, rng.uniform(size=(2, x1.size, x2.size)), x2=x2)
+    assert np.max(np.abs(tilde.row_integrals() - np.trapezoid(tilde.values, x1, axis=1))) <= 1e-14
+    want = np.trapezoid(np.trapezoid(vector.values, x2, axis=2), x1, axis=1)
+    assert np.max(np.abs(vector.row_integrals() - want)) <= 1e-14
+
+
+def test_row_integrals_hold_no_table_sized_temporary(traced_peak):
+    # the default Hopf 12x12 table of a cat: 1728 rows of 1201 points, 15.8 MiB
+    tomo = tm.tabulate_tilde_tomogram(st.TwoModeCat(np.array([1.0, 0.5]) / np.sqrt(2)))
+    assert traced_peak(tomo.row_integrals) <= 2**20
+    assert np.max(np.abs(tomo.row_integrals() - np.trapezoid(tomo.values, tomo.x1, axis=1))) <= 1e-14
 
 
 @pytest.mark.parametrize("case", list(BAD_OUTCOME_GRIDS))
