@@ -17,12 +17,14 @@ transform at frequency ``z r / r0``.  The radii are those of a
 ``kernels.PolarGrid``, for the tomogram, circle-sample, Wigner and two-mode
 paths alike; homodyne is its z = 1 preset over ``[0, r_cutoff]``.
 
-A tabulated record, one-mode or two-mode, is refused with
-``GridUnderresolved`` when its raw trace is off by more than 5e-2 or the
-Hermitian part of its raw estimate has an eigenvalue below
-``MIN_RAW_EIGENVALUE`` (-1e-2): its settings or radii do not resolve the
-state at the requested dim.  Sample records are exempt; their eigenvalues
-are set by noise.
+The kind of record, not the entry point, decides the refusals.  A tabulated
+record, one-mode or two-mode, is refused with ``GridUnderresolved`` when its
+raw trace is off by more than 5e-2 or the Hermitian part of its raw estimate
+has an eigenvalue below ``MIN_RAW_EIGENVALUE`` (-1e-2): its settings or radii
+do not resolve the state at the requested dim.  A one-mode tomogram is then
+refused with ``CutoffTooSmall`` when its radial tail beyond ``r_max`` is
+above ``MAX_RADIAL_TAIL`` (1e-3).  Sample records skip all three checks:
+their eigenvalues and their large-radius ``chi`` are set by noise.
 """
 
 from __future__ import annotations
@@ -63,11 +65,9 @@ PROJECTIONS = ("none", "hermitize", "clip")
 # the truth was 1.5-8 times |eigenvalue| wherever it exceeded 1e-6, while
 # resolved one-mode records stay above -5.7e-4 and two-mode ones above -1.5e-3.
 MIN_RAW_EIGENVALUE = -1e-2
-
-
-def _check_projection(projection: str) -> None:
-    if projection not in PROJECTIONS:
-        raise DegenerateConfig(f"unknown projection {projection!r}")
+# A tabulated circle record whose estimated radial tail beyond r_max exceeds
+# this raises CutoffTooSmall.
+MAX_RADIAL_TAIL = 1e-3
 
 
 def _check_config(grid: PolarGrid, z: float, dims=(), projection: str = "none") -> None:
@@ -78,7 +78,8 @@ def _check_config(grid: PolarGrid, z: float, dims=(), projection: str = "none") 
         raise DegenerateConfig(f"grid must be a PolarGrid, got {grid!r}")
     for dim in dims:
         _check_count(dim, 1, "dim", DegenerateConfig)
-    _check_projection(projection)
+    if projection not in PROJECTIONS:
+        raise DegenerateConfig(f"unknown projection {projection!r}")
     r_max = grid.resolve_r_max(z)
     if r_max * abs(z) < 6.0:
         raise DegenerateConfig(f"r_max must have r_max * |z| >= 6, got r_max = {r_max!r}")
@@ -133,25 +134,24 @@ def _assemble_rho(
     chi: np.ndarray,
     phis: np.ndarray,
     phi_weights: np.ndarray,
-    r: np.ndarray,
-    wr: np.ndarray,
-    z: float,
-    dim: int,
+    radial: np.ndarray,
+    radial_weights: np.ndarray,
 ) -> np.ndarray:
-    """Sum ``w_phi w_r r chi (z^2/2pi) D(zeta)`` over the polar nodes.
+    """Sum ``w_phi radial_weights chi D(zeta)`` over the polar nodes.
 
     The node ``(mu, nu) = r (cos phi, sin phi)`` has ``zeta = (z r / sqrt 2)
     e^{i theta}`` with ``theta = phi + pi/2``, and
     ``<m|D(a e^{i theta})|n> = e^{i(m-n) theta} <m|D(a)|n>`` for real ``a``:
-    one real-axis table per radius and the angular Fourier sum of ``chi`` over
-    ``m - n`` replace the per-node tables.
+    one real-axis table ``radial[k] = D(z r_k / sqrt 2)`` per radius and the
+    angular Fourier sum of ``chi`` over ``m - n`` replace the per-node tables.
+    ``radial_weights[k]`` is the radial factor ``w_r r z^2 / 2 pi``.
     """
-    radial = displacement_matrix(z * r / np.sqrt(2), dim)  # (n_r, dim, dim)
+    dim = radial.shape[-1]
     orders = np.arange(1 - dim, dim)
     angular = np.exp(1j * np.outer(orders, phis + np.pi / 2)) @ (phi_weights[:, None] * chi)
     n = np.arange(dim)
     per_element = angular[n[:, None] - n[None, :] + dim - 1]  # (dim, dim, n_r)
-    return np.einsum("mnr,r,rmn->mn", per_element, wr * r * (z**2 / (2 * np.pi)), radial)
+    return np.einsum("mnr,r,rmn->mn", per_element, radial_weights, radial)
 
 
 def _row_fourier(values: np.ndarray, x: np.ndarray, deltas: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -194,6 +194,14 @@ def _check_pairs(pairs) -> None:
             raise InvalidParameter(f"entry {index}: phases and outcomes must be finite")
 
 
+def _empirical_characteristic(xs: np.ndarray, r: np.ndarray, chunk: int = 512) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
+    acc = np.zeros(r.size, dtype=complex)
+    for start in range(0, xs.size, chunk):
+        acc += np.exp(1j * np.outer(xs[start : start + chunk], r)).sum(axis=0)
+    return acc / xs.size
+
+
 def _circle_chi(data, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Angles, angle weights and ``chi[p, k]`` at ``freqs[k]`` times the unit radius.
 
@@ -223,12 +231,6 @@ def _circle_chi(data, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return phis, _angle_weights(phis), chi
 
 
-def _diagnostics(raw: np.ndarray) -> tuple[float, float]:
-    trace_error = abs(float(np.trace(raw).real) - 1.0)
-    herm = float(np.max(np.abs(raw - raw.conj().T)))
-    return trace_error, herm
-
-
 def _project(raw: np.ndarray, projection: str) -> np.ndarray:
     h = 0.5 * (raw + raw.conj().T)
     if projection == "none":
@@ -251,8 +253,10 @@ def _finish(
     samples_used: int,
     check_trace: bool,
     dims: tuple[int, int] | None = None,
+    tail: float = 0.0,
 ) -> ReconstructionReport:
-    trace_error, herm = _diagnostics(raw)
+    trace_error = abs(float(np.trace(raw).real) - 1.0)
+    herm = float(np.max(np.abs(raw - raw.conj().T)))
     if check_trace and trace_error > 5e-2:
         raise GridUnderresolved(f"raw trace deviates from 1 by {trace_error:.3g}")
     projected = _project(raw, projection)
@@ -266,6 +270,8 @@ def _finish(
                 f"raw estimate has eigenvalue {raw_min:.3g} < {MIN_RAW_EIGENVALUE:g}: "
                 "the settings or radii do not resolve this state at this dim"
             )
+    if tail > MAX_RADIAL_TAIL:
+        raise CutoffTooSmall(f"radial tail estimate {tail:.3g} > {MAX_RADIAL_TAIL:g}: r_max cuts off the state")
     rho = FockDensityMatrix(h, dims=dims)
     return ReconstructionReport(
         rho=rho,
@@ -279,8 +285,35 @@ def _finish(
 
 
 # ---------------------------------------------------------------------------
-# deterministic reconstruction
+# circle records: tomograms, homodyne pairs and one-circle sample files
 # ---------------------------------------------------------------------------
+
+
+def _reconstruct_circle(data, cfg: ReconstructionConfig) -> ReconstructionReport:
+    """The polar reconstruction of a circle Tomogram or of ``(phi, xs)`` pairs
+    of centred unit-circle outcomes on the radii of ``cfg.grid``.
+
+    A Tomogram is checked in ``_finish`` on its raw trace, its raw
+    eigenvalue and its radial tail ``2 max|rho(R)| / (z^2 R)`` at ``R =
+    r_max``; pairs skip all three, their ``chi`` a noise floor of ~1/sqrt(N).
+    """
+    z = cfg.scale.z
+    r, wr = cfg.grid.nodes(z)
+    n_r = r.size
+    tabulated = isinstance(data, Tomogram)
+    # a tomogram gains one radius at R for its tail: Gauss-Legendre radii have no node there
+    radii = np.append(r, cfg.grid.resolve_r_max(z)) if tabulated else r
+    phis, phi_weights, chi = _circle_chi(data, z * radii)
+    radial = displacement_matrix(z * radii / np.sqrt(2), cfg.dim)
+    raw = _assemble_rho(chi[:, :n_r], phis, phi_weights, radial[:n_r], wr * r * (z**2 / (2 * np.pi)))
+    if not tabulated:
+        return _finish(raw, cfg.projection, len(_pooled(data)), sum(np.size(xs) for _, xs in data), check_trace=False)
+    # beyond R the integrand decays like exp(-z^2 r^2 / 4), so the discarded part is
+    # about the boundary integrand times int_R^inf (r/R) exp(-z^2 (r^2 - R^2) / 4) dr = 2 / (z^2 R)
+    R = radii[-1]
+    boundary = _assemble_rho(chi[:, n_r:], phis, phi_weights, radial[n_r:], np.array([R * z**2 / (2 * np.pi)]))
+    tail = 2.0 * float(np.max(np.abs(boundary))) / (z**2 * R)
+    return _finish(raw, cfg.projection, len(data.settings), 0, check_trace=True, tail=tail)
 
 
 def reconstruct_from_tomogram(tomo: Tomogram, cfg: ReconstructionConfig) -> ReconstructionReport:
@@ -291,11 +324,31 @@ def reconstruct_from_tomogram(tomo: Tomogram, cfg: ReconstructionConfig) -> Reco
     ``tabulate_tomogram``.
     """
     _check_config_type(cfg, ReconstructionConfig)
-    z = cfg.scale.z
-    r, wr = cfg.grid.nodes(z)
-    phis, phi_weights, chi = _circle_chi(tomo, z * r)
-    raw = _assemble_rho(chi, phis, phi_weights, r, wr, z, cfg.dim)
-    return _finish(raw, cfg.projection, len(tomo.settings), 0, check_trace=True)
+    if not isinstance(tomo, Tomogram):
+        raise InvalidParameter(f"need a Tomogram, not {type(tomo).__name__}: use tabulate_tomogram")
+    return _reconstruct_circle(tomo, cfg)
+
+
+def reconstruct_homodyne(
+    data,
+    dim: int,
+    r_cutoff: float = 12.0,
+    projection: str = "hermitize",
+) -> ReconstructionReport:
+    """The z = 1 preset of the circle reconstruction, on ``PolarGrid(r_cutoff)``.
+
+    The phases ``phi`` are the settings ``(cos phi, sin phi)`` of the unit
+    circle.  ``data`` is a circle Tomogram or a list of ``(phi, samples)``
+    pairs; phases on less than half the circle are mirrored by
+    ``x_(phi+pi) = -x_phi``.  A Tomogram is refused as by
+    ``reconstruct_from_tomogram``: ``GridUnderresolved`` on its raw trace or
+    eigenvalue, then ``CutoffTooSmall`` on a radial tail above 1e-3.  Pairs
+    skip these checks.  ``r_cutoff < 6`` raises ``CutoffTooSmall``.
+    """
+    _check_radius(r_cutoff, "r_cutoff")
+    if r_cutoff < 6.0:
+        raise CutoffTooSmall(f"r_cutoff must be at least 6 for the damping exp(-r^2 / 4) to decay, got {r_cutoff!r}")
+    return _reconstruct_circle(data, ReconstructionConfig(KernelScale(1.0), dim, PolarGrid(r_cutoff), projection))
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +381,13 @@ def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> Reconstructi
         raise InvalidParameter("a campaign needs two or more distinct settings (mu, nu) to determine a state")
     if any(len(b.outcomes) == 0 for b in batches):
         raise EmptyBatches("encountered an empty batch")
-    total = sum(len(b.outcomes) for b in batches)
-    z = cfg.scale.z
     r0 = _circle_radius([b.setting for b in batches])
     if r0 is not None:
-        r, wr = cfg.grid.nodes(z)
-        pairs = [(b.setting.angle, (b.outcomes - b.setting.delta) / r0) for b in batches]
-        phis, phi_weights, chi = _circle_chi(pairs, z * r)
-        raw = _assemble_rho(chi, phis, phi_weights, r, wr, z, cfg.dim)
-        return _finish(raw, cfg.projection, len(_pooled(pairs)), total, check_trace=False)
+        return _reconstruct_circle([(b.setting.angle, (b.outcomes - b.setting.delta) / r0) for b in batches], cfg)
     weights = np.array([b.weight for b in batches], dtype=float)
     if np.any(weights <= 0):
         raise InvalidParameter("batch weight (setting density) must be positive")
+    z = cfg.scale.z
     # per batch: the mean kernel phase over its outcomes, over its setting density
     coeffs = np.array(
         [np.mean(np.exp(-1j * z * (np.asarray(b.outcomes, dtype=float) - b.setting.delta))) for b in batches]
@@ -350,57 +398,7 @@ def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> Reconstructi
         chunk = slice(start, start + _SAMPLE_CHUNK)
         raw += np.tensordot(coeffs[chunk], displacement_matrix(zetas[chunk], cfg.dim), axes=1)
     raw /= len(batches)
-    return _finish(raw, cfg.projection, len(batches), total, check_trace=False)
-
-
-# ---------------------------------------------------------------------------
-# homodyne reconstruction
-# ---------------------------------------------------------------------------
-
-
-def reconstruct_homodyne(
-    data,
-    dim: int,
-    r_cutoff: float = 12.0,
-    projection: str = "hermitize",
-) -> ReconstructionReport:
-    """Reconstruct from rotated-quadrature data as the z = 1 polar reconstruction.
-
-    The phases ``phi`` are the settings ``(cos phi, sin phi)`` of the unit
-    circle, so the estimate is the z = 1 symplectic quadrature on
-    the radii of ``PolarGrid(r_cutoff)``.  ``data`` is either a circle
-    Tomogram (rows become exact phase distributions) or a list of
-    ``(phi, samples)`` pairs.  Phases on less than half the circle are
-    mirrored to the full circle using ``x_(phi+pi) = -x_phi``.
-    """
-    _check_count(dim, 1, "dim", DegenerateConfig)
-    _check_projection(projection)
-    _check_radius(r_cutoff, "r_cutoff")
-    r, wr = PolarGrid(r_cutoff).nodes(1.0)
-    # one extra column at r_cutoff for the tail estimate: Gauss-Legendre
-    # radii have no node on the boundary
-    radii = np.append(r, r_cutoff)
-    phis, phi_weights, chi = _circle_chi(data, radii)
-
-    # beyond the boundary the integrand decays like exp(-r^2/4), so the
-    # discarded part is about the boundary integrand times
-    # int_R^inf (r/R) exp(-(r^2 - R^2)/4) dr = 2/R
-    boundary = _assemble_rho(chi[:, -1:], phis, phi_weights, radii[-1:], np.ones(1), 1.0, dim)
-    tail = 2.0 * float(np.max(np.abs(boundary))) / r_cutoff
-    if tail > 1e-3:
-        raise CutoffTooSmall(f"radial tail estimate {tail:.3g} at r_cutoff {r_cutoff}")
-    raw = _assemble_rho(chi[:, :-1], phis, phi_weights, r, wr, 1.0, dim)
-    if isinstance(data, Tomogram):
-        return _finish(raw, projection, len(data.settings), 0, check_trace=False)
-    return _finish(raw, projection, len(_pooled(data)), sum(np.size(xs) for _, xs in data), check_trace=False)
-
-
-def _empirical_characteristic(xs: np.ndarray, r: np.ndarray, chunk: int = 512) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    acc = np.zeros(r.size, dtype=complex)
-    for start in range(0, xs.size, chunk):
-        acc += np.exp(1j * np.outer(xs[start : start + chunk], r)).sum(axis=0)
-    return acc / xs.size
+    return _finish(raw, cfg.projection, len(batches), sum(len(b.outcomes) for b in batches), check_trace=False)
 
 
 # ---------------------------------------------------------------------------

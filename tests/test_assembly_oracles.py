@@ -9,7 +9,7 @@ from symplectomo import cli
 from symplectomo import states as st
 from symplectomo import twomode as tm
 from symplectomo.errors import InvalidParameter
-from symplectomo.kernels import KernelScale, PolarGrid
+from symplectomo.kernels import KernelScale, PolarGrid, displacement_matrix
 from symplectomo.measure_sim import importance_schedule, sample_campaign
 from symplectomo.reconstruct import _assemble_rho, _circle_chi, _row_fourier, reconstruct_homodyne
 
@@ -39,7 +39,8 @@ def test_one_mode_assembler_matches_dense_table(dim, z, n_phi, n_r):
     tomo = sy.tabulate_tomogram(st.EvenCat(1.0, 0.8), sy.circle_settings(n_phi), num=801)
     r, wr = PolarGrid(None, n_r).nodes(z)
     phis, phi_weights, chi = _circle_chi(tomo, z * r)
-    fast = _assemble_rho(chi, phis, phi_weights, r, wr, z, dim)
+    radial = displacement_matrix(z * r / np.sqrt(2), dim)
+    fast = _assemble_rho(chi, phis, phi_weights, radial, wr * r * (z**2 / (2 * np.pi)))
     dense = assemble_rho_dense(chi, phis, phi_weights, r, wr, KernelScale(z), dim)
     assert np.max(np.abs(fast - dense)) <= 1e-12
 

@@ -206,6 +206,17 @@ def test_cli_reconstruct_refuses_an_unresolved_record(tmp_path, capsys):
     assert not (tmp_path / "rho.json").exists()
 
 
+def test_cli_reconstruct_refuses_a_radial_tail(tmp_path, capsys):
+    # r_max = 7 cuts off |3>: the guard passes the record, the radial tail refuses it
+    tomo_path = tmp_path / "n3.csv"
+    assert cli.main(["tomogram", "--state", "number:n=3", "--settings", "circle:64", "--out", str(tomo_path)]) == 0
+    out = tmp_path / "rho.json"
+    rc = cli.main(["reconstruct", "--input", str(tomo_path), "--grid", "7:64", "--dim", "16", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3 and "radial tail" in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "rho.json.report.json").exists()
+
+
 @pytest.mark.parametrize("n", [301, 1201])
 def test_cli_x_grid_about_zero_is_exactly_mirror_symmetric(n):
     for half in np.random.default_rng(3).uniform(1.0, 30.0, 200):
@@ -322,7 +333,7 @@ def test_cli_reconstruct_homodyne_method(tmp_path):
     assert rc == 0
     rho = tio.load_density(out)
     want = sy.reconstruct_homodyne(tio.load_tomogram(tomo_path), dim=8).rho.entries
-    assert np.max(np.abs(rho.entries - want)) <= 1e-13
+    assert np.array_equal(rho.entries, want)
     assert abs(rho.entries[0, 0].real - 2 / 3) < 1e-2
 
 

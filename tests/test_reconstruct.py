@@ -7,6 +7,7 @@ import symplectomo as sy
 from symplectomo import states as st
 from symplectomo import twomode as tm
 from symplectomo.errors import (
+    CutoffTooSmall,
     DegenerateConfig,
     DimMismatch,
     EmptyBatches,
@@ -109,8 +110,24 @@ def test_unresolved_record_with_a_good_trace_raises(state, n_settings, dim, proj
     # (trace distance 0.80 and 2.6 to the truth); the bound is read on the raw
     # estimate, so the clip projection, whose output is a state, is refused too
     tomo = tabulate_tomogram(state, circle_settings(n_settings), num=1201)
-    with pytest.raises(GridUnderresolved, match="eigenvalue"):
-        reconstruct_from_tomogram(tomo, ReconstructionConfig(dim=dim, projection=projection))
+    rebuilds = [lambda: reconstruct_from_tomogram(tomo, ReconstructionConfig(dim=dim, projection=projection))]
+    if n_settings == 16:
+        # the record, not the entry point, decides: the homodyne preset refuses it too
+        rebuilds.append(lambda: reconstruct_homodyne(tomo, dim, projection=projection))
+    for rebuild in rebuilds:
+        with pytest.raises(GridUnderresolved, match="eigenvalue"):
+            rebuild()
+
+
+def test_tomogram_with_a_radial_tail_raises():
+    # r_max = 7 cuts off |3>: the guard passes this record (raw eigenvalue
+    # -4.1e-3, trace distance 0.011 to the truth), its radial tail of 3.5e-3
+    # refuses it
+    tomo = tabulate_tomogram(st.NumberState(3), circle_settings(64), num=1201)
+    with pytest.raises(CutoffTooSmall, match="radial tail"):
+        reconstruct_from_tomogram(tomo, ReconstructionConfig(dim=16, grid=PolarGrid(7.0)))
+    rep = reconstruct_from_tomogram(tomo, ReconstructionConfig(dim=16, grid=PolarGrid(10.0)))
+    assert trace_distance(rep.rho, st.density_matrix(st.NumberState(3), 16)) < 1e-3
 
 
 BAD_CONFIGS = {
@@ -174,6 +191,11 @@ WRONG_TYPES = {
         lambda tomo: sy.twomode.tilde_marginal(st.GaussianTwoMode(np.eye(4) * 0.5), 0.0, (1.0, 0.0)),
     ),
     "partial trace of an array": (InvalidParameter, "FockDensityMatrix", lambda tomo: sy.partial_trace(np.eye(4))),
+    "tomogram of (phi, x) pairs": (
+        InvalidParameter,
+        "Tomogram",
+        lambda tomo: reconstruct_from_tomogram([(0.0, [0.1, -0.2]), (1.0, [0.3])], ReconstructionConfig(dim=4)),
+    ),
     "two-mode x_grid 'a'": (
         InvalidParameter,
         "x1 grid",
@@ -421,7 +443,7 @@ def test_circle_sample_record_matches_reconstruct_homodyne():
     batches = _circle_record(st.Coherent(0.5 + 0.2j), 4)
     got = reconstruct_from_samples(batches, ReconstructionConfig(dim=6, grid=PolarGrid(12.0, 64)))
     want = reconstruct_homodyne([(b.setting.angle, b.outcomes) for b in batches], dim=6)
-    assert np.max(np.abs(got.rho.entries - want.rho.entries)) <= 1e-13
+    assert np.array_equal(got.rho.entries, want.rho.entries)
     assert (got.settings_used, got.samples_used) == (want.settings_used, want.samples_used) == (4, 8000)
 
 
@@ -458,14 +480,23 @@ def test_circle_sample_record_counts_settings_not_batches():
     assert reconstruct_homodyne(pairs, dim=4).settings_used == 4
 
 
+@pytest.mark.parametrize("seed", [1002, 1003])
+def test_homodyne_sample_record_skips_the_radial_tail(seed):
+    # chi of 8000 outcomes has a noise floor near 1/sqrt(N) at every radius, so
+    # a tail read at r_cutoff 8 would refuse records as good as at 12
+    phases = np.pi * np.arange(4) / 4
+    batches = sy.sample_campaign(st.NumberState(1), [QuadratureSetting(np.cos(p), np.sin(p)) for p in phases], 2000, seed=seed)
+    got = reconstruct_homodyne([(b.setting.angle, b.outcomes) for b in batches], 8, r_cutoff=8.0)
+    want = reconstruct_from_samples(batches, ReconstructionConfig(dim=8, grid=PolarGrid(8.0, 64)))
+    assert np.array_equal(got.rho.entries, want.rho.entries)
+
+
 def test_homodyne_empty_and_cutoff_errors():
     with pytest.raises(EmptyBatches):
         reconstruct_homodyne([], dim=4)
     with pytest.raises(EmptyBatches):
         reconstruct_homodyne([(0.0, np.array([]))], dim=4)
     tomo = tabulate_tomogram(st.Vacuum(), circle_settings(8), x_grid=np.linspace(-6, 6, 301))
-    from symplectomo.errors import CutoffTooSmall
-
     with pytest.raises(CutoffTooSmall):
         reconstruct_homodyne(tomo, dim=4, r_cutoff=1.5)
 
