@@ -16,7 +16,6 @@ from .states import (
     Vacuum,
     density_matrix,
     wigner,
-    wigner_two_mode,
 )
 from .marginals import (
     QuadratureSetting,
@@ -43,8 +42,6 @@ from .twomode import (
     TwoModeTomogram,
     partial_trace,
     reconstruct_two_mode,
-    tilde_marginal_cat,
-    tilde_marginal_gaussian,
 )
 from .measure_sim import (
     HeterodyneSettingTwoMode,

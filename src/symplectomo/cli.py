@@ -283,9 +283,10 @@ def cmd_sample(args) -> int:
     scheme = parse_scheme(args.scheme)
     if isinstance(scheme, tuple) and scheme[0] == "importance":
         _, n_settings, z = scheme
+        if args.n < n_settings:
+            raise SpecError(f"--n {args.n} is fewer than the {n_settings} importance settings: each needs an outcome")
         schedule = importance_schedule(n_settings, KernelScale(z), seed=args.seed)
-        n_per = max(1, args.n // n_settings)
-        batches = sample_campaign(state, schedule, n_per, args.seed)
+        batches = sample_campaign(state, schedule, args.n // n_settings, args.seed)
     else:
         batches = [sample_marginal(state, scheme, args.n, args.seed)]
     tio.save_samples(batches, args.out, state_label=args.state)

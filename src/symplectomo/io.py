@@ -26,7 +26,6 @@ from .states import FockDensityMatrix
 from .twomode import TwoModeSetting, TwoModeTomogram
 
 __all__ = [
-    "format_float",
     "save_tomogram",
     "load_tomogram",
     "save_two_mode_tomogram",
@@ -41,11 +40,7 @@ __all__ = [
 ]
 
 
-def format_float(v: float) -> str:
-    return f"{v:.17g}"
-
-
-# the same round-trip format, which the writers apply to a whole row at once
+# the round-trip float format, which the writers apply to a whole row at once
 _FLOAT = "%.17g"
 
 

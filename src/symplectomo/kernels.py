@@ -29,7 +29,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateConfig, InvalidParameter
 from .marginals import QuadratureSetting, _check_count
-from .states import _log_factorials
+from .states import _finite, _log_factorials
 
 __all__ = ["KernelScale", "PolarGrid", "displacement_matrix"]
 
@@ -41,9 +41,10 @@ class KernelScale:
     z: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.z, (bool, np.bool_)) or self.z == 0 or not np.isfinite(self.z):
-            raise InvalidParameter("kernel scale z must be a nonzero finite real")
-        object.__setattr__(self, "z", float(self.z))
+        z = _finite(self.z, "kernel scale z")
+        if z == 0:
+            raise InvalidParameter("kernel scale z must be nonzero")
+        object.__setattr__(self, "z", z)
 
 
 def _scale_z(scale: KernelScale, error: type) -> float:

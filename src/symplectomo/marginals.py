@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateSetting, GridTooNarrow, InvalidParameter, UnsupportedVariant
 from . import states as st
-from .states import _check_count
+from .states import _check_count, _finite
 
 __all__ = [
     "QuadratureSetting",
@@ -56,9 +56,7 @@ class QuadratureSetting:
     delta: float = 0.0
 
     def __post_init__(self):
-        mu, nu, delta = float(self.mu), float(self.nu), float(self.delta)
-        if not all(np.isfinite([mu, nu, delta])):
-            raise InvalidParameter("setting parameters must be finite")
+        mu, nu, delta = (_finite(v, "setting parameters") for v in (self.mu, self.nu, self.delta))
         if mu * mu + nu * nu == 0.0:
             raise DegenerateSetting("mu^2 + nu^2 must be positive")
         object.__setattr__(self, "mu", mu)

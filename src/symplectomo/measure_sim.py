@@ -34,6 +34,7 @@ from .errors import (
 )
 from .kernels import KernelScale, PolarGrid, _check_radius, _scale_z
 from .marginals import QuadratureSetting, _as_setting, _check_count, _half_width, _marginal_any, _marginal_key
+from .states import _finite, _finite_array
 from .twomode import TwoModeSetting, tilde_marginal, _half_width as _tilde_half_width
 
 __all__ = [
@@ -62,10 +63,9 @@ class SqueezerSetting:
     phase_lock: bool = True
 
     def __post_init__(self):
-        if not (np.all(np.isfinite([self.s, self.theta])) and self.s >= 0):
-            raise InvalidParameter(
-                f"squeeze magnitude must be finite and nonnegative and theta finite, got {self.s!r}, {self.theta!r}"
-            )
+        _finite(self.theta, "squeeze phase theta")
+        if _finite(self.s, "squeeze magnitude") < 0:
+            raise InvalidParameter(f"squeeze magnitude must be nonnegative, got {self.s!r}")
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,10 @@ class HeterodyneSettingTwoMode:
     theta2: float = 0.0
 
     def __post_init__(self):
-        values = [self.E1, self.E2, self.phi, self.theta1, self.theta2]
-        if not (np.all(np.isfinite(values)) and min(self.E1, self.E2) >= 0):
-            raise InvalidParameter("local-oscillator amplitudes must be finite and nonnegative and the phases finite")
+        values = (self.E1, self.E2, self.phi, self.theta1, self.theta2)
+        e1, e2, *_ = [_finite(v, "heterodyne parameters") for v in values]
+        if min(e1, e2) < 0:
+            raise InvalidParameter("local-oscillator amplitudes must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -104,14 +105,11 @@ class SampleBatch:
     generator: str = GENERATOR_NAME
 
     def __post_init__(self):
-        arr = np.array(self.outcomes, dtype=float)  # a copy: the caller's array stays writeable
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise InvalidParameter("outcomes must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "outcomes", arr)
+        # a copy: the caller's array stays writeable
+        object.__setattr__(self, "outcomes", _finite_array(self.outcomes, "outcomes"))
         object.__setattr__(self, "seed", _check_count(self.seed, 0, "seed"))
-        if not (self.weight > 0 and np.isfinite(self.weight)):
-            raise InvalidParameter(f"weight must be positive and finite, got {self.weight!r}")
+        if _finite(self.weight, "weight") <= 0:
+            raise InvalidParameter(f"weight must be positive, got {self.weight!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .marginals import _BLOCK_POINTS, QuadratureSetting, Tomogram, _check_count,
 from .states import FockDensityMatrix
 
 __all__ = [
-    "PolarGrid",
     "ReconstructionConfig",
     "ReconstructionReport",
     "reconstruct_from_tomogram",

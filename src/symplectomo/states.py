@@ -16,6 +16,7 @@ thermal state with ``lam = tanh(hbar w / 2 k T)`` has
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -49,7 +50,6 @@ __all__ = [
     "density_matrix",
     "fock_coefficients",
     "wigner",
-    "wigner_two_mode",
     "coherent_cross_wigner",
     "characteristic_one_mode",
     "thermal_occupancy",
@@ -64,12 +64,44 @@ def _check_count(value, least: int, name: str, error: type = InvalidParameter) -
     return int(value)
 
 
-def _fixed_vector(values, size: int, dtype, name: str) -> np.ndarray:
-    """``values`` as a writable 1-d copy of ``size`` entries; ``InvalidParameter`` otherwise."""
-    arr = np.array(values, dtype=dtype)
-    if arr.size != size:
-        raise InvalidParameter(f"{name} must have {size} entries, got shape {arr.shape}")
-    return arr.reshape(size)
+# the numpy dtype kinds of the numbers a float or a complex field takes; a bool ("b") is not one
+_KINDS = {float: "iuf", complex: "iufc"}
+
+
+def _numbers(values, name: str, dtype: type) -> np.ndarray:
+    """``np.asarray(values)`` if it holds numbers of the ``dtype`` field; a bool,
+    a string, a ragged nesting or another object raises ``InvalidParameter``."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind in _KINDS[dtype]:
+            return arr
+    except ValueError:  # a ragged nesting
+        pass
+    raise InvalidParameter(f"{name} must be finite {dtype.__name__} numbers, got {type(values).__name__}")
+
+
+def _finite(value, name: str, dtype: type = float):
+    """``value``, one finite number of the ``dtype`` field (a 0-d array is one), as a ``dtype``."""
+    arr = _numbers(value, name, dtype)
+    if arr.ndim == 0 and cmath.isfinite(number := dtype(arr)):
+        return number
+    raise InvalidParameter(f"{name} must be a finite {dtype.__name__} number, got {value!r}")
+
+
+def _finite_array(values, name: str, dtype: type = float, size: int | None = None) -> np.ndarray:
+    """``values``, finite numbers of the ``dtype`` field, as a read-only ``dtype``
+    copy; with ``size``, 1-d with ``size`` entries.  ``InvalidParameter`` otherwise."""
+    arr = _numbers(values, name, dtype).astype(dtype)
+    flat = arr.reshape(-1)
+    if size is not None:
+        if flat.size != size:
+            raise InvalidParameter(f"{name} must have {size} entries, got shape {arr.shape}")
+        arr = flat
+    # entry by entry for short vectors, where a ufunc reduction costs more than the rest of a constructor
+    if not (all(map(cmath.isfinite, flat.tolist())) if flat.size <= 4 else np.isfinite(flat).all()):
+        raise InvalidParameter(f"{name} must be finite {dtype.__name__} numbers")
+    arr.flags.writeable = False
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +123,9 @@ class FockDensityMatrix:
     dims: tuple[int, int] | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
+        arr = _finite_array(self.entries, "density matrix entries", complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidParameter("density matrix must be a square matrix")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidParameter("density matrix entries must be finite")
         if self.dims is not None:
             if not (isinstance(self.dims, (tuple, list)) and len(self.dims) == 2):
                 raise InvalidParameter(f"dims must be a pair of positive integers, got {self.dims!r}")
@@ -146,7 +176,7 @@ class NumberState:
     n: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.n) and self.n >= 0 and int(self.n) == self.n):
+        if not (_finite(self.n, "photon number") >= 0 and int(self.n) == self.n):
             raise InvalidParameter("photon number must be a nonnegative integer")
         object.__setattr__(self, "n", int(self.n))
 
@@ -156,10 +186,7 @@ class Coherent:
     alpha: complex
 
     def __post_init__(self):
-        alpha = complex(self.alpha)
-        if not np.isfinite(alpha):
-            raise InvalidParameter(f"coherent amplitude must be finite, got {alpha}")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _finite(self.alpha, "coherent amplitude", complex))
 
 
 @dataclass(frozen=True)
@@ -174,11 +201,8 @@ class EvenCat:
     b: float
 
     def __post_init__(self):
-        a, b = float(self.a), float(self.b)
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise InvalidParameter(f"cat amplitudes must be finite, got a = {a}, b = {b}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", _finite(self.a, "cat amplitude a"))
+        object.__setattr__(self, "b", _finite(self.b, "cat amplitude b"))
 
     @property
     def norm_squared(self) -> float:
@@ -197,9 +221,10 @@ class Thermal:
     lam: float
 
     def __post_init__(self):
-        if not (0.0 < self.lam <= 1.0):
+        lam = _finite(self.lam, "thermal parameter")
+        if not (0.0 < lam <= 1.0):
             raise InvalidParameter(f"thermal parameter must lie in (0, 1], got {self.lam}")
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", lam)
 
 
 @dataclass(frozen=True)
@@ -291,7 +316,7 @@ def density_matrix(state: OneModeState, dim: int = DEFAULT_DIM) -> FockDensityMa
     ``1 - 1e-6`` for the displaced variants (Coherent, EvenCat), so a caller
     can retry with a larger ``dim``.
     """
-    if not (np.isfinite(dim) and dim >= 1 and int(dim) == dim):
+    if not (_finite(dim, "dim") >= 1 and int(dim) == dim):
         raise InvalidParameter(f"dim must be a positive integer, got {dim!r}")
     dim = int(dim)
 
@@ -429,7 +454,7 @@ class CovarianceMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
+        m = _finite_array(self.entries, "covariance matrix")
         if m.shape != (4, 4):
             raise InvalidParameter("covariance matrix must be 4x4")
         if not np.allclose(m, m.T, atol=1e-12):
@@ -450,12 +475,8 @@ class GaussianTwoMode:
 
     def __post_init__(self):
         if not isinstance(self.M, CovarianceMatrix):
-            object.__setattr__(self, "M", CovarianceMatrix(np.asarray(self.M)))
-        mu = _fixed_vector(self.means, 4, float, "means")
-        if not np.all(np.isfinite(mu)):
-            raise InvalidParameter("means must be finite")
-        mu.flags.writeable = False
-        object.__setattr__(self, "means", mu)
+            object.__setattr__(self, "M", CovarianceMatrix(self.M))
+        object.__setattr__(self, "means", _finite_array(self.means, "means", size=4))
 
 
 @dataclass(frozen=True)
@@ -466,10 +487,7 @@ class TwoModeCat:
     parity: str = "plus"
 
     def __post_init__(self):
-        A = _fixed_vector(self.A, 2, complex, "cat amplitudes A")
-        if not np.all(np.isfinite(A)):
-            raise InvalidParameter("cat amplitudes must be finite")
-        A.flags.writeable = False
+        A = _finite_array(self.A, "cat amplitudes A", complex, size=2)
         object.__setattr__(self, "A", A)
         if self.parity not in ("plus", "minus"):
             raise InvalidParameter("parity must be 'plus' or 'minus'")
@@ -509,47 +527,3 @@ def _inversion_symmetric(state) -> bool:
     if isinstance(state, ProductState):
         return all(isinstance(mode, (Vacuum, Thermal, NumberState)) for mode in (state.mode1, state.mode2))
     return False
-
-
-def _cross_wigner_two_mode(A: np.ndarray, B: np.ndarray, q: np.ndarray, p: np.ndarray):
-    """Wigner transform of the two-mode dyad |A><B|; factorizes over modes."""
-    return (
-        coherent_cross_wigner(A[0], B[0], q[0], p[0])
-        * coherent_cross_wigner(A[1], B[1], q[1], p[1])
-    )
-
-
-def wigner_two_mode(state: TwoModeState, q, p):
-    """Two-mode Wigner function; ``integral over d2q d2p = (2 pi)^2``.
-
-    ``q`` and ``p`` are length-2 vectors (or arrays with leading axis 2).
-    The Gaussian value at the means is ``det(M)^(-1/2)``.
-    """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-
-    if isinstance(state, GaussianTwoMode):
-        v = np.concatenate([q, p], axis=0)
-        dv = v - state.means.reshape((4,) + (1,) * (v.ndim - 1))
-        Minv = np.linalg.inv(state.M.entries)
-        quad = np.einsum("i...,ij,j...->...", dv, Minv, dv)
-        return np.exp(-0.5 * quad) / np.sqrt(np.linalg.det(state.M.entries))
-
-    if isinstance(state, TwoModeCat):
-        A = state.A
-        sign = 1.0 if state.parity == "plus" else -1.0
-        w = (
-            _cross_wigner_two_mode(A, A, q, p)
-            + sign * _cross_wigner_two_mode(A, -A, q, p)
-            + sign * _cross_wigner_two_mode(-A, A, q, p)
-            + _cross_wigner_two_mode(-A, -A, q, p)
-        ) * state.norm_factor_squared
-        resid = float(np.max(np.abs(np.imag(w)))) if np.ndim(w) else abs(np.imag(w))
-        if resid > 1e-12:
-            raise InvalidParameter(f"imaginary residue {resid:.3g} in cat Wigner")
-        return np.real(w)
-
-    if isinstance(state, ProductState):
-        return wigner(state.mode1, q[0], p[0]) * wigner(state.mode2, q[1], p[1])
-
-    raise UnsupportedVariant(f"no Wigner evaluation for {type(state).__name__}")

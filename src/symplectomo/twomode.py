@@ -35,7 +35,6 @@ evaluated on ``x >= 0`` and mirrored.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -71,8 +70,6 @@ __all__ = [
     "TwoModeTomogram",
     "symplectic_sigma",
     "complete_symplectic",
-    "tilde_marginal_gaussian",
-    "tilde_marginal_cat",
     "tilde_marginal",
     "characteristic_two_mode",
     "hopf_directions",
@@ -110,9 +107,9 @@ class TwoModeSetting:
     delta: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
     def __post_init__(self):
-        mu = _frozen_vec(self.mu)
-        nu = _frozen_vec(self.nu)
-        delta = _frozen_vec(self.delta)
+        mu = st._finite_array(self.mu, "setting components", size=2)
+        nu = st._finite_array(self.nu, "setting components", size=2)
+        delta = st._finite_array(self.delta, "setting components", size=2)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "delta", delta)
@@ -121,8 +118,8 @@ class TwoModeSetting:
         if (self.mu_p is None) != (self.nu_p is None):
             raise InvalidParameter("mu_p and nu_p must be given together")
         if self.mu_p is not None:
-            mu_p = _frozen_vec(self.mu_p)
-            nu_p = _frozen_vec(self.nu_p)
+            mu_p = st._finite_array(self.mu_p, "setting components", size=2)
+            nu_p = st._finite_array(self.nu_p, "setting components", size=2)
             object.__setattr__(self, "mu_p", mu_p)
             object.__setattr__(self, "nu_p", nu_p)
             u1, u2 = self.row1, self.row2
@@ -148,14 +145,6 @@ class TwoModeSetting:
     @property
     def radius(self) -> float:
         return float(np.linalg.norm(self.row1))
-
-
-def _frozen_vec(v) -> np.ndarray:
-    arr = st._fixed_vector(v, 2, float, "setting components")
-    if not (math.isfinite(arr[0]) and math.isfinite(arr[1])):
-        raise InvalidParameter("setting components must be finite")
-    arr.flags.writeable = False
-    return arr
 
 
 def complete_symplectic(setting: TwoModeSetting) -> np.ndarray:
@@ -315,10 +304,9 @@ def _gauss_rows(state: st.GaussianTwoMode, x: np.ndarray, U: np.ndarray) -> np.n
     return np.exp(-(x**2) / (2 * s2)) / np.sqrt(2 * np.pi * s2)
 
 
-def _cat_rows(state, x: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Even-cat marginals at ``x[s]`` of the setting rows ``U[s]``; ``state`` may be the amplitude pair."""
-    A = state.A if isinstance(state, st.TwoModeCat) else np.asarray(state, dtype=complex).reshape(2)
-    Q, P = np.sqrt(2) * A.real, np.sqrt(2) * A.imag
+def _cat_rows(state: st.TwoModeCat, x: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Even-cat marginals at ``x[s]`` of the setting rows ``U[s]``."""
+    Q, P = np.sqrt(2) * state.A.real, np.sqrt(2) * state.A.imag
     mu, nu = U[:, :2], U[:, 2:]
     r2 = np.sum(U**2, axis=1)[:, None]
 
@@ -346,47 +334,19 @@ def _stacked_form(state):
     return None
 
 
-def _check_setting(setting) -> None:
-    if not isinstance(setting, TwoModeSetting):
-        raise InvalidParameter(f"a two-mode setting must be a TwoModeSetting, got {type(setting).__name__}")
-
-
-def _one_row(rows, state, x1, setting: TwoModeSetting):
-    """One setting's marginal by the stacked form ``rows``, shaped like ``x1``."""
-    _check_setting(setting)
-    x1 = np.asarray(x1, dtype=float)
-    return rows(state, x1.reshape(1, -1), setting.row1[None])[0].reshape(x1.shape)[()]
-
-
-def tilde_marginal_gaussian(state: st.GaussianTwoMode, x1, setting: TwoModeSetting):
-    """Closed-form Gaussian marginal: mean ``u . means``, variance ``u M u^T``."""
-    if not isinstance(state, st.GaussianTwoMode):
-        raise UnsupportedVariant("tilde_marginal_gaussian expects a Gaussian state")
-    return _one_row(_gauss_rows, state, x1, setting)
-
-
-def tilde_marginal_cat(state, x1, setting: TwoModeSetting):
-    """Closed-form marginal of the even (plus) two-mode cat.
-
-    ``state`` may be a TwoModeCat or the complex amplitude pair
-    ``A = (Q + i P)/sqrt 2``.
-    """
-    if isinstance(state, st.TwoModeCat) and state.parity != "plus":
-        raise UnsupportedVariant("closed form covers the plus (even) cat only")
-    return _one_row(_cat_rows, state, x1, setting)
-
-
 def tilde_marginal(state, x1, setting: TwoModeSetting):
     """Single-quadrature marginal for any supported two-mode state.
 
     Dispatches to the closed forms where they exist, otherwise inverts the
     characteristic function along the setting direction.
     """
+    if not isinstance(setting, TwoModeSetting):
+        raise InvalidParameter(f"a two-mode setting must be a TwoModeSetting, got {type(setting).__name__}")
     rows = _stacked_form(state)
     if rows is None:
-        _check_setting(setting)
         return _tilde_from_characteristic(state, x1, setting)
-    return _one_row(rows, state, x1, setting)
+    x1 = np.asarray(x1, dtype=float)
+    return rows(state, x1.reshape(1, -1), setting.row1[None])[0].reshape(x1.shape)[()]
 
 
 def _tilde_from_characteristic(state, x1, setting: TwoModeSetting, k_points: int = 2001):

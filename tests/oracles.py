@@ -15,7 +15,10 @@ writers of the long tomogram and sample layouts, which the library refuses),
 the CSV body writer that formats every row, and the two-mode
 Wigner-quadrature marginals and moments.
 It also holds exact forms the library does not evaluate, such as the
-Hermite-function marginal of a number state, and the pointwise evaluators of
+Hermite-function marginal of a number state and the two-mode Wigner function
+(the library reaches two-mode marginals through closed forms and the
+characteristic function), the one-float ``format_float`` (the library's
+writers format whole rows with ``io._FLOAT``), and the pointwise evaluators of
 the kernel, which the library builds only as ``displacement_matrix`` tables:
 the single displacement element, the number-basis element and matrix, the
 coherent-basis closed form, the coordinate-basis phase and delta residual,
@@ -34,8 +37,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from symplectomo import states as st
-from symplectomo.errors import CutoffTooSmall, EmptyBatches, InvalidParameter, NotSymplectic
-from symplectomo.io import format_float
+from symplectomo.errors import CutoffTooSmall, EmptyBatches, InvalidParameter, NotSymplectic, UnsupportedVariant
 from symplectomo.kernels import KernelScale, _check_radius, displacement_matrix, kernel_displacement_argument
 from symplectomo.marginals import QuadratureSetting, Tomogram, _antipodes, _as_setting, _trapezoid_weights
 from symplectomo.measure_sim import SampleBatch
@@ -399,8 +401,8 @@ def tilde_gaussian_loop(state, x1, setting: TwoModeSetting):
 
 
 def tilde_cat_loop(state, x1, setting: TwoModeSetting):
-    """Even-cat marginal of one setting; ``state`` is a TwoModeCat or its amplitude pair."""
-    A = state.A if isinstance(state, st.TwoModeCat) else np.asarray(state, dtype=complex).reshape(2)
+    """Even-cat marginal of one setting of a TwoModeCat."""
+    A = state.A
     Q = np.sqrt(2) * A.real
     P = np.sqrt(2) * A.imag
     mu, nu = setting.mu, setting.nu
@@ -420,6 +422,52 @@ def tilde_cat_loop(state, x1, setting: TwoModeSetting):
     terms = np.exp(env + osc_exp) * np.cos(2 * (mu @ P - nu @ Q) * x1 / r2)
     terms = terms + 0.5 * (np.exp(env + hyp_exp + hyp_arg) + np.exp(env + hyp_exp - hyp_arg))
     return 2.0 * n2 / np.sqrt(np.pi * r2) * terms
+
+
+# ---------------------------------------------------------------------------
+# two modes: the Wigner function and its quadrature reductions
+# ---------------------------------------------------------------------------
+
+
+def _cross_wigner_two_mode(A: np.ndarray, B: np.ndarray, q: np.ndarray, p: np.ndarray):
+    """Wigner transform of the two-mode dyad |A><B|; factorizes over modes."""
+    return st.coherent_cross_wigner(A[0], B[0], q[0], p[0]) * st.coherent_cross_wigner(A[1], B[1], q[1], p[1])
+
+
+def wigner_two_mode(state, q, p):
+    """Two-mode Wigner function; ``integral over d2q d2p = (2 pi)^2``.
+
+    ``q`` and ``p`` are length-2 vectors (or arrays with leading axis 2).
+    The Gaussian value at the means is ``det(M)^(-1/2)``.
+    """
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+
+    if isinstance(state, st.GaussianTwoMode):
+        v = np.concatenate([q, p], axis=0)
+        dv = v - state.means.reshape((4,) + (1,) * (v.ndim - 1))
+        Minv = np.linalg.inv(state.M.entries)
+        quad = np.einsum("i...,ij,j...->...", dv, Minv, dv)
+        return np.exp(-0.5 * quad) / np.sqrt(np.linalg.det(state.M.entries))
+
+    if isinstance(state, st.TwoModeCat):
+        A = state.A
+        sign = 1.0 if state.parity == "plus" else -1.0
+        w = (
+            _cross_wigner_two_mode(A, A, q, p)
+            + sign * _cross_wigner_two_mode(A, -A, q, p)
+            + sign * _cross_wigner_two_mode(-A, A, q, p)
+            + _cross_wigner_two_mode(-A, -A, q, p)
+        ) * state.norm_factor_squared
+        resid = float(np.max(np.abs(np.imag(w)))) if np.ndim(w) else abs(np.imag(w))
+        if resid > 1e-12:
+            raise InvalidParameter(f"imaginary residue {resid:.3g} in cat Wigner")
+        return np.real(w)
+
+    if isinstance(state, st.ProductState):
+        return st.wigner(state.mode1, q[0], p[0]) * st.wigner(state.mode2, q[1], p[1])
+
+    raise UnsupportedVariant(f"no Wigner evaluation for {type(state).__name__}")
 
 
 def _null_basis(rows: np.ndarray) -> np.ndarray:
@@ -447,7 +495,7 @@ def vector_marginal_numeric(state, x, setting: TwoModeSetting, extent: float = 9
     t = np.linspace(-extent, extent, num)
     T1, T2 = np.meshgrid(t, t, indexing="ij")
     v = foot[:, None] + basis @ np.stack([T1.ravel(), T2.ravel()])
-    W = st.wigner_two_mode(state, v[:2], v[2:]).reshape(num, num)
+    W = wigner_two_mode(state, v[:2], v[2:]).reshape(num, num)
     dt = t[1] - t[0]
     integral = np.trapezoid(np.trapezoid(W, dx=dt, axis=1), dx=dt, axis=0)
     return float(integral / ((2 * np.pi) ** 2 * np.sqrt(np.linalg.det(gram))))
@@ -468,7 +516,7 @@ def wigner_moment_numeric(state, setting: TwoModeSetting, power=2, extent: float
     acc = np.zeros(len(powers))
     for q1 in g:
         v = np.stack([np.full(Q2.size, q1), Q2.ravel(), P1.ravel(), P2.ravel()])
-        W = st.wigner_two_mode(state, v[:2], v[2:])
+        W = wigner_two_mode(state, v[:2], v[2:])
         x1 = u @ v
         for i, k in enumerate(powers):
             acc[i] += np.sum(W * x1**k) if k else np.sum(W)
@@ -490,7 +538,7 @@ def tilde_marginal_numeric(state, x1, setting: TwoModeSetting, extent: float = 9
     dt = t[1] - t[0]
     for i, xv in enumerate(x1):
         v = (xv / r) * e[:, None] + offsets
-        W = st.wigner_two_mode(state, v[:2], v[2:])
+        W = wigner_two_mode(state, v[:2], v[2:])
         W = W.reshape(num, num, num)
         out[i] = (
             np.trapezoid(np.trapezoid(np.trapezoid(W, dx=dt, axis=2), dx=dt, axis=1), dx=dt, axis=0)
@@ -706,6 +754,11 @@ def kernel_homodyne_trapezoid(n_row: int, n_col: int, homodyne, r_cutoff: float 
 # ---------------------------------------------------------------------------
 # CSV files: line-by-line writers and float() readers
 # ---------------------------------------------------------------------------
+
+
+def format_float(v: float) -> str:
+    """One float at 17 significant digits, which round-trips through ``float``."""
+    return f"{v:.17g}"
 
 
 def _write_lines(path, lines):

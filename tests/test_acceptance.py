@@ -188,7 +188,7 @@ def test_criterion_08_two_mode_cat_reduction():
             s2 = tm.TwoModeSetting(mu=[mu1, 0.0], nu=[nu1, 0.0])
             s1 = QuadratureSetting(mu1, nu1)
             x = np.linspace(-4, 4, 50)
-            two = tm.tilde_marginal_cat(A, x, s2)
+            two = tm.tilde_marginal(st.TwoModeCat(A), x, s2)
             one = marginal_numeric(state_1m, x, s1)
             worst = max(worst, float(np.max(np.abs(two - one))))
     report(8, worst < 1e-5, f"two-mode cat one-mode reduction at 50 grid points: worst {worst:.2e} (tol 1e-5)")

@@ -15,6 +15,7 @@ from symplectomo.reconstruct import _assemble_rho, _circle_chi, _row_fourier, re
 
 from oracles import (
     _assemble_two_mode,
+    format_float,
     assemble_rho_dense,
     homodyne_trapezoid,
     reconstruct_two_mode_vector,
@@ -198,7 +199,7 @@ def test_cli_reconstruct_rejects_an_edited_hopf_setting(tmp_path, capsys):
     # scale the fourth setting's columns by 1 + 1e-6, far beyond the grid's 1e-12 match
     header, grid, *rows = path.read_text().splitlines()
     cols = rows[3].split(",")
-    cols[:8] = [tio.format_float(float(c) * (1 + 1e-6)) for c in cols[:8]]
+    cols[:8] = [format_float(float(c) * (1 + 1e-6)) for c in cols[:8]]
     rows[3] = ",".join(cols)
     path.write_text("\n".join([header, grid, *rows]) + "\n")
     assert cli.main(["reconstruct", "--input", str(path), "--dim", "3", "--out", out]) == 2

@@ -13,6 +13,8 @@ from symplectomo.marginals import QuadratureSetting, _outcome_grid, circle_setti
 from symplectomo.measure_sim import importance_schedule, sample_campaign, sample_marginal
 from symplectomo.twomode import TwoModeSetting, hopf_directions, tabulate_tilde_tomogram
 
+from oracles import format_float
+
 
 # ---------------------------------------------------------------------------
 # file formats
@@ -89,7 +91,7 @@ def test_two_mode_density_dims(tmp_path):
 
 def test_float_format_precision():
     v = 1 / 3
-    assert float(tio.format_float(v)) == v
+    assert float(tio._FLOAT % v) == v
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,7 @@ def _warped_tilde_csv(path):
     header, grid, *rows = path.read_text().splitlines()
     x1 = np.array(grid.split(",")[8:], dtype=float)
     x1 += 0.02 * np.sin(np.pi * x1 / x1.max())
-    grid = ",".join(["x1"] + [""] * 7 + list(map(tio.format_float, x1)))
+    grid = ",".join(["x1"] + [""] * 7 + list(map(format_float, x1)))
     path.write_text("\n".join([header, grid, *rows]) + "\n")
 
 
@@ -160,6 +162,9 @@ MALFORMED_INPUT = {
     "heterodyne th1": (SAMPLE + ["heterodyne:E1=1,E2=1,phi=0,th1=x"], None),
     "heterodyne th2": (SAMPLE + ["heterodyne:E1=1,E2=1,phi=0,th2=x"], None),
     "importance z": (SAMPLE + ["importance:n=4,z=x"], None),
+    "importance n -5": (["sample", "--state", "vacuum", "--n", "-5", "--seed", "1", "--scheme", "importance:n=32"], None),
+    "importance n 0": (["sample", "--state", "vacuum", "--n", "0", "--seed", "1", "--scheme", "importance:n=32"], None),
+    "importance n 10": (["sample", "--state", "vacuum", "--n", "10", "--seed", "1", "--scheme", "importance:n=32"], None),
     "threads flag": (["--threads", "2", "tomogram", "--state", "vacuum", "--settings", "circle:4"], None),
     "density without re": (["compare", "--a", "{rho}", "--b", "{rho}"], '{"dim": 2}'),
     "density not JSON": (["compare", "--a", "{rho}", "--b", "{rho}"], "not json"),

@@ -8,7 +8,7 @@ from symplectomo import states as st
 from symplectomo.errors import DegenerateSetting, EmptySchedule, GridTooNarrow, InvalidParameter, PhaseLockRequired
 from symplectomo.kernels import KernelScale
 from symplectomo.marginals import QuadratureSetting
-from symplectomo.twomode import tilde_marginal_gaussian
+from symplectomo.twomode import tilde_marginal
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_heterodyne_pushforward_consistency(rng):
     var = float(s.row1 @ M @ s.row1)
     x = np.linspace(-2, 2, 9)
     want = np.exp(-(x**2) / (2 * var)) / np.sqrt(2 * np.pi * var)
-    got = tilde_marginal_gaussian(state, x, s)
+    got = tilde_marginal(state, x, s)
     assert np.max(np.abs(got - want)) < 1e-6
 
 

@@ -9,6 +9,11 @@ from scipy.special import eval_laguerre, gammaln
 from symplectomo import states as st
 from symplectomo import twomode as tm
 from symplectomo.errors import DimMismatch, InvalidParameter, TruncationTooSmall, UnsupportedVariant
+from symplectomo.kernels import KernelScale
+from symplectomo.marginals import QuadratureSetting
+from symplectomo.measure_sim import HeterodyneSettingTwoMode, SampleBatch, SqueezerSetting
+
+from oracles import wigner_two_mode
 
 
 def test_vacuum_density_matrix_is_ground_projector():
@@ -165,18 +170,18 @@ def test_gaussian_two_mode_peak_and_symmetry(rng):
     M = Q @ np.diag(rng.uniform(0.4, 1.5, 4)) @ Q.T
     means = rng.normal(size=4) * 0.5
     state = st.GaussianTwoMode(M, means)
-    peak = st.wigner_two_mode(state, means[:2], means[2:])
+    peak = wigner_two_mode(state, means[:2], means[2:])
     assert peak == pytest.approx(1 / np.sqrt(np.linalg.det(M)))
     v = rng.normal(size=4)
-    w1 = st.wigner_two_mode(state, v[:2], v[2:])
+    w1 = wigner_two_mode(state, v[:2], v[2:])
     mirrored = 2 * means - v
-    w2 = st.wigner_two_mode(state, mirrored[:2], mirrored[2:])
+    w2 = wigner_two_mode(state, mirrored[:2], mirrored[2:])
     assert w1 == pytest.approx(w2, rel=1e-12)
 
 
 def test_gaussian_identity_over_two_value():
     state = st.GaussianTwoMode(np.eye(4) * 0.5)
-    assert st.wigner_two_mode(state, np.zeros(2), np.zeros(2)) == pytest.approx(4.0)
+    assert wigner_two_mode(state, np.zeros(2), np.zeros(2)) == pytest.approx(4.0)
 
 
 def test_minus_cat_needs_nonzero_amplitude():
@@ -208,12 +213,12 @@ def test_two_mode_cat_wigner_against_term_sum(rng):
         p = rng.normal(size=2)
         expected = n2 * (dyad(A, A, q, p) + dyad(A, -A, q, p) + dyad(-A, A, q, p) + dyad(-A, -A, q, p))
         assert abs(expected.imag) < 1e-12
-        assert st.wigner_two_mode(state, q, p) == pytest.approx(expected.real, rel=1e-12)
+        assert wigner_two_mode(state, q, p) == pytest.approx(expected.real, rel=1e-12)
 
 
 def test_two_mode_cat_origin_value():
     state = st.TwoModeCat(np.array([1.0, 0.0]), parity="plus")
-    assert st.wigner_two_mode(state, np.zeros(2), np.zeros(2)) == pytest.approx(4.0)
+    assert wigner_two_mode(state, np.zeros(2), np.zeros(2)) == pytest.approx(4.0)
 
 
 def test_product_state_wigner_factorizes():
@@ -221,7 +226,7 @@ def test_product_state_wigner_factorizes():
     q = np.array([0.3, -0.7])
     p = np.array([1.1, 0.2])
     expected = st.wigner(st.Thermal(0.5), q[0], p[0]) * st.wigner(st.Coherent(0.5j), q[1], p[1])
-    assert st.wigner_two_mode(state, q, p) == pytest.approx(expected)
+    assert wigner_two_mode(state, q, p) == pytest.approx(expected)
 
 
 def test_covariance_matrix_validation():
@@ -316,6 +321,41 @@ def test_import_leaves_scipy_unloaded():
 def test_nonfinite_amplitudes_are_refused(build):
     with pytest.raises(InvalidParameter, match="finite"):
         build()
+
+
+_I4 = np.eye(4) * 0.5
+_SETTING = QuadratureSetting(1.0, 0.0)
+NON_NUMBERS = {
+    "NumberState('a')": lambda: st.NumberState("a"),
+    "NumberState(None)": lambda: st.NumberState(None),
+    "NumberState(True)": lambda: st.NumberState(True),
+    "Thermal('x')": lambda: st.Thermal("x"),
+    "Thermal(None)": lambda: st.Thermal(None),
+    "Thermal(0.5+0j)": lambda: st.Thermal(0.5 + 0j),
+    "EvenCat('a', 1)": lambda: st.EvenCat("a", 1),
+    "Coherent('x')": lambda: st.Coherent("x"),
+    "Coherent(None)": lambda: st.Coherent(None),
+    "KernelScale('x')": lambda: KernelScale("x"),
+    "KernelScale(None)": lambda: KernelScale(None),
+    "SqueezerSetting('a', 0)": lambda: SqueezerSetting("a", 0),
+    "HeterodyneSettingTwoMode('a', 1, 0)": lambda: HeterodyneSettingTwoMode("a", 1, 0),
+    "QuadratureSetting('a', 1)": lambda: QuadratureSetting("a", 1),
+    "QuadratureSetting(None, 1)": lambda: QuadratureSetting(None, 1),
+    "SampleBatch weight 'x'": lambda: SampleBatch(_SETTING, [0.1], 0, weight="x"),
+    "SampleBatch outcomes ['a']": lambda: SampleBatch(_SETTING, ["a"], 0),
+    "CovarianceMatrix('abc')": lambda: st.CovarianceMatrix("abc"),
+    "GaussianTwoMode means 'a'": lambda: st.GaussianTwoMode(_I4, means=[0, 0, 0, "a"]),
+    "TwoModeCat(['a', 1])": lambda: st.TwoModeCat(["a", 1]),
+    "TwoModeSetting mu ['a', 0]": lambda: tm.TwoModeSetting(mu=["a", 0], nu=[0, 1]),
+    "FockDensityMatrix([['a']])": lambda: st.FockDensityMatrix([["a"]]),
+    "density_matrix dim 'a'": lambda: st.density_matrix(st.Vacuum(), "a"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_NUMBERS))
+def test_constructors_refuse_non_numbers(case):
+    with pytest.raises(InvalidParameter):
+        NON_NUMBERS[case]()
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from symplectomo.errors import (
     GridUnderresolved,
     InvalidParameter,
     NotSymplectic,
-    UnsupportedVariant,
 )
 from symplectomo.kernels import KernelScale
 from symplectomo.marginals import QuadratureSetting, marginal_numeric
@@ -89,7 +88,7 @@ def test_symplectic_completion_tilde_only(rng):
 def test_tilde_gaussian_vacuum_value():
     state = st.GaussianTwoMode(np.eye(4) * 0.5)
     s = tm.TwoModeSetting(mu=[1, 0], nu=[0, 0])
-    assert tm.tilde_marginal_gaussian(state, 0.0, s) == pytest.approx(1 / np.sqrt(np.pi))
+    assert tm.tilde_marginal(state, 0.0, s) == pytest.approx(1 / np.sqrt(np.pi))
 
 
 def test_tilde_gaussian_offdiagonal_variance():
@@ -100,7 +99,7 @@ def test_tilde_gaussian_offdiagonal_variance():
     s = tm.TwoModeSetting(mu=[1, 0], nu=[1, 0])
     # quadratic-form oracle: var = M11 + M33 + 2c
     var = M[0, 0] + M[2, 2] + 2 * c
-    got = tm.tilde_marginal_gaussian(state, 0.7, s)
+    got = tm.tilde_marginal(state, 0.7, s)
     want = np.exp(-0.49 / (2 * var)) / np.sqrt(2 * np.pi * var)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -111,7 +110,7 @@ def test_tilde_gaussian_matches_wigner_reduction(rng):
         u = rng.normal(size=4)
         s = tm.TwoModeSetting(mu=u[:2], nu=u[2:])
         for x1 in (0.0, 0.9):
-            got = tm.tilde_marginal_gaussian(state, x1, s)
+            got = tm.tilde_marginal(state, x1, s)
             oracle = tilde_marginal_numeric(state, x1, s)
             assert abs(got - oracle) < 1e-6
 
@@ -119,7 +118,7 @@ def test_tilde_gaussian_matches_wigner_reduction(rng):
 def test_tilde_gaussian_nonzero_means_closed_form(rng):
     state = st.GaussianTwoMode(np.eye(4) * 0.5, means=[0.3, 0, 0, 0])
     x = np.linspace(-2.0, 2.0, 9)
-    got = tm.tilde_marginal_gaussian(state, x, tm.TwoModeSetting(mu=[1, 0], nu=[0, 0]))
+    got = tm.tilde_marginal(state, x, tm.TwoModeSetting(mu=[1, 0], nu=[0, 0]))
     assert np.max(np.abs(got - np.exp(-((x - 0.3) ** 2)) / np.sqrt(np.pi))) <= 1e-15
     val = tm.tilde_marginal(state, 0.3, tm.TwoModeSetting(mu=[1, 0], nu=[0, 0]))
     assert val == pytest.approx(1 / np.sqrt(np.pi), rel=1e-9)  # peak moved to x = 0.3
@@ -130,7 +129,7 @@ def test_tilde_gaussian_nonzero_means_closed_form(rng):
         s = tm.TwoModeSetting(mu=u[:2], nu=u[2:])
         x = u @ state.means + np.linspace(-2.0, 2.0, 9) * np.sqrt(u @ state.M.entries @ u)
         oracle = tm._tilde_from_characteristic(state, x, s)
-        assert np.max(np.abs(tm.tilde_marginal_gaussian(state, x, s) - oracle)) <= 1e-12
+        assert np.max(np.abs(tm.tilde_marginal(state, x, s) - oracle)) <= 1e-12
 
 
 def test_tilde_product_state_matches_wigner_reduction():
@@ -146,7 +145,7 @@ def test_tilde_product_state_matches_wigner_reduction():
 def test_tilde_cat_degenerate_is_two_mode_vacuum():
     s = tm.TwoModeSetting(mu=[0.6, -0.3], nu=[0.2, 0.9])
     r2 = 0.6**2 + 0.3**2 + 0.2**2 + 0.9**2
-    got = tm.tilde_marginal_cat(np.zeros(2, dtype=complex), 0.8, s)
+    got = tm.tilde_marginal(st.TwoModeCat(np.zeros(2, dtype=complex)), 0.8, s)
     assert got == pytest.approx(np.exp(-0.64 / r2) / np.sqrt(np.pi * r2), rel=1e-12)
 
 
@@ -157,7 +156,7 @@ def test_tilde_cat_matches_wigner_reduction(rng):
         u = rng.normal(size=4)
         s = tm.TwoModeSetting(mu=u[:2], nu=u[2:])
         for x1 in (0.0, 1.1):
-            got = tm.tilde_marginal_cat(state, x1, s)
+            got = tm.tilde_marginal(state, x1, s)
             oracle = tilde_marginal_numeric(state, x1, s)
             assert abs(got - oracle) < 1e-6
 
@@ -172,15 +171,9 @@ def test_tilde_cat_one_mode_reduction():
         s2 = tm.TwoModeSetting(mu=[mu1, 0.0], nu=[nu1, 0.0])
         s1 = QuadratureSetting(mu1, nu1)
         x = np.linspace(-3, 3, 21)
-        two = tm.tilde_marginal_cat(A, x, s2)
+        two = tm.tilde_marginal(st.TwoModeCat(A), x, s2)
         one = marginal_numeric(state_1m, x, s1)
         assert np.max(np.abs(two - one)) < 1e-8
-
-
-def test_tilde_cat_minus_unsupported():
-    state = st.TwoModeCat(np.array([1.0, 0.0]), parity="minus")
-    with pytest.raises(UnsupportedVariant):
-        tm.tilde_marginal_cat(state, 0.0, tm.TwoModeSetting(mu=[1, 0], nu=[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +216,7 @@ def test_vector_marginal_compatibility_with_tilde(rng):
     for x1 in (0.0, 0.8):
         joint = np.array([vector_marginal_numeric(state, (x1, v), s) for v in x2])
         got = np.trapezoid(joint, x2)
-        want = tm.tilde_marginal_gaussian(state, x1, s)
+        want = tm.tilde_marginal(state, x1, s)
         assert abs(got - want) < 1e-5
 
 
@@ -241,7 +234,7 @@ def test_characteristic_consistency_with_tilde_fourier(rng):
     s = tm.TwoModeSetting(mu=u[:2], nu=u[2:])
     sig = np.sqrt(float(u @ M @ u))
     x = np.linspace(-10 * sig, 10 * sig, 4001)
-    w = tm.tilde_marginal_gaussian(state, x, s)
+    w = tm.tilde_marginal(state, x, s)
     for k in (0.3, 1.0, 2.2):
         ft = np.trapezoid(w * np.exp(1j * k * x), x)
         want = tm.characteristic_two_mode(state, k * u)
@@ -521,7 +514,7 @@ def test_tilde_cat_extreme_amplitude_stays_finite():
     s = tm.TwoModeSetting(mu=[0.0, 0.0], nu=[1.0, 0.3])
     half = tm._half_width(st.TwoModeCat(A), s)
     x = np.linspace(-half, half, 2001)
-    w = tm.tilde_marginal_cat(st.TwoModeCat(A), x, s)
+    w = tm.tilde_marginal(st.TwoModeCat(A), x, s)
     assert np.all(np.isfinite(w))
     assert np.trapezoid(w, x) == pytest.approx(1.0, abs=1e-9)
 
