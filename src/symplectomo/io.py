@@ -5,12 +5,16 @@ written file round-trips bit-exactly through ``float``.  A tomogram file holds
 one line per setting over an outcome grid written once; a sample file holds
 one line per batch.  Each distinct tomogram row is formatted once: a row of
 equal bytes, forward or reversed, reuses its text, so a file's bytes are those
-of formatting every row.  Sample rows are independent draws and never repeat,
-so each is formatted as it comes.
+of formatting every row.  The reader mirrors this: each distinct row text is
+parsed once, and a line whose text, forward or with its cells reversed, has
+the 16-byte BLAKE2b digest of an earlier line's text copies that row, so the
+table is the one that parsing every line gives.  Sample rows are independent
+draws and never repeat, so each is formatted and parsed as it comes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -153,7 +157,12 @@ def _write_tomogram(path, header: str, grids, keys, rows) -> None:
 
 def _read_tomogram(path, *headers: str):
     """The outcome grids, the ``(n_settings, n_key)`` keys and the
-    ``(n_settings, n_points)`` densities of a tomogram file."""
+    ``(n_settings, n_points)`` densities of a tomogram file.
+
+    Each distinct row text is parsed once (see ``_new_texts``): the parse
+    fills the leading rows of the table, and the table then grows in place
+    to one row per line, each repeat a copy of its source, reversed or not.
+    """
     with open(path, encoding="utf-8") as fh:
         n_key, axes = _AXES[_read_header(fh, path, *headers)]
         lines = [fh.readline().rstrip("\n").split(",") for _ in axes]
@@ -165,18 +174,78 @@ def _read_tomogram(path, *headers: str):
             grids = [np.array(cells[n_key:], dtype=float) for cells in lines]
         except ValueError as exc:
             raise InvalidParameter(f"{path}: grid line: {exc}") from None
-        # np.loadtxt reads the body line by line from the handle, so only its
-        # table is held, never the file's text (see _body_error for the refusals)
+        # the body streams through _new_texts, which holds digests, never row
+        # texts (see _body_error for the refusals)
+        key_texts, sources = [], []
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # an empty body only warns
             try:
-                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+                table = _parse(_new_texts(fh, n_key, key_texts, sources))
+                keys = _parse(key_texts)
             except (ValueError, UserWarning) as exc:
                 raise _body_error(path, axes, exc) from None
-    n_cells = n_key + math.prod(grid.size for grid in grids)
-    if table.shape[1] != n_cells:
-        raise InvalidParameter(f"{path}: rows have {table.shape[1]} cells, expected {n_cells}")
-    return grids, table[:, :n_key], table[:, n_key:]
+    n_values = math.prod(grid.size for grid in grids)
+    if table.shape[1] != n_values:
+        raise InvalidParameter(f"{path}: rows have {n_key + table.shape[1]} cells, expected {n_key + n_values}")
+    if table.shape[0] < len(sources):
+        # from the last line back: a source's row sits at its index, which is
+        # at most the index of any line that repeats it, so it is read before
+        # it is overwritten
+        table.resize((len(sources), table.shape[1]), refcheck=False)
+        for i in range(len(sources) - 1, -1, -1):
+            j, flip = sources[i]
+            if flip:
+                table[i] = table[j, ::-1]
+            elif j != i:
+                table[i] = table[j]
+    return grids, keys, table
+
+
+def _parse(lines) -> np.ndarray:
+    """The table of comma-separated float ``lines``, parsed as they stream in."""
+    return np.loadtxt(lines, delimiter=",", ndmin=2)
+
+
+def _digest(text: str) -> bytes:
+    return hashlib.blake2b(text.encode(), digest_size=16).digest()
+
+
+def _new_texts(fh, n_key: int, key_texts: list, sources: list):
+    """Yield the value text of each body line of ``fh`` that no earlier line holds.
+
+    Per line, its key text goes to ``key_texts`` and ``(j, flip)`` to
+    ``sources``: the line's values are those of the ``j``-th text yielded,
+    reversed if ``flip``.  A repeat is recognised by the 16-byte digest of
+    its text, forward or with its cells reversed; only digests are kept,
+    never texts.  Equal texts parse to equal values, and reversed cells to
+    reversed values.  The reversed digest is taken only if an earlier text
+    has the length and the end cells of the reversal, which every reversed
+    repeat has.  Comments and empty lines are dropped as ``np.loadtxt``
+    drops them.
+    """
+    digests: dict[bytes, int] = {}
+    ends = set()  # per yielded text: its length, first cell and last cell
+    for line in fh:
+        line = line.rstrip("\n")
+        if "#" in line:
+            line = line[: line.index("#")]
+        if not line:
+            continue
+        *key, text = line.split(",", n_key)
+        if len(key) < n_key or not text:
+            raise ValueError(f"a line holds {line.count(',') + 1} cells: need {n_key} key cells, then the values")
+        digest = _digest(text)
+        j, flip = digests.get(digest), False
+        first, last = text[: text.find(",")], text[text.rfind(",") + 1 :]
+        if j is None and (len(text), last, first) in ends:
+            j = digests.get(_digest(",".join(text.split(",")[::-1])))
+            flip = j is not None
+        if j is None:
+            j = digests[digest] = len(digests)
+            ends.add((len(text), first, last))
+            yield text
+        key_texts.append(",".join(key))
+        sources.append((j, flip))
 
 
 def _body_error(path, axes, exc: Exception) -> InvalidParameter:

@@ -124,8 +124,8 @@ _leggauss = lru_cache(maxsize=8)(leggauss)
 
 
 def _check_radius(value, name: str, error: type = InvalidParameter) -> None:
-    """Raise ``error`` unless ``value`` is a positive finite real."""
-    if not (isinstance(value, Real) and 0.0 < value < np.inf):
+    """Raise ``error`` unless ``value`` is a positive finite real; a bool is not one, as for ``states._finite``."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and 0.0 < value < np.inf):
         raise error(f"{name} must be a positive finite radius, got {value!r}")
 
 

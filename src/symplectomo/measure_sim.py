@@ -66,6 +66,8 @@ class SqueezerSetting:
         _finite(self.theta, "squeeze phase theta")
         if _finite(self.s, "squeeze magnitude") < 0:
             raise InvalidParameter(f"squeeze magnitude must be nonnegative, got {self.s!r}")
+        if not isinstance(self.phase_lock, (bool, np.bool_)):
+            raise InvalidParameter(f"phase_lock must be a bool, got {self.phase_lock!r}")
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ per-direction two-mode einsum loops and per-radius GEMM, the vector-kernel
 reconstruction with a fixed second row, the 4001-node trapezoid homodyne
 estimator and kernel element, the line-by-line CSV writers and readers (and
 writers of the long tomogram and sample layouts, which the library refuses),
-the CSV body writer that formats every row, and the two-mode
-Wigner-quadrature marginals and moments.
+the CSV body writer that formats every row, the tomogram reader that parses
+every row, and the two-mode Wigner-quadrature marginals and moments.
 It also holds exact forms the library does not evaluate, such as the
 Hermite-function marginal of a number state and the two-mode Wigner function
 (the library reaches two-mode marginals through closed forms and the
@@ -30,12 +30,15 @@ None of them is used by the library itself.
 from __future__ import annotations
 
 import json
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
+from symplectomo import io as tio
 from symplectomo import states as st
 from symplectomo.errors import CutoffTooSmall, EmptyBatches, InvalidParameter, NotSymplectic, UnsupportedVariant
 from symplectomo.kernels import KernelScale, _check_radius, displacement_matrix, kernel_displacement_argument
@@ -810,6 +813,31 @@ def load_tomogram_lines(path) -> Tomogram:
             settings.append(QuadratureSetting(mu, nu, delta))
             rows.append(w)
     return Tomogram(tuple(settings), np.asarray(xs), np.asarray(rows))
+
+
+def read_tomogram_loadtxt(path, *headers: str):
+    """The tomogram reader that parses every body line: the outcome grids, the
+    ``(n_settings, n_key)`` keys and the ``(n_settings, n_values)`` densities,
+    with the whole body in one ``np.loadtxt`` over the open file."""
+    with open(path, encoding="utf-8") as fh:
+        n_key, axes = tio._AXES[tio._read_header(fh, path, *headers)]
+        lines = [fh.readline().rstrip("\n").split(",") for _ in axes]
+        if any(cells[:n_key] != [axis] + [""] * (n_key - 1) for axis, cells in zip(axes, lines)):
+            raise InvalidParameter(f"{path}: need the grid lines {axes}")
+        try:
+            grids = [np.array(cells[n_key:], dtype=float) for cells in lines]
+        except ValueError as exc:
+            raise InvalidParameter(f"{path}: grid line: {exc}") from None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # an empty body only warns
+            try:
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except (ValueError, UserWarning) as exc:
+                raise tio._body_error(path, axes, exc) from None
+    n_cells = n_key + math.prod(grid.size for grid in grids)
+    if table.shape[1] != n_cells:
+        raise InvalidParameter(f"{path}: rows have {table.shape[1]} cells, expected {n_cells}")
+    return grids, table[:, :n_key], table[:, n_key:]
 
 
 def _two_mode_setting_head(s: TwoModeSetting) -> tuple:

@@ -25,6 +25,7 @@ from oracles import (
     save_samples_long_lines,
     save_tomogram_lines,
     save_tomogram_long_lines,
+    read_tomogram_loadtxt,
     save_two_mode_tomogram_lines,
     write_body_per_row,
 )
@@ -512,6 +513,140 @@ def test_save_samples_refuses_what_load_cannot_read(case, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# each distinct tomogram row is parsed once, and the table is that of the
+# reader that parses every row
+# ---------------------------------------------------------------------------
+
+TOMOGRAM_WRITER_CASES = [case for case, (_, save) in WRITER_CASES.items() if save is not tio.save_samples]
+
+
+def _header(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.readline().strip()
+
+
+def _bit_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def _assert_reads_as_the_oracle(path):
+    grids, keys, values = tio._read_tomogram(path, _header(path))
+    their_grids, their_keys, their_values = read_tomogram_loadtxt(path, _header(path))
+    assert len(grids) == len(their_grids) and all(map(_bit_equal, grids, their_grids))
+    assert _bit_equal(keys, their_keys) and _bit_equal(values, their_values)
+
+
+@pytest.mark.parametrize("case", TOMOGRAM_WRITER_CASES)
+def test_reader_matches_the_loadtxt_oracle(case, tmp_path):
+    make, save = WRITER_CASES[case]
+    path = tmp_path / "t.csv"
+    save(make(), path)
+    _assert_reads_as_the_oracle(path)
+
+
+@pytest.mark.parametrize("case", TOMOGRAM_WRITER_CASES)
+def test_reader_parses_each_distinct_row_once(case, tmp_path, monkeypatch):
+    make, save = WRITER_CASES[case]
+    obj = make()
+    path = tmp_path / "t.csv"
+    save(obj, path)
+    parse, counts = tio._parse, []
+
+    def counting(lines):  # the number of lines each parse sees: the values' texts, then the keys
+        counts.append(0)
+
+        def tally():
+            for line in lines:
+                counts[-1] += 1
+                yield line
+
+        return parse(tally())
+
+    monkeypatch.setattr(tio, "_parse", counting)
+    load = tio.load_tomogram if isinstance(obj, Tomogram) else tio.load_two_mode_tomogram
+    _assert_same_tomogram(load(path), obj)
+    assert counts == [_distinct_rows(_rows(obj)), len(obj.settings)]
+
+
+def _with_copies(n_key, picks):
+    """An edit appending, per pick ``(k, reverse, negate)``, a copy of body
+    line ``k``, its value cells reversed if ``reverse`` and its key cells
+    negated if ``negate``."""
+
+    def edit(lines):
+        body = [line for line in lines[1:] if not _is_grid_line(line)]
+        for k, reverse, negate in picks:
+            cells = body[k % len(body)].split(",")
+            key, values = cells[:n_key], cells[n_key:]
+            if negate:
+                key = [c[1:] if c.startswith("-") else "-" + c for c in key]
+            lines = lines + [",".join(key + (values[::-1] if reverse else values))]
+        return lines
+
+    return edit
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
+@settings(max_examples=40, deadline=None)
+@given(data=hs.data())
+def test_reader_matches_the_oracle_on_random_tomograms(case, data, tmp_path_factory):
+    # the random rows seldom repeat, so copies are appended: forward or
+    # reversed, under the same key or its negative
+    tomos, save, _ = ROUND_TRIPS[case]
+    tomo = data.draw(tomos)
+    picks = data.draw(hs.lists(hs.tuples(hs.integers(0, 3), hs.booleans(), hs.booleans()), max_size=6))
+    n_key = 3 if isinstance(tomo, Tomogram) else 8
+    _assert_reads_as_the_oracle(_edited(tmp_path_factory.mktemp("reader"), save, tomo, _with_copies(n_key, picks)))
+
+
+def _cell(line, i, edit):
+    cells = line.split(",")
+    cells[i] = edit(cells[i])
+    return ",".join(cells)
+
+
+def _next_digit(cell):
+    return cell[:-1] + str((int(cell[-1]) + 1) % 10)
+
+
+def _reversed_values(line, key_line=None):
+    """``line``'s value cells reversed, under the key cells of ``key_line`` (default ``line``)."""
+    cells = line.split(",")
+    return ",".join((key_line or line).split(",")[:3] + cells[3:][::-1])
+
+
+# edits of a one-mode file: line 0 is the header, line 1 the grid, line 2 the first setting
+HAND_EDITS = {
+    "last digit of one cell": lambda lines: lines + [_cell(lines[2], 80, _next_digit)],
+    "-0 against 0": lambda lines: lines
+    + [_cell(lines[2], 80, lambda c: "0"), _cell(lines[2], 80, lambda c: "-0")]
+    + [_reversed_values(_cell(lines[2], 80, lambda c: "-0"), lines[3])],
+    "reversed row under keys that are not antipodes": lambda lines: lines + [_reversed_values(lines[2], lines[3])],
+    "comments and an empty line": lambda lines: lines + ["", "# a note", lines[2] + " # again", lines[3]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_EDITS))
+def test_reader_matches_the_oracle_on_hand_edited_files(case, tmp_path):
+    _assert_reads_as_the_oracle(_edited(tmp_path, tio.save_tomogram, _one_mode_tomogram(), HAND_EDITS[case]))
+
+
+REPEATED_GARBAGE = {
+    "value token": lambda lines: lines + [_cell(lines[2], 80, lambda c: "abc")] * 2,
+    "key token of a repeat": lambda lines: lines + [_cell(lines[2], 1, lambda c: "abc")],
+    "empty value cell": lambda lines: lines + [lines[2].split(",", 3)[0] + ",1,2,"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_GARBAGE))
+def test_a_repeated_row_with_garbage_is_refused(case, tmp_path):
+    path = _edited(tmp_path, tio.save_tomogram, _one_mode_tomogram(), REPEATED_GARBAGE[case])
+    for read in (tio._read_tomogram, read_tomogram_loadtxt):
+        with pytest.raises(InvalidParameter):
+            read(path, tio.TOMOGRAM_HEADER)
+
+
+# ---------------------------------------------------------------------------
 # malformed files
 # ---------------------------------------------------------------------------
 
@@ -551,12 +686,25 @@ def test_vector_shifted_grid_is_rejected(tmp_path):
         tio.load_two_mode_tomogram(_joined(tmp_path, tio.save_two_mode_tomogram, first, second))
 
 
+def _load_peak_over_table(tmp_path, traced_peak, tomo):
+    path = tmp_path / "t.csv"
+    tio.save_tomogram(tomo, path)
+    return traced_peak(tio.load_tomogram, path) / tomo.values.nbytes
+
+
 def test_load_tomogram_holds_little_beyond_its_table(tmp_path, traced_peak):
     # the body is parsed from the open file: neither its text nor its lines are held
-    path = tmp_path / "cat.csv"
-    tio.save_tomogram(tabulate_tomogram(st.EvenCat(1.0, 1.0), circle_settings(1000)), path)
-    table = 1000 * 1201 * 8
-    assert traced_peak(tio.load_tomogram, path) <= 2.5 * table
+    cat = tabulate_tomogram(st.EvenCat(1.0, 1.0), circle_settings(1000))
+    assert _load_peak_over_table(tmp_path, traced_peak, cat) <= 2.5
+
+
+def test_load_tomogram_without_repeats_holds_little_beyond_its_table(tmp_path, traced_peak):
+    # every row is parsed, and only digests of the texts are held
+    cat = tabulate_tomogram(st.EvenCat(1.0, 1.0), circle_settings(1000))
+    noise = np.random.default_rng(3).normal(size=(1000, 1))
+    tomo = Tomogram(cat.settings, cat.x, cat.values * (1 + 1e-9 * noise))
+    assert _distinct_rows(_rows(tomo)) == 1000
+    assert _load_peak_over_table(tmp_path, traced_peak, tomo) <= 2.5
 
 
 def _edited(tmp_path, save, obj, edit):

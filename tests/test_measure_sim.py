@@ -34,6 +34,18 @@ def test_squeezer_requires_phase_lock():
         ms.SqueezerSetting(-0.1, 0.0)
 
 
+@pytest.mark.parametrize("phase_lock", ["no", "", 1, 0, None])
+def test_squeezer_phase_lock_must_be_a_bool(phase_lock):
+    with pytest.raises(InvalidParameter, match="phase_lock"):
+        ms.SqueezerSetting(0.5, 0.0, phase_lock=phase_lock)
+
+
+def test_squeezer_takes_a_numpy_bool_phase_lock():
+    assert ms.squeezer_to_setting(ms.SqueezerSetting(0.5, 0.0, phase_lock=np.True_)).mu == pytest.approx(np.exp(-0.5))
+    with pytest.raises(PhaseLockRequired):
+        ms.squeezer_to_setting(ms.SqueezerSetting(0.5, 0.0, phase_lock=np.False_))
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -198,7 +210,7 @@ def test_campaign_rejects_nonpositive_sample_count():
             ms.sample_campaign(st.Vacuum(), [QuadratureSetting(1, 0)], n, seed=0)
 
 
-@pytest.mark.parametrize("r_max", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("r_max", [-1.0, 0.0, np.nan, np.inf, True, np.True_])
 def test_importance_schedule_refuses_a_bad_r_max(r_max):
     with pytest.raises(InvalidParameter, match="r_max"):
         ms.importance_schedule(8, r_max=r_max)

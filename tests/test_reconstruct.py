@@ -137,11 +137,13 @@ BAD_CONFIGS = {
     "projection": (DegenerateConfig, lambda tomo: ReconstructionConfig(projection="renormalize")),
     "r_max nan": (DegenerateConfig, lambda tomo: ReconstructionConfig(grid=PolarGrid(np.nan))),
     "r_max inf": (DegenerateConfig, lambda tomo: ReconstructionConfig(grid=PolarGrid(np.inf))),
+    "r_max True": (DegenerateConfig, lambda tomo: ReconstructionConfig(scale=KernelScale(8.0), grid=PolarGrid(True))),
     "n_r 3": (DegenerateConfig, lambda tomo: ReconstructionConfig(grid=PolarGrid(8.0, 3))),
     "homodyne dim 0": (DegenerateConfig, lambda tomo: reconstruct_homodyne(tomo, dim=0)),
     "homodyne dim 2.5": (DegenerateConfig, lambda tomo: reconstruct_homodyne(tomo, dim=2.5)),
     "homodyne r_cutoff -1": (InvalidParameter, lambda tomo: reconstruct_homodyne(tomo, dim=4, r_cutoff=-1.0)),
     "homodyne r_cutoff nan": (InvalidParameter, lambda tomo: reconstruct_homodyne(tomo, dim=4, r_cutoff=np.nan)),
+    "homodyne r_cutoff True": (InvalidParameter, lambda tomo: reconstruct_homodyne(tomo, dim=4, r_cutoff=True)),
 }
 
 
