@@ -7,9 +7,11 @@ one line per batch.  Each distinct tomogram row is formatted once: a row of
 equal bytes, forward or reversed, reuses its text, so a file's bytes are those
 of formatting every row.  The reader mirrors this: each distinct row text is
 parsed once, and a line whose text, forward or with its cells reversed, has
-the 16-byte BLAKE2b digest of an earlier line's text copies that row, so the
-table is the one that parsing every line gives.  Sample rows are independent
-draws and never repeat, so each is formatted and parsed as it comes.
+the digest of an earlier line's text (the first 16 bytes of its SHA-256)
+copies that row, so the table is the one that parsing every line gives.
+Sample rows are independent draws and never repeat, so each is formatted and
+parsed as it comes.  The writers emit no comment and no empty line, and the
+readers of both kinds of file refuse them.
 """
 
 from __future__ import annotations
@@ -202,12 +204,14 @@ def _read_tomogram(path, *headers: str):
 
 
 def _parse(lines) -> np.ndarray:
-    """The table of comma-separated float ``lines``, parsed as they stream in."""
-    return np.loadtxt(lines, delimiter=",", ndmin=2)
+    """The table of comma-separated float ``lines``, parsed as they stream in;
+    a ``#`` is a cell that is not a number, not the start of a comment."""
+    return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
 
 
 def _digest(text: str) -> bytes:
-    return hashlib.blake2b(text.encode(), digest_size=16).digest()
+    """The first 16 bytes of the SHA-256 of ``text``."""
+    return hashlib.sha256(text.encode()).digest()[:16]
 
 
 def _new_texts(fh, n_key: int, key_texts: list, sources: list):
@@ -220,17 +224,15 @@ def _new_texts(fh, n_key: int, key_texts: list, sources: list):
     never texts.  Equal texts parse to equal values, and reversed cells to
     reversed values.  The reversed digest is taken only if an earlier text
     has the length and the end cells of the reversal, which every reversed
-    repeat has.  Comments and empty lines are dropped as ``np.loadtxt``
-    drops them.
+    repeat has.  An empty line raises ``ValueError``; a comment fails the
+    parse (see ``_parse``).
     """
     digests: dict[bytes, int] = {}
     ends = set()  # per yielded text: its length, first cell and last cell
     for line in fh:
         line = line.rstrip("\n")
-        if "#" in line:
-            line = line[: line.index("#")]
         if not line:
-            continue
+            raise ValueError("an empty line: a tomogram file has none")
         *key, text = line.split(",", n_key)
         if len(key) < n_key or not text:
             raise ValueError(f"a line holds {line.count(',') + 1} cells: need {n_key} key cells, then the values")
@@ -250,10 +252,13 @@ def _new_texts(fh, n_key: int, key_texts: list, sources: list):
 
 def _body_error(path, axes, exc: Exception) -> InvalidParameter:
     """The refusal of a tomogram body that does not parse: a grid line among the
-    settings, which is what joining two files gives, or else ``exc``."""
+    settings, which is what joining two files gives, a comment, or else ``exc``."""
     with open(path, encoding="utf-8") as fh:
-        if any(line.startswith(f"{axis},") for line in itertools.islice(fh, 1 + len(axes), None) for axis in axes):
-            return InvalidParameter(f"{path}: a second grid line among the settings: a file has one outcome grid")
+        for line in itertools.islice(fh, 1 + len(axes), None):
+            if any(line.startswith(f"{axis},") for axis in axes):
+                return InvalidParameter(f"{path}: a second grid line among the settings: a file has one outcome grid")
+            if "#" in line:
+                return InvalidParameter(f"{path}: a comment: a tomogram file has none")
     return InvalidParameter(f"{path}: {exc}")
 
 

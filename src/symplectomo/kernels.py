@@ -8,7 +8,11 @@ component ``z``, the kernel is a scaled displacement operator::
 
 and the library builds it one way: ``displacement_matrix`` tables of the
 number-basis elements ``<m|D(zeta)|n>``, batched over zeta, which the polar
-assemblers integrate against the marginals.  These elements are bounded
+assemblers integrate against the marginals.  Every table is read-only.  The
+kernel depends on the apparatus grid, not on the state, so the real-argument
+tables (the radial tables of the polar assemblers, which every
+reconstruction on one grid shares) are memoized, at most four of them;
+complex arguments are computed afresh.  These elements are bounded
 (Gaussian envelope ``exp(-z^2 (mu^2+nu^2)/4)`` times a polynomial), which is
 what makes sample averaging of the density matrix possible in this basis.
 
@@ -29,7 +33,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateConfig, InvalidParameter
 from .marginals import QuadratureSetting, _check_count
-from .states import _finite, _log_factorials
+from .states import _finite, _log_factorials, _numbers
 
 __all__ = ["KernelScale", "PolarGrid", "displacement_matrix"]
 
@@ -93,8 +97,29 @@ def _laguerre_table(y: np.ndarray, dim: int) -> np.ndarray:
 def displacement_matrix(zetas, dim: int) -> np.ndarray:
     """All matrix elements ``<m|D(zeta)|n>`` for m, n < dim, batched over zeta.
 
-    Returns an array of shape ``zetas.shape + (dim, dim)``.
+    Returns a read-only array of shape ``zetas.shape + (dim, dim)``.  Real
+    ``zetas`` are memoized on their bytes, shape and ``dim``: the four most
+    recent such tables are kept and handed out again.  ``dim`` must be an
+    integer >= 1 and the ``zetas`` finite numbers; anything else raises
+    ``InvalidParameter``.
     """
+    dim = _check_count(dim, 1, "dim")
+    zetas = _numbers(zetas, "zetas", complex)
+    if not np.isfinite(zetas).all():
+        raise InvalidParameter("zetas must be finite")
+    if zetas.dtype.kind == "c":
+        return _displacement_table(zetas, dim)
+    zetas = zetas.astype(float, copy=False)
+    return _real_table(zetas.tobytes(), zetas.shape, dim)
+
+
+@lru_cache(maxsize=4)
+def _real_table(data: bytes, shape: tuple, dim: int) -> np.ndarray:
+    """The table of the real zetas held in ``data``, kept for the next equal call."""
+    return _displacement_table(np.frombuffer(data).reshape(shape), dim)
+
+
+def _displacement_table(zetas: np.ndarray, dim: int) -> np.ndarray:
     zetas = np.asarray(zetas, dtype=complex)
     y = (zetas * zetas.conj()).real
     out = np.zeros(zetas.shape + (dim, dim), dtype=complex)
@@ -111,6 +136,7 @@ def displacement_matrix(zetas, dim: int) -> np.ndarray:
         else:
             out[..., p + d, p] = np.moveaxis(pref * zetas**d * envelope * L, 0, -1)
             out[..., p, p + d] = np.moveaxis(pref * (-zetas.conj()) ** d * envelope * L, 0, -1)
+    out.flags.writeable = False
     return out
 
 

@@ -153,17 +153,39 @@ def _assemble_rho(
     return np.einsum("mnr,r,rmn->mn", per_element, radial_weights, radial)
 
 
+def _fourier_table(x: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """``table[0] = w cos(x freqs)`` and ``table[1] = w sin(x freqs)``, ``(2, n_x, n_k)``,
+    with ``w`` the trapezoid weights of ``x``.
+
+    On a grid with ``x[::-1] == -x`` bit for bit only the ``x >= 0`` half is
+    evaluated and the rest mirrored: ``(-x) f == -(x f)``, and cos is even and
+    sin odd, bit for bit.
+    """
+    n_x = x.size
+    lo = n_x // 2 if np.array_equal(x[::-1], -x) else 0
+    table = np.empty((2, n_x, freqs.size))
+    cos, sin = table[:, lo:]
+    np.outer(x[lo:], freqs, out=sin)
+    np.cos(sin, out=cos)
+    np.sin(sin, out=sin)
+    if lo:
+        table[:, :lo] = table[:, : n_x - lo - 1 : -1]
+        np.negative(table[1, :lo], out=table[1, :lo])
+    table *= _trapezoid_weights(x)[:, None]
+    return table
+
+
 def _row_fourier(values: np.ndarray, x: np.ndarray, deltas: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """``chi[j, k] = integral w_j(x) exp(-i freqs[k] (x - delta_j)) dx`` by trapezoid."""
-    # real products with the cos and sin tables, which carry the trapezoid
-    # weights: the rows are neither weighted in a copy nor cast to complex
-    weights = _trapezoid_weights(x)[:, None]
-    arg = np.outer(x, freqs)  # (n_x, n_k)
-    cos = np.cos(arg)
-    cos *= weights
-    sin = np.sin(arg, out=arg)
-    sin *= weights
-    return (values @ cos - 1j * (values @ sin)) * np.exp(1j * np.outer(deltas, freqs))
+    # one matmul of the rows with the stacked weighted cos and sin tables: the
+    # rows are neither weighted in a copy nor cast to complex, and each table
+    # is its own GEMM of n_k columns, since one GEMM of 2 n_k columns sums
+    # some shapes (3 rows, or two BLAS threads) in another order
+    cos, sin = values @ _fourier_table(x, freqs)
+    chi = cos - 1j * sin
+    if np.any(deltas):
+        chi *= np.exp(1j * np.outer(deltas, freqs))
+    return chi
 
 
 def _circle_radius(settings) -> float | None:

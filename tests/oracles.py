@@ -4,7 +4,8 @@ Each function is the direct, unfactorised form of a computation the library
 performs faster: circle settings each from its own angle, the explicit
 displacement-element series, the element-by-element displacement table, the
 one-shot Wigner line integral, the dense per-angle one-mode polar assembly,
-the weighted-copy and complex-phase row Fourier transforms, the broadcast
+the weighted-copy, complex-phase and whole-grid two-table row Fourier
+transforms, the broadcast
 Wigner inversion, the per-batch campaign estimator, the per-setting two-mode
 closed-form marginals and their 3-d Wigner reduction, the two-mode
 tabulation loop that evaluates every row over its whole x grid, the
@@ -346,6 +347,18 @@ def row_fourier_weighted(values, x, deltas, freqs) -> np.ndarray:
     arg = np.outer(x, freqs)
     weighted = values * _trapezoid_weights(x)
     return (weighted @ np.cos(arg) - 1j * (weighted @ np.sin(arg))) * np.exp(1j * np.outer(deltas, freqs))
+
+
+def row_fourier_two_tables(values, x, deltas, freqs) -> np.ndarray:
+    """``chi[j, k] = integral w_j(x) exp(-i freqs[k] (x - delta_j)) dx`` from cos and sin
+    tables evaluated over the whole grid, one GEMM each, with the ``delta`` phase always applied."""
+    weights = _trapezoid_weights(x)[:, None]
+    arg = np.outer(x, freqs)  # (n_x, n_k)
+    cos = np.cos(arg)
+    cos *= weights
+    sin = np.sin(arg, out=arg)
+    sin *= weights
+    return (values @ cos - 1j * (values @ sin)) * np.exp(1j * np.outer(deltas, freqs))
 
 
 def wigner_from_tomogram_broadcast(tomo, q, p, scale=KernelScale(), grid=PolarGrid()) -> np.ndarray:

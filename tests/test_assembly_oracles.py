@@ -10,6 +10,7 @@ from symplectomo import states as st
 from symplectomo import twomode as tm
 from symplectomo.errors import InvalidParameter
 from symplectomo.kernels import KernelScale, PolarGrid, displacement_matrix
+from symplectomo.marginals import _centred_grid
 from symplectomo.measure_sim import importance_schedule, sample_campaign
 from symplectomo.reconstruct import _assemble_rho, _circle_chi, _row_fourier, reconstruct_homodyne
 
@@ -20,6 +21,7 @@ from oracles import (
     homodyne_trapezoid,
     reconstruct_two_mode_vector,
     row_fourier_complex,
+    row_fourier_two_tables,
     row_fourier_weighted,
     samples_loop,
     tilde_rows_loop,
@@ -69,6 +71,28 @@ def test_row_fourier_matches_the_weighted_copy(hopf_cat_tomogram):
     fast = _row_fourier(tomo.values, tomo.x1, deltas, freqs)
     oracle = row_fourier_weighted(tomo.values, tomo.x1, deltas, freqs)
     assert np.all(np.max(np.abs(fast - oracle), axis=1) <= 1e-14 * np.max(np.abs(oracle), axis=1))
+
+
+ROW_FOURIER_GRIDS = {
+    "mirrored, odd": _centred_grid(0.0, 6.5, 1201),
+    "mirrored, even": _centred_grid(0.0, 6.5, 1200),
+    "off-centre": _centred_grid(0.4, 6.5, 1201),
+}
+
+
+@pytest.mark.parametrize("rows", [3, 64, 1728])
+@pytest.mark.parametrize("grid", sorted(ROW_FOURIER_GRIDS))
+def test_row_fourier_matches_the_whole_grid_tables_bit_for_bit(grid, rows):
+    # the half-grid mirror and the skipped zero-delta phase change no bit: the
+    # tables are those of evaluating every point, each multiplied as one GEMM
+    x = ROW_FOURIER_GRIDS[grid]
+    assert np.array_equal(x[::-1], -x) == grid.startswith("mirrored")
+    rng = np.random.default_rng(rows)
+    values = rng.random((rows, x.size))
+    for n_k in (1, 2, 48, 65):
+        freqs = np.linspace(-0.5, 8.0, n_k)
+        for deltas in (np.zeros(rows), rng.uniform(-1.0, 1.0, rows)):
+            assert np.array_equal(_row_fourier(values, x, deltas, freqs), row_fourier_two_tables(values, x, deltas, freqs))
 
 
 def test_row_fourier_memory_is_bounded(hopf_cat_tomogram, traced_peak):

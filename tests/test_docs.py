@@ -1,8 +1,9 @@
 """Every ```python block and every CLI line of README.md runs as written, so an API change cannot leave it stale;
-FORMATS.md names every CSV header the library writes and the radial defaults it uses, so a layout or default
-change cannot leave the spec stale."""
+FORMATS.md names every CSV header the library writes, the radial defaults it uses and the tomogram reader's row
+digest, so a layout, default or digest change cannot leave the spec stale."""
 
 import contextlib
+import hashlib
 import inspect
 import io
 import pathlib
@@ -84,3 +85,12 @@ RADIAL_DEFAULTS = {
 @pytest.mark.parametrize("case", list(RADIAL_DEFAULTS))
 def test_formats_states_the_radial_defaults(case):
     assert RADIAL_DEFAULTS[case] in FORMATS
+
+
+DIGEST_BYTES = len(tio._digest(""))
+
+
+def test_formats_names_the_reader_digest():
+    text = "0.25,0.5"
+    assert tio._digest(text) == hashlib.sha256(text.encode()).digest()[:DIGEST_BYTES]
+    assert f"first {DIGEST_BYTES} bytes of its SHA-256" in " ".join(FORMATS.split())

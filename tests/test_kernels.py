@@ -144,11 +144,58 @@ def test_displacement_matrix_matches_the_element_loop(dim, rng):
         1j * np.linspace(0.0, 7.7, 6),
         np.array([0.0, 5.4 + 3.0j, -1e-3j, 2.0 - 7.4j]),
         grid * (7.7 / np.max(np.abs(grid))),
+        grid.real * (7.7 / np.max(np.abs(grid.real))),
     ]
     for zetas in cases:
         got = kn.displacement_matrix(zetas, dim)
         assert got.shape == np.shape(zetas) + (dim, dim)
         assert np.array_equal(got, displacement_matrix_loop(zetas, dim))
+
+
+def test_displacement_matrix_memoizes_real_tables_read_only():
+    real = np.linspace(0.0, 5.0, 7)
+    table = kn.displacement_matrix(real, 6)
+    fresh = kn.displacement_matrix(real + 0j, 6)
+    for got in (table, fresh):
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0, 0] = 1.0
+    # equal real arguments, however passed, get the same table back
+    assert kn.displacement_matrix(real.copy(), 6) is table
+    assert kn.displacement_matrix(list(real), 6) is table
+    # complex arguments are computed afresh, and equal the real table
+    again = kn.displacement_matrix(real + 0j, 6)
+    assert again is not fresh and np.array_equal(again, table)
+    # another dim or another shape is another table
+    assert kn.displacement_matrix(real, 5).shape == (7, 5, 5)
+    assert kn.displacement_matrix(real.reshape(1, 7), 6).shape == (1, 7, 6, 6)
+    for n in range(10):
+        kn.displacement_matrix(np.full(3, 0.1 * n), 4)
+    assert kn._real_table.cache_info().currsize <= 4
+
+
+# refused before any table is computed or memoized
+BAD_DISPLACEMENT_INPUT = {
+    "dim 0": (1.0, 0),
+    "dim -2": (1.0, -2),
+    "dim 2.0": (1.0, 2.0),
+    "dim True": (1.0, True),
+    "nan zeta": (np.nan, 3),
+    "inf zeta": (np.inf, 3),
+    "a -inf among real zetas": (np.array([0.5, -np.inf]), 3),
+    "a nan among complex zetas": (np.array([0.5, complex(0.0, np.nan)]), 3),
+    "a string": ("0.5", 3),
+    "bools": ([True, False], 3),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DISPLACEMENT_INPUT))
+def test_displacement_matrix_refuses_bad_input(case):
+    zetas, dim = BAD_DISPLACEMENT_INPUT[case]
+    before = kn._real_table.cache_info()
+    with pytest.raises(InvalidParameter):
+        kn.displacement_matrix(zetas, dim)
+    assert kn._real_table.cache_info() == before
 
 
 # ---------------------------------------------------------------------------
