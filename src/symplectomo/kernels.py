@@ -32,7 +32,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateConfig, InvalidParameter
-from .marginals import QuadratureSetting, _check_count
+from .marginals import _check_count
 from .states import _finite, _log_factorials, _numbers
 
 __all__ = ["KernelScale", "PolarGrid", "displacement_matrix"]
@@ -58,8 +58,9 @@ def _scale_z(scale: KernelScale, error: type) -> float:
     return scale.z
 
 
-def kernel_displacement_argument(setting: QuadratureSetting, scale: KernelScale) -> complex:
-    return -(scale.z / np.sqrt(2)) * (setting.nu - 1j * setting.mu)
+def kernel_displacement_argument(mu, nu, z: float):
+    """``zeta = -(z / sqrt 2) (nu - i mu)`` of the settings ``(mu, nu)``, numbers or arrays."""
+    return -(z / np.sqrt(2)) * (nu - 1j * mu)
 
 
 # ---------------------------------------------------------------------------

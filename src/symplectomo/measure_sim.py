@@ -108,7 +108,10 @@ class SampleBatch:
 
     def __post_init__(self):
         # a copy: the caller's array stays writeable
-        object.__setattr__(self, "outcomes", _finite_array(self.outcomes, "outcomes"))
+        outcomes = _finite_array(self.outcomes, "outcomes")
+        if outcomes.ndim != 1:
+            raise InvalidParameter(f"outcomes must be one 1-d record, got shape {outcomes.shape}")
+        object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "seed", _check_count(self.seed, 0, "seed"))
         if _finite(self.weight, "weight") <= 0:
             raise InvalidParameter(f"weight must be positive, got {self.weight!r}")

@@ -17,6 +17,18 @@ transform at frequency ``z r / r0``.  The radii are those of a
 ``kernels.PolarGrid``, for the tomogram, circle-sample, Wigner and two-mode
 paths alike; homodyne is its z = 1 preset over ``[0, r_cutoff]``.
 
+Sample records are reduced in whole-record passes.  A circle sample record's
+``chi`` at radius r is ``mean exp(i r x)`` over each angle's outcomes,
+summed by moment binning (the truncated-Taylor core of non-uniform FFTs;
+Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1368 (1993)): the outcomes are
+binned at width 0.05, and each occupied bin adds ``exp(i r c)`` at its
+centre c times a Taylor series in its moments, truncated below 1e-16, so
+the sum agrees with the outcome-by-outcome one to 1e-13.  The bins are
+keyed by angle and centre, so every angle goes through in the same
+passes, however few outcomes each one has.  A campaign's
+per-batch mean kernel phase comes from one exp over the concatenated
+outcomes of consecutive batches, reduced per batch by ``np.add.reduceat``.
+
 The kind of record, not the entry point, decides the refusals.  A tabulated
 record, one-mode or two-mode, is refused with ``GridUnderresolved`` when its
 raw trace is off by more than 5e-2 or the Hermitian part of its raw estimate
@@ -188,9 +200,8 @@ def _row_fourier(values: np.ndarray, x: np.ndarray, deltas: np.ndarray, freqs: n
     return chi
 
 
-def _circle_radius(settings) -> float | None:
-    """The radius every setting shares to a relative 1e-9, or None when they differ."""
-    radii = np.array([s.radius for s in settings])
+def _circle_radius(radii: np.ndarray) -> float | None:
+    """The radius all the settings' ``radii`` share to a relative 1e-9, or None when they differ."""
     r0 = float(radii.mean())
     return r0 if np.max(np.abs(radii - r0)) <= 1e-9 * max(r0, 1.0) else None
 
@@ -199,7 +210,7 @@ def _pooled(pairs) -> dict[float, list]:
     """The outcomes of ``(phi, xs)`` pairs per angle mod 2 pi: the batches of one angle pool into one record."""
     pooled: dict[float, list] = {}
     for phi, xs in pairs:
-        pooled.setdefault(float(phi) % (2 * np.pi), []).append(np.ravel(xs))
+        pooled.setdefault(float(phi) % (2 * np.pi), []).append(np.asarray(xs, dtype=float).ravel())
     return pooled
 
 
@@ -215,12 +226,97 @@ def _check_pairs(pairs) -> None:
             raise InvalidParameter(f"entry {index}: phases and outcomes must be finite")
 
 
-def _empirical_characteristic(xs: np.ndarray, r: np.ndarray, chunk: int = 512) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    acc = np.zeros(r.size, dtype=complex)
-    for start in range(0, xs.size, chunk):
-        acc += np.exp(1j * np.outer(xs[start : start + chunk], r)).sum(axis=0)
-    return acc / xs.size
+# outcomes per pass of the binned characteristic function, and bins or outcomes per exp block
+_CHI_CHUNK = 1 << 15
+_PHASE_ROWS = 256
+# bin width, narrowed for radii above 2 / _BIN_WIDTH = 40 so that |r (x - c)| <= 1
+_BIN_WIDTH = 0.05
+# an outcome with |x| max|r| above this is summed directly: one rounding of r x,
+# or of r c, is then off by more than 2.8e-14
+_BINNED_PHASE = 256.0
+# so is one with |x| / h above this, which keeps every bin index an int64 key
+_MAX_BIN = 1 << 30
+
+
+def _record_chunks(records, size: int):
+    """The ``(p, xs)`` pieces of ``records`` in order, ``size`` outcomes at a time."""
+    parts, n = [], 0
+    for p, record in enumerate(records):
+        for xs in record:
+            while xs.size:
+                part, xs = xs[: size - n], xs[size - n :]
+                parts.append((p, part))
+                n += part.size
+                if n == size:
+                    yield parts
+                    parts, n = [], 0
+    if parts:
+        yield parts
+
+
+def _add_rows(acc, rec, rows) -> None:
+    """``acc[rec[j]] += rows[j]`` over the rows j of a nondecreasing ``rec``."""
+    starts = np.flatnonzero(np.diff(rec, prepend=-1))
+    acc[rec[starts]] += np.add.reduceat(rows, starts)
+
+
+def _empirical_characteristic(records: list, r: np.ndarray) -> np.ndarray:
+    """``chi[p] = mean exp(i r x)`` over the outcomes of each record, by moment binning.
+
+    A record is a list of 1-d outcome arrays.  Each outcome goes to the bin
+    centre ``c = h round(x / h)``; with ``d = x - c``, ``exp(i r x) = exp(i r c)
+    sum_q (i r d)^q / q!``, truncated at the least ``Q`` with ``(max|r| h / 2)^Q
+    / Q! < 1e-16``.  So ``chi`` sums, over each record's occupied bins,
+    ``exp(i r c)`` times the bin's moments ``M_q = sum d^q`` weighted by ``(i
+    r)^q / q!``.  An outcome with ``|d| > h / 2``, ``|x| max|r| > 256`` or
+    ``|x| / h > 2^30`` is summed directly.  All records go through together,
+    ``_CHI_CHUNK`` outcomes at a time: per chunk one sort, ``Q + 1``
+    bincounts and one ``exp(i r c)`` per distinct centre, however many
+    records it holds.
+    """
+    r_max = float(np.max(np.abs(r)))
+    h = _BIN_WIDTH if r_max * _BIN_WIDTH <= 2.0 else 2.0 / r_max
+    limit = min(_MAX_BIN * h, _BINNED_PHASE / r_max if r_max > 0 else np.inf)
+    # powers[q] = (i r)^q / q! for q <= Q
+    powers, term, bound = [np.ones(r.size, dtype=complex)], 1.0, r_max * h / 2
+    while term >= 1e-16:
+        powers.append(powers[-1] * (1j * r) / len(powers))
+        term *= bound / (len(powers) - 1)
+    powers = np.array(powers)
+    acc = np.zeros((len(records), r.size), dtype=complex)
+    counts = np.zeros(len(records))
+    for parts in _record_chunks(records, _CHI_CHUNK):
+        x = np.concatenate([xs for _, xs in parts])
+        p = np.repeat([p for p, _ in parts], [xs.size for _, xs in parts])
+        counts += np.bincount(p, minlength=len(records))
+        near = np.abs(x) <= limit
+        k = np.rint(np.where(near, x, 0.0) / h)
+        d = x - k * h
+        binned = near & (np.abs(d) <= h / 2)
+        far = np.flatnonzero(~binned)
+        for lo in range(0, far.size, _PHASE_ROWS):
+            block = far[lo : lo + _PHASE_ROWS]
+            _add_rows(acc, p[block], np.exp(1j * np.outer(x[block], r)))
+        # a bin is one (record, index) pair: key = p 2^32 + index + 2^30
+        keys, index = np.unique((p[binned] << 32) + (k[binned].astype(np.int64) + _MAX_BIN), return_inverse=True)
+        d = d[binned]
+        moments = np.empty((keys.size, len(powers)))
+        moments[:, 0] = np.bincount(index, minlength=keys.size)
+        d_q = d.copy()
+        for q in range(1, len(powers)):
+            moments[:, q] = np.bincount(index, weights=d_q, minlength=keys.size)
+            d_q *= d
+        rec, bins = np.divmod(keys, 1 << 32)
+        # the records' bins at one centre share its phases
+        centres, at = np.unique(bins, return_inverse=True)
+        phases = np.exp(1j * np.outer((centres - _MAX_BIN) * h, r))
+        for lo in range(0, keys.size, _PHASE_ROWS):
+            block = slice(lo, lo + _PHASE_ROWS)
+            rows = moments[block] @ powers
+            rows *= phases[at[block]]
+            _add_rows(acc, rec[block], rows)
+    acc /= counts[:, None]
+    return acc
 
 
 def _circle_chi(data, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,7 +327,7 @@ def _circle_chi(data, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     circle gain antipodes.
     """
     if isinstance(data, Tomogram):
-        r0 = _circle_radius(data.settings)
+        r0 = _circle_radius(np.array([s.radius for s in data.settings]))
         if r0 is None:
             raise DegenerateConfig("tomogram settings must lie on a common circle")
         phis = np.array([s.angle for s in data.settings])
@@ -242,7 +338,7 @@ def _circle_chi(data, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
             raise EmptyBatches("every phase needs samples")
         pooled = _pooled(data)
         phis = np.array(list(pooled))
-        chi = np.array([_empirical_characteristic(np.concatenate(xs), -freqs) for xs in pooled.values()])
+        chi = _empirical_characteristic(list(pooled.values()), -freqs)
     else:
         raise InvalidParameter(f"need a Tomogram or (phi, x) pairs, not {type(data).__name__}: use tabulate_tomogram")
     phis = phis % (2 * np.pi)
@@ -379,6 +475,22 @@ def reconstruct_homodyne(
 
 # batches per displacement table: 256 settings at dim 80 are a 26 MB table
 _SAMPLE_CHUNK = 256
+# outcomes per exp pass of the campaign estimator: 8192 of them hold 256 KB
+_PHASE_CHUNK = 1 << 13
+
+
+def _mean_phases(outcomes: list, deltas: np.ndarray, counts: np.ndarray, z: float) -> np.ndarray:
+    """``mean exp(-i z (x - delta))`` over each batch's outcomes, from one exp over
+    the outcomes of the batches that start within each ``_PHASE_CHUNK`` outcomes."""
+    first = np.cumsum(counts) - counts
+    cuts = [*np.flatnonzero(np.diff(first // _PHASE_CHUNK, prepend=-1)), counts.size]
+    means = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        shifted = np.concatenate(outcomes[lo:hi], dtype=float)
+        shifted -= np.repeat(deltas[lo:hi], counts[lo:hi])
+        phases = -1j * z * shifted
+        means.append(np.add.reduceat(np.exp(phases, out=phases), first[lo:hi] - first[lo]) / counts[lo:hi])
+    return np.concatenate(means)
 
 
 def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> ReconstructionReport:
@@ -394,15 +506,17 @@ def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> Reconstructi
     """
     _check_config_type(cfg, ReconstructionConfig)
     batches = list(batches)
-    if not batches or all(len(b.outcomes) == 0 for b in batches):
+    counts = np.array([len(b.outcomes) for b in batches], dtype=int)
+    if not counts.any():
         raise EmptyBatches("no samples to average")
     if not all(isinstance(b.setting, QuadratureSetting) for b in batches):
         raise UnsupportedVariant("two-mode sample reconstruction is not available yet; reconstruct a two-mode tomogram")
-    if len({(b.setting.mu, b.setting.nu) for b in batches}) < 2:
+    keys = np.array([(b.setting.mu, b.setting.nu, b.setting.delta) for b in batches])
+    if not np.any(keys[:, :2] != keys[0, :2]):
         raise InvalidParameter("a campaign needs two or more distinct settings (mu, nu) to determine a state")
-    if any(len(b.outcomes) == 0 for b in batches):
+    if not counts.all():
         raise EmptyBatches("encountered an empty batch")
-    r0 = _circle_radius([b.setting for b in batches])
+    r0 = _circle_radius(np.hypot(keys[:, 0], keys[:, 1]))
     if r0 is not None:
         return _reconstruct_circle([(b.setting.angle, (b.outcomes - b.setting.delta) / r0) for b in batches], cfg)
     weights = np.array([b.weight for b in batches], dtype=float)
@@ -410,16 +524,14 @@ def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> Reconstructi
         raise InvalidParameter("batch weight (setting density) must be positive")
     z = cfg.scale.z
     # per batch: the mean kernel phase over its outcomes, over its setting density
-    coeffs = np.array(
-        [np.mean(np.exp(-1j * z * (np.asarray(b.outcomes, dtype=float) - b.setting.delta))) for b in batches]
-    ) * (z**2 / (2 * np.pi)) / weights
-    zetas = np.array([kernel_displacement_argument(b.setting, cfg.scale) for b in batches])
+    coeffs = _mean_phases([b.outcomes for b in batches], keys[:, 2], counts, z) * (z**2 / (2 * np.pi)) / weights
+    zetas = kernel_displacement_argument(keys[:, 0], keys[:, 1], z)
     raw = np.zeros((cfg.dim, cfg.dim), dtype=complex)
     for start in range(0, len(batches), _SAMPLE_CHUNK):
         chunk = slice(start, start + _SAMPLE_CHUNK)
         raw += np.tensordot(coeffs[chunk], displacement_matrix(zetas[chunk], cfg.dim), axes=1)
     raw /= len(batches)
-    return _finish(raw, cfg.projection, len(batches), sum(len(b.outcomes) for b in batches), check_trace=False)
+    return _finish(raw, cfg.projection, len(batches), int(counts.sum()), check_trace=False)
 
 
 # ---------------------------------------------------------------------------

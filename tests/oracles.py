@@ -10,7 +10,8 @@ Wigner inversion, the per-batch campaign estimator, the per-setting two-mode
 closed-form marginals and their 3-d Wigner reduction, the two-mode
 tabulation loop that evaluates every row over its whole x grid, the
 per-direction two-mode einsum loops and per-radius GEMM, the vector-kernel
-reconstruction with a fixed second row, the 4001-node trapezoid homodyne
+reconstruction with a fixed second row, the outcome-by-outcome empirical
+characteristic function, the 4001-node trapezoid homodyne
 estimator and kernel element, the line-by-line CSV writers and readers (and
 writers of the long tomogram and sample layouts, which the library refuses),
 the CSV body writer that formats every row, the tomogram reader that parses
@@ -50,7 +51,6 @@ from symplectomo.reconstruct import (
     _angle_weights,
     _circle_chi,
     _circle_radius,
-    _empirical_characteristic,
     _finish,
 )
 from symplectomo.twomode import (
@@ -396,7 +396,7 @@ def samples_loop(batches, cfg):
     for b in batches:
         outcomes = np.asarray(b.outcomes, dtype=float)
         mean_phase = np.mean(np.exp(-1j * z * (outcomes - b.setting.delta)))
-        D = displacement_matrix(np.asarray(kernel_displacement_argument(b.setting, cfg.scale)), cfg.dim)
+        D = displacement_matrix(np.asarray(kernel_displacement_argument(b.setting.mu, b.setting.nu, z)), cfg.dim)
         raw += (z**2 / (2 * np.pi)) * mean_phase * D / b.weight
         total += outcomes.size
     raw /= len(batches)
@@ -708,6 +708,15 @@ def reconstruct_two_mode_vector(state, second_row, cfg, n_t, n_psi, z2: float = 
 # ---------------------------------------------------------------------------
 
 
+def empirical_characteristic_loop(xs, r, chunk: int = 512) -> np.ndarray:
+    """``mean exp(i r x)`` over the outcomes, ``chunk`` outcomes times every radius at a time."""
+    xs = np.asarray(xs, dtype=float)
+    acc = np.zeros(r.size, dtype=complex)
+    for start in range(0, xs.size, chunk):
+        acc += np.exp(1j * np.outer(xs[start : start + chunk], r)).sum(axis=0)
+    return acc / xs.size
+
+
 def homodyne_trapezoid(data, dim: int, r_cutoff: float = 12.0, regularizer_eps: float = 1e-4, n_r: int = 4001):
     """Raw homodyne matrix from a circle Tomogram or ``(phi, samples)`` pairs."""
     r = np.linspace(0.0, r_cutoff, n_r)
@@ -715,7 +724,8 @@ def homodyne_trapezoid(data, dim: int, r_cutoff: float = 12.0, regularizer_eps: 
     damp = trw * r * np.exp(-regularizer_eps * r**2)
 
     if isinstance(data, Tomogram):
-        phis, r0 = np.array([s.angle for s in data.settings]) % (2 * np.pi), _circle_radius(data.settings)
+        phis = np.array([s.angle for s in data.settings]) % (2 * np.pi)
+        r0 = _circle_radius(np.array([s.radius for s in data.settings]))
         tw = _trapezoid_weights(data.x)
         # rows tabulate the density of r0 * x_phi; rescale frequencies to x_phi
         phase_matrix = np.exp(1j * np.outer(data.x, r / r0))
@@ -728,7 +738,7 @@ def homodyne_trapezoid(data, dim: int, r_cutoff: float = 12.0, regularizer_eps: 
         if not pairs or all(xs.size == 0 for _, xs in pairs):
             raise EmptyBatches("no homodyne data")
         phis = np.asarray([p for p, _ in pairs])
-        payloads = [_empirical_characteristic(xs, r) for _, xs in pairs]
+        payloads = [empirical_characteristic_loop(xs, r) for _, xs in pairs]
         span = (phis.max() - phis.min()) % (2 * np.pi)
         if span < np.pi:
             # extend [0, pi) coverage: x_(phi+pi) = -x_phi, so the mirrored

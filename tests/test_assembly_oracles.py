@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import symplectomo as sy
 import symplectomo.io as tio
@@ -10,14 +12,21 @@ from symplectomo import states as st
 from symplectomo import twomode as tm
 from symplectomo.errors import InvalidParameter
 from symplectomo.kernels import KernelScale, PolarGrid, displacement_matrix
-from symplectomo.marginals import _centred_grid
+from symplectomo.marginals import QuadratureSetting, _centred_grid
 from symplectomo.measure_sim import importance_schedule, sample_campaign
-from symplectomo.reconstruct import _assemble_rho, _circle_chi, _row_fourier, reconstruct_homodyne
+from symplectomo.reconstruct import (
+    _assemble_rho,
+    _circle_chi,
+    _empirical_characteristic,
+    _row_fourier,
+    reconstruct_homodyne,
+)
 
 from oracles import (
     _assemble_two_mode,
     format_float,
     assemble_rho_dense,
+    empirical_characteristic_loop,
     homodyne_trapezoid,
     reconstruct_two_mode_vector,
     row_fourier_complex,
@@ -245,14 +254,103 @@ def test_homodyne_matches_trapezoid_estimator_on_samples():
     assert np.max(np.abs(got - _hermitized(homodyne_trapezoid(pairs, 8)))) <= 2e-3
 
 
-@pytest.mark.parametrize("n_settings", [300, 1000])
-def test_samples_estimator_matches_per_batch_loop(n_settings):
-    # 300 and 1000 batches cross the estimator's 256-batch chunk boundary
-    batches = sample_campaign(st.EvenCat(1.0, 1.0), importance_schedule(n_settings, seed=5), 20, seed=6)
+def _ragged(batches, most, seed):
+    """The batches cut to 1 to ``most`` outcomes each, the first to one, and moved by a nonzero delta each."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, most + 1, len(batches))
+    sizes[0] = 1
+    deltas = rng.uniform(-2, 2, len(batches))
+    return [
+        sy.SampleBatch(QuadratureSetting(b.setting.mu, b.setting.nu, d), b.outcomes[:n] + d, b.seed, b.weight)
+        for b, n, d in zip(batches, sizes, deltas)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n_settings, per_setting, ragged",
+    [
+        pytest.param(300, 20, False, id="300"),
+        pytest.param(1000, 20, False, id="1000"),
+        pytest.param(300, 40, True, id="300-ragged"),
+        pytest.param(1000, 40, True, id="1000-ragged"),
+        pytest.param(300, 300, False, id="300x300"),
+        pytest.param(300, 300, True, id="300x300-ragged"),
+    ],
+)
+def test_samples_estimator_matches_per_batch_loop(n_settings, per_setting, ragged):
+    # 300 and 1000 batches cross the estimator's 256-batch chunk boundary, and
+    # 1000 x 20 and 300 x 300 outcomes its 8192-outcome exp passes
+    batches = sample_campaign(st.EvenCat(1.0, 1.0), importance_schedule(n_settings, seed=5), per_setting, seed=6)
+    if ragged:
+        batches = _ragged(batches, per_setting, seed=n_settings)
     cfg = sy.ReconstructionConfig(dim=8, projection="none")
     got = sy.reconstruct_from_samples(batches, cfg)
     want = samples_loop(batches, cfg)
     assert np.max(np.abs(got.rho.entries - want.rho.entries)) <= 1e-12
     assert abs(got.trace_error - want.trace_error) <= 1e-12
     assert abs(got.hermiticity_residual - want.hermiticity_residual) <= 1e-12
-    assert (got.settings_used, got.samples_used) == (want.settings_used, want.samples_used) == (n_settings, 20 * n_settings)
+    total = sum(b.outcomes.size for b in batches)
+    assert (got.settings_used, got.samples_used) == (want.settings_used, want.samples_used) == (n_settings, total)
+
+
+_NORMAL = np.random.default_rng(3).normal(size=10**6)
+_H = 0.05  # the library's bin width at radii up to 40
+CHARACTERISTIC_CASES = {
+    "one outcome": np.array([0.37]),
+    "equal outcomes": np.full(1000, -1.2345),
+    "bin edges": _H * (np.arange(-200, 201) + 0.5),
+    "bin edges, nudged": np.concatenate([_H * (np.arange(-40, 41) + 0.5) + e for e in (-1e-17, 0.0, 1e-17)]),
+    "outliers 1e6": np.concatenate([_NORMAL[:100], [1e6, -1e6, 1e6 + 0.3]]),
+    "outliers 1e17": np.concatenate([_NORMAL[:100], [1e17, -1e17]]),
+    "outliers 1e300": np.concatenate([_NORMAL[:100], [1e300, -1e300]]),
+    "only outliers": np.array([1e17, -1e300]),
+    "one million normal": _NORMAL,
+}
+
+
+@pytest.mark.parametrize("r_cutoff", [12.0, 40.0])
+@pytest.mark.parametrize("case", list(CHARACTERISTIC_CASES))
+def test_empirical_characteristic_matches_the_outcome_loop(case, r_cutoff):
+    xs = CHARACTERISTIC_CASES[case]
+    r, _ = PolarGrid(r_cutoff).nodes(1.0)
+    # negative frequencies, as the circle path evaluates them, and a radius at 0
+    freqs = np.concatenate([-r, r, [0.0]])
+    got = _empirical_characteristic([[xs]], freqs)
+    assert got.shape == (1, freqs.size)
+    assert np.max(np.abs(got[0] - empirical_characteristic_loop(xs, freqs))) <= 1e-13
+
+
+def _records_match_the_loop(records, freqs) -> bool:
+    got = _empirical_characteristic(records, freqs)
+    want = [empirical_characteristic_loop(np.concatenate(record), freqs) for record in records]
+    return got.shape == (len(records), freqs.size) and np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_empirical_characteristic_matches_the_outcome_loop_on_many_records():
+    # 3000 records of 1 to 40 outcomes in 1 to 3 arrays, an outlier in some
+    # of them, then a 200000-outcome record: records share and cross the
+    # 32768-outcome passes, and the bins of one pass span many records
+    rng = np.random.default_rng(4)
+    records = [[rng.normal(size=rng.integers(1, 41)) for _ in range(rng.integers(1, 4))] for _ in range(3000)]
+    for p in (0, 7, 2999):
+        records[p].append(np.array([1e17, -1e300]))
+    records.append([rng.normal(size=200000)])
+    r, _ = PolarGrid(40.0).nodes(1.0)
+    assert _records_match_the_loop(records, np.concatenate([-r, r, [0.0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    records=hs.lists(
+        hs.lists(
+            hs.lists(hs.floats(-1e3, 1e3) | hs.floats(-1e300, 1e300), min_size=1, max_size=100), min_size=1, max_size=3
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    r_max=hs.floats(0.0, 60.0),
+    n_r=hs.integers(1, 8),
+)
+def test_empirical_characteristic_matches_the_outcome_loop_on_random_records(records, r_max, n_r):
+    records = [[np.array(xs) for xs in record] for record in records]
+    assert _records_match_the_loop(records, np.linspace(-r_max, r_max, n_r))

@@ -267,6 +267,12 @@ def test_batch_refuses_a_non_finite_weight_and_a_non_count_seed(seed, weight):
         ms.SampleBatch(QuadratureSetting(1, 0), np.zeros(3), seed=seed, weight=weight)
 
 
+@pytest.mark.parametrize("outcomes", [np.zeros((2, 3)), np.zeros((1, 1)), [[0.1], [0.2]], 0.5, np.float64(0.5)])
+def test_batch_refuses_outcomes_that_are_not_one_record(outcomes):
+    with pytest.raises(InvalidParameter):
+        ms.SampleBatch(QuadratureSetting(1, 0), outcomes, 0)
+
+
 def test_batch_copies_its_outcomes():
     x = np.zeros(3)
     batch = ms.SampleBatch(QuadratureSetting(1, 0), x, 0)
