@@ -10,8 +10,12 @@ parsed once, and a line whose text, forward or with its cells reversed, has
 the digest of an earlier line's text (the first 16 bytes of its SHA-256)
 copies that row, so the table is the one that parsing every line gives.
 Sample rows are independent draws and never repeat, so each is formatted and
-parsed as it comes.  The writers emit no comment and no empty line, and the
-readers of both kinds of file refuse them.
+parsed as it comes, in bounded pieces: the writers format a row ``_ROW_PIECE``
+values at a time, and the sample writer writes each piece as it is formatted;
+the sample reader reads its body in blocks of about ``_READ_BLOCK``
+characters and builds each block's batches before it reads the next.  The
+writers emit no comment and no empty line, and the readers of both kinds of
+file refuse them.
 """
 
 from __future__ import annotations
@@ -46,8 +50,15 @@ __all__ = [
 ]
 
 
-# the round-trip float format, which the writers apply to a whole row at once
+# the round-trip float format, which the writers apply to a piece of a row at once
 _FLOAT = "%.17g"
+# values per piece of a formatted row: a piece's temporaries (its floats, its
+# tuple and its text) stay near 1 MB however long the row
+_ROW_PIECE = 1 << 14
+# characters of body text after which the sample reader ends a block: it
+# parses a block and builds its batches before it reads the next, so it holds
+# at most this much text plus one line
+_READ_BLOCK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +100,14 @@ def _read_header(fh, path, *headers: str) -> str:
     return header
 
 
-def _row_text(row) -> str:
-    """The cells of one row of values, the only place the writers format a row."""
-    return ",".join([_FLOAT] * row.size) % tuple(row.tolist())
+def _row_pieces(row):
+    """The text of the cells of one row of values, yielded in pieces of at most
+    ``_ROW_PIECE`` cells, each after the first led by its comma: the only place
+    the writers format a row.  Joined, the pieces are the row's text."""
+    for lo in range(0, row.size, _ROW_PIECE):
+        part = row[lo : lo + _ROW_PIECE].tolist()
+        cells = ",".join([_FLOAT] * len(part))
+        yield (f",{cells}" if lo else cells) % tuple(part)
 
 
 def _repeats(rows) -> tuple[list[int], list[bool]]:
@@ -139,7 +155,7 @@ def _write_body(fh, keys, rows) -> None:
     last = {j: i for i, j in enumerate(source)}
     texts: dict[int, str] = {}
     for i, (key, j, flip) in enumerate(zip(keys, source, flips)):
-        text = texts.pop(j) if j in texts else _row_text(rows[j])
+        text = texts.pop(j) if j in texts else "".join(_row_pieces(rows[j]))
         if last[j] > i:
             texts[j] = text
         if flip:
@@ -164,6 +180,8 @@ def _read_tomogram(path, *headers: str):
     Each distinct row text is parsed once (see ``_new_texts``): the parse
     fills the leading rows of the table, and the table then grows in place
     to one row per line, each repeat a copy of its source, reversed or not.
+    The table is returned read-only, so a ``Tomogram`` takes it over without
+    a copy.
     """
     with open(path, encoding="utf-8") as fh:
         n_key, axes = _AXES[_read_header(fh, path, *headers)]
@@ -200,6 +218,7 @@ def _read_tomogram(path, *headers: str):
                 table[i] = table[j, ::-1]
             elif j != i:
                 table[i] = table[j]
+    table.flags.writeable = False
     return grids, keys, table
 
 
@@ -341,7 +360,9 @@ def save_samples(batches: list[SampleBatch], path, state_label: str = "") -> Non
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write((TWO_MODE_SAMPLES_HEADER if two_mode else SAMPLES_HEADER) + "\n")
         for b in batches:
-            fh.write(_key_text(_sample_key(b)) + _row_text(b.outcomes) + "\n")
+            fh.write(_key_text(_sample_key(b)))
+            fh.writelines(_row_pieces(b.outcomes))
+            fh.write("\n")
     sidecar = {
         "generator": batches[0].generator,
         "seed": batches[0].seed,
@@ -352,16 +373,22 @@ def save_samples(batches: list[SampleBatch], path, state_label: str = "") -> Non
         json.dump(sidecar, fh, indent=1)
 
 
-def load_samples(path) -> list[SampleBatch]:
-    """One batch per line; without a sidecar each has weight 1 and seed 0."""
-    with open(path, encoding="utf-8") as fh:
-        header = _read_header(fh, path, SAMPLES_HEADER, TWO_MODE_SAMPLES_HEADER)
-        lines = fh.read().splitlines()
-    n_key = header.count(",")
+def _no_batch(path, n_key: int) -> str:
+    return f"{path}: need one or more lines, each {n_key} key cells and one or more outcomes"
+
+
+def _parse_block(block: list, path, n_key: int) -> tuple[list, list]:
+    """The key cells and the outcome array of each line of ``block``, a list
+    of sample-file body lines, parsed in one C-level pass.
+
+    ``block`` is emptied once its text is split into lines, so the text is
+    held once; a list of per-cell strings would cost more memory still.
+    """
+    lines = "".join(block).splitlines()
+    block.clear()
     cells = np.array([line.count(",") + 1 for line in lines], dtype=int)
-    if not lines or np.any(cells <= n_key):
-        raise InvalidParameter(f"{path}: need one or more lines, each {n_key} key cells and one or more outcomes")
-    # one C-level parse of the whole body; a list of per-cell strings would cost memory
+    if np.any(cells <= n_key):
+        raise InvalidParameter(_no_batch(path, n_key))
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)  # how numpy 1.x reports a bad cell
         try:
@@ -373,14 +400,40 @@ def load_samples(path) -> list[SampleBatch]:
     ends = np.cumsum(cells)
     starts = ends - cells
     keys = values[starts[:, None] + np.arange(n_key)].tolist()
+    return keys, [values[lo + n_key : end] for lo, end in zip(starts, ends)]
+
+
+def load_samples(path) -> list[SampleBatch]:
+    """One batch per line; without a sidecar each has weight 1 and seed 0.
+
+    The sidecar is read first, then the body a block at a time: lines are
+    read until their text passes ``_READ_BLOCK`` characters, and a block is
+    parsed and made into its batches before the next is read.  So besides
+    the batches, the reader holds one block, at most 256 KiB of text plus one
+    line, and that block's values.
+    """
     meta = _read_sidecar(path)
-    weights = meta.get("weights", [1.0] * len(lines))
-    if len(weights) != len(lines):
-        raise InvalidParameter(f"{len(weights)} weights for {len(lines)} batches")
+    weights = meta.get("weights")
     seed = meta.get("seed", 0)
-    two_mode = header == TWO_MODE_SAMPLES_HEADER
-    settings = [_two_mode_setting(k[:8], k[8]) if two_mode else QuadratureSetting(*k) for k in keys]
-    return [SampleBatch(s, values[lo + n_key : end], seed, w) for s, lo, end, w in zip(settings, starts, ends, weights)]
+    weight_of = iter(weights) if weights is not None else itertools.repeat(1.0)
+    batches, n_lines = [], 0
+    with open(path, encoding="utf-8") as fh:
+        header = _read_header(fh, path, SAMPLES_HEADER, TWO_MODE_SAMPLES_HEADER)
+        n_key = header.count(",")
+        two_mode = header == TWO_MODE_SAMPLES_HEADER
+        for block in iter(lambda: fh.readlines(_READ_BLOCK), []):
+            keys, outcomes = _parse_block(block, path, n_key)
+            n_lines += len(keys)
+            # the weights come last, so one is drawn only for a line; once they
+            # run out, lines are still parsed and counted for the refusal below
+            for k, xs, w in zip(keys, outcomes, weight_of):
+                setting = _two_mode_setting(k[:8], k[8]) if two_mode else QuadratureSetting(*k)
+                batches.append(SampleBatch(setting, xs, seed, w))
+    if not n_lines:
+        raise InvalidParameter(_no_batch(path, n_key))
+    if weights is not None and len(weights) != n_lines:
+        raise InvalidParameter(f"{len(weights)} weights for {n_lines} batches")
+    return batches
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@ their eigenvalues and their large-radius ``chi`` are set by noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +57,7 @@ from .errors import (
     UnsupportedVariant,
 )
 from .kernels import KernelScale, PolarGrid, _check_radius, _scale_z, displacement_matrix, kernel_displacement_argument
-from .marginals import _BLOCK_POINTS, QuadratureSetting, Tomogram, _check_count, _trapezoid_weights
+from .marginals import QuadratureSetting, Tomogram, _check_count, _trapezoid_weights
 from .states import FockDensityMatrix
 
 __all__ = [
@@ -206,16 +208,46 @@ def _circle_radius(radii: np.ndarray) -> float | None:
     return r0 if np.max(np.abs(radii - r0)) <= 1e-9 * max(r0, 1.0) else None
 
 
-def _pooled(pairs) -> dict[float, list]:
-    """The outcomes of ``(phi, xs)`` pairs per angle mod 2 pi: the batches of one angle pool into one record."""
-    pooled: dict[float, list] = {}
-    for phi, xs in pairs:
-        pooled.setdefault(float(phi) % (2 * np.pi), []).append(np.asarray(xs, dtype=float).ravel())
-    return pooled
+class _CircleSamples(NamedTuple):
+    """Outcomes on one circle of settings of radius ``r0``, pooled per angle mod 2 pi.
+
+    ``records[phi]`` lists the ``(xs, delta)`` pieces measured at ``phi``, one
+    per batch or pair; their centred unit-circle outcomes are ``(xs - delta) /
+    r0``, which ``_empirical_characteristic`` forms a chunk at a time.
+    """
+
+    records: dict[float, list]
+    r0: float
+
+
+def _pooled(entries, r0: float = 1.0) -> _CircleSamples:
+    """The ``(phi, xs, delta)`` entries per angle mod 2 pi: the batches of one angle pool into one record."""
+    records: dict[float, list] = {}
+    for phi, xs, delta in entries:
+        records.setdefault(float(phi) % (2 * np.pi), []).append((xs, delta))
+    return _CircleSamples(records, r0)
+
+
+def _pair_samples(pairs) -> _CircleSamples:
+    """``(phi, xs)`` pairs as unit-circle samples, each entry converted once.
+
+    A list with an entry that is not a pair, a nonfinite phase or an entry
+    without outcomes is refused as a whole: by ``_check_pairs``, which names
+    the first bad entry, or else with ``EmptyBatches``.  Nonfinite outcomes
+    are found by ``_empirical_characteristic``, in its binned pass.
+    """
+    try:
+        entries = [(float(phi), np.asarray(xs, dtype=float).ravel(), 0.0) for phi, xs in pairs]
+    except (TypeError, ValueError):
+        entries = []
+    if not entries or not all(math.isfinite(phi) and xs.size for phi, xs, _ in entries):
+        _check_pairs(pairs)
+        raise EmptyBatches("every phase needs samples")
+    return _pooled(entries)
 
 
 def _check_pairs(pairs) -> None:
-    """Refuse an entry that is not a ``(phi, xs)`` pair of a finite phase and finite real outcomes."""
+    """Refuse the first entry that is not a ``(phi, xs)`` pair of a finite phase and finite real outcomes."""
     for index, entry in enumerate(pairs):
         try:
             phi, xs = entry
@@ -239,13 +271,14 @@ _MAX_BIN = 1 << 30
 
 
 def _record_chunks(records, size: int):
-    """The ``(p, xs)`` pieces of ``records`` in order, ``size`` outcomes at a time."""
+    """The ``(p, xs, delta)`` parts of the ``(xs, delta)`` pieces of ``records``
+    in order, ``size`` outcomes at a time."""
     parts, n = [], 0
     for p, record in enumerate(records):
-        for xs in record:
+        for xs, delta in record:
             while xs.size:
                 part, xs = xs[: size - n], xs[size - n :]
-                parts.append((p, part))
+                parts.append((p, part, delta))
                 n += part.size
                 if n == size:
                     yield parts
@@ -260,10 +293,12 @@ def _add_rows(acc, rec, rows) -> None:
     acc[rec[starts]] += np.add.reduceat(rows, starts)
 
 
-def _empirical_characteristic(records: list, r: np.ndarray) -> np.ndarray:
-    """``chi[p] = mean exp(i r x)`` over the outcomes of each record, by moment binning.
+def _empirical_characteristic(records: list, r: np.ndarray, r0: float = 1.0) -> np.ndarray:
+    """``chi[p] = mean exp(i r x)`` over the outcomes x of each record, by moment binning.
 
-    A record is a list of 1-d outcome arrays.  Each outcome goes to the bin
+    A record is a list of ``(xs, delta)`` pieces, 1-d arrays of raw outcomes
+    and their shift; its outcomes are ``x = (xs - delta) / r0``, formed a
+    chunk at a time, so no record is copied whole.  Each outcome goes to the bin
     centre ``c = h round(x / h)``; with ``d = x - c``, ``exp(i r x) = exp(i r c)
     sum_q (i r d)^q / q!``, truncated at the least ``Q`` with ``(max|r| h / 2)^Q
     / Q! < 1e-16``.  So ``chi`` sums, over each record's occupied bins,
@@ -272,7 +307,8 @@ def _empirical_characteristic(records: list, r: np.ndarray) -> np.ndarray:
     ``|x| / h > 2^30`` is summed directly.  All records go through together,
     ``_CHI_CHUNK`` outcomes at a time: per chunk one sort, ``Q + 1``
     bincounts and one ``exp(i r c)`` per distinct centre, however many
-    records it holds.
+    records it holds.  A nonfinite outcome, which is never binned, raises
+    ``InvalidParameter``.
     """
     r_max = float(np.max(np.abs(r)))
     h = _BIN_WIDTH if r_max * _BIN_WIDTH <= 2.0 else 2.0 / r_max
@@ -286,14 +322,19 @@ def _empirical_characteristic(records: list, r: np.ndarray) -> np.ndarray:
     acc = np.zeros((len(records), r.size), dtype=complex)
     counts = np.zeros(len(records))
     for parts in _record_chunks(records, _CHI_CHUNK):
-        x = np.concatenate([xs for _, xs in parts])
-        p = np.repeat([p for p, _ in parts], [xs.size for _, xs in parts])
+        sizes = [xs.size for _, xs, _ in parts]
+        x = np.concatenate([xs for _, xs, _ in parts])
+        x -= np.repeat([delta for _, _, delta in parts], sizes)
+        x /= r0
+        p = np.repeat([p for p, _, _ in parts], sizes)
         counts += np.bincount(p, minlength=len(records))
         near = np.abs(x) <= limit
         k = np.rint(np.where(near, x, 0.0) / h)
         d = x - k * h
         binned = near & (np.abs(d) <= h / 2)
         far = np.flatnonzero(~binned)
+        if not np.isfinite(x[far]).all():
+            raise InvalidParameter("outcomes must be finite")
         for lo in range(0, far.size, _PHASE_ROWS):
             block = far[lo : lo + _PHASE_ROWS]
             _add_rows(acc, p[block], np.exp(1j * np.outer(x[block], r)))
@@ -322,9 +363,8 @@ def _empirical_characteristic(records: list, r: np.ndarray) -> np.ndarray:
 def _circle_chi(data, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Angles, angle weights and ``chi[p, k]`` at ``freqs[k]`` times the unit radius.
 
-    ``data`` is a circle Tomogram or a list of ``(phi, xs)`` pairs of centred
-    unit-circle outcomes, pooled per angle; angles on less than half the
-    circle gain antipodes.
+    ``data`` is a circle Tomogram or ``_CircleSamples``; angles on less than
+    half the circle gain antipodes.
     """
     if isinstance(data, Tomogram):
         r0 = _circle_radius(np.array([s.radius for s in data.settings]))
@@ -332,15 +372,9 @@ def _circle_chi(data, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
             raise DegenerateConfig("tomogram settings must lie on a common circle")
         phis = np.array([s.angle for s in data.settings])
         chi = _row_fourier(data.values, data.x, np.array([s.delta for s in data.settings]), freqs / r0)
-    elif isinstance(data, (list, tuple)):
-        _check_pairs(data)
-        if not data or any(np.size(xs) == 0 for _, xs in data):
-            raise EmptyBatches("every phase needs samples")
-        pooled = _pooled(data)
-        phis = np.array(list(pooled))
-        chi = _empirical_characteristic(list(pooled.values()), -freqs)
     else:
-        raise InvalidParameter(f"need a Tomogram or (phi, x) pairs, not {type(data).__name__}: use tabulate_tomogram")
+        phis = np.array(list(data.records))
+        chi = _empirical_characteristic(list(data.records.values()), -freqs, data.r0)
     phis = phis % (2 * np.pi)
     if np.max(np.diff(np.sort(phis), append=phis.min() + 2 * np.pi)) > np.pi:
         phis = np.concatenate([phis, (phis + np.pi) % (2 * np.pi)])
@@ -407,12 +441,12 @@ def _finish(
 
 
 def _reconstruct_circle(data, cfg: ReconstructionConfig) -> ReconstructionReport:
-    """The polar reconstruction of a circle Tomogram or of ``(phi, xs)`` pairs
-    of centred unit-circle outcomes on the radii of ``cfg.grid``.
+    """The polar reconstruction of a circle Tomogram or of ``_CircleSamples``
+    on the radii of ``cfg.grid``.
 
     A Tomogram is checked in ``_finish`` on its raw trace, its raw
     eigenvalue and its radial tail ``2 max|rho(R)| / (z^2 R)`` at ``R =
-    r_max``; pairs skip all three, their ``chi`` a noise floor of ~1/sqrt(N).
+    r_max``; samples skip all three, their ``chi`` a noise floor of ~1/sqrt(N).
     """
     z = cfg.scale.z
     r, wr = cfg.grid.nodes(z)
@@ -424,13 +458,19 @@ def _reconstruct_circle(data, cfg: ReconstructionConfig) -> ReconstructionReport
     radial = displacement_matrix(z * radii / np.sqrt(2), cfg.dim)
     raw = _assemble_rho(chi[:, :n_r], phis, phi_weights, radial[:n_r], wr * r * (z**2 / (2 * np.pi)))
     if not tabulated:
-        return _finish(raw, cfg.projection, len(_pooled(data)), sum(np.size(xs) for _, xs in data), check_trace=False)
+        n = sum(xs.size for record in data.records.values() for xs, _ in record)
+        return _finish(raw, cfg.projection, len(data.records), n, check_trace=False)
     # beyond R the integrand decays like exp(-z^2 r^2 / 4), so the discarded part is
     # about the boundary integrand times int_R^inf (r/R) exp(-z^2 (r^2 - R^2) / 4) dr = 2 / (z^2 R)
     R = radii[-1]
     boundary = _assemble_rho(chi[:, n_r:], phis, phi_weights, radial[n_r:], np.array([R * z**2 / (2 * np.pi)]))
     tail = 2.0 * float(np.max(np.abs(boundary))) / (z**2 * R)
     return _finish(raw, cfg.projection, len(data.settings), 0, check_trace=True, tail=tail)
+
+
+def _check_tomogram(tomo) -> None:
+    if not isinstance(tomo, Tomogram):
+        raise InvalidParameter(f"need a Tomogram, not {type(tomo).__name__}: use tabulate_tomogram")
 
 
 def reconstruct_from_tomogram(tomo: Tomogram, cfg: ReconstructionConfig) -> ReconstructionReport:
@@ -441,8 +481,7 @@ def reconstruct_from_tomogram(tomo: Tomogram, cfg: ReconstructionConfig) -> Reco
     ``tabulate_tomogram``.
     """
     _check_config_type(cfg, ReconstructionConfig)
-    if not isinstance(tomo, Tomogram):
-        raise InvalidParameter(f"need a Tomogram, not {type(tomo).__name__}: use tabulate_tomogram")
+    _check_tomogram(tomo)
     return _reconstruct_circle(tomo, cfg)
 
 
@@ -465,7 +504,17 @@ def reconstruct_homodyne(
     _check_radius(r_cutoff, "r_cutoff")
     if r_cutoff < 6.0:
         raise CutoffTooSmall(f"r_cutoff must be at least 6 for the damping exp(-r^2 / 4) to decay, got {r_cutoff!r}")
-    return _reconstruct_circle(data, ReconstructionConfig(KernelScale(1.0), dim, PolarGrid(r_cutoff), projection))
+    cfg = ReconstructionConfig(KernelScale(1.0), dim, PolarGrid(r_cutoff), projection)
+    if isinstance(data, Tomogram):
+        return _reconstruct_circle(data, cfg)
+    if not isinstance(data, (list, tuple)):
+        raise InvalidParameter(f"need a Tomogram or (phi, x) pairs, not {type(data).__name__}: use tabulate_tomogram")
+    samples = _pair_samples(data)
+    try:
+        return _reconstruct_circle(samples, cfg)
+    except InvalidParameter:
+        _check_pairs(data)  # names the first entry with a nonfinite outcome
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +567,7 @@ def reconstruct_from_samples(batches, cfg: ReconstructionConfig) -> Reconstructi
         raise EmptyBatches("encountered an empty batch")
     r0 = _circle_radius(np.hypot(keys[:, 0], keys[:, 1]))
     if r0 is not None:
-        return _reconstruct_circle([(b.setting.angle, (b.outcomes - b.setting.delta) / r0) for b in batches], cfg)
+        return _reconstruct_circle(_pooled(((b.setting.angle, b.outcomes, b.setting.delta) for b in batches), r0), cfg)
     weights = np.array([b.weight for b in batches], dtype=float)
     if np.any(weights <= 0):
         raise InvalidParameter("batch weight (setting density) must be positive")
@@ -578,6 +627,13 @@ def trace_distance(rho_a, rho_b) -> float:
 # Wigner function by Fourier inversion of the tomogram
 # ---------------------------------------------------------------------------
 
+# phase-table entries per block of the inversion.  The line integral's blocks
+# (marginals._LINE_BLOCK_POINTS) are 4 times smaller, to keep its ten or so
+# live temporaries in cache; here each block's cos and sin tables feed one
+# GEMM, which is faster on longer blocks: 61 x 61 points of a circle:64 cat
+# took 364 ms at 2^16 and 388 ms at 2^14 (one BLAS thread, 2-core Xeon)
+_INVERSION_BLOCK = 2**16
+
 
 def wigner_from_tomogram(
     tomo: Tomogram,
@@ -604,15 +660,16 @@ def wigner_from_tomogram(
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
         raise InvalidParameter("q and p must be finite")
     r, wr = grid.nodes(z)
+    _check_tomogram(tomo)
     phis, phi_weights, chi = _circle_chi(tomo, z * r)  # (n_angles, n_r)
     coeff = ((z**2 / (2 * np.pi)) * phi_weights[:, None] * (wr * r) * chi).ravel()
     shape = q.shape
     q, p = q.ravel(), p.ravel()
     # W is real: only Re(coeff e^{i z r proj}) is summed, over blocks of points
-    # whose (n_angles, n_r, block) phase tables hold about _BLOCK_POINTS each
+    # whose (n_angles, n_r, block) phase tables hold about _INVERSION_BLOCK each
     cos_phi, sin_phi = np.cos(phis), np.sin(phis)
     w = np.empty(q.size)
-    block = max(1, _BLOCK_POINTS // coeff.size)
+    block = max(1, _INVERSION_BLOCK // coeff.size)
     for start in range(0, q.size, block):
         pts = slice(start, start + block)
         proj = np.outer(cos_phi, q[pts]) + np.outer(sin_phi, p[pts])  # (n_angles, block)

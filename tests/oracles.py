@@ -14,8 +14,9 @@ reconstruction with a fixed second row, the outcome-by-outcome empirical
 characteristic function, the 4001-node trapezoid homodyne
 estimator and kernel element, the line-by-line CSV writers and readers (and
 writers of the long tomogram and sample layouts, which the library refuses),
-the CSV body writer that formats every row, the tomogram reader that parses
-every row, and the two-mode Wigner-quadrature marginals and moments.
+the CSV body writer that formats every row, the whole-row formatter, the
+tomogram reader that parses every row, the sample reader that parses the
+whole body at once, and the two-mode Wigner-quadrature marginals and moments.
 It also holds exact forms the library does not evaluate, such as the
 Hermite-function marginal of a number state and the two-mode Wigner function
 (the library reaches two-mode marginals through closed forms and the
@@ -799,6 +800,11 @@ def save_tomogram_lines(tomo: Tomogram, path) -> None:
     _write_lines(path, lines)
 
 
+def row_text_whole(row) -> str:
+    """The cells of one row of values, formatted in one call over the whole row."""
+    return ",".join(["%.17g"] * row.size) % tuple(row.tolist())
+
+
 def write_body_per_row(fh, keys, rows) -> None:
     """The CSV body writer that formats every row: one line per entry, its key
     cells then its row of values, each line formatted in one call."""
@@ -979,3 +985,35 @@ def load_samples_lines(path) -> list[SampleBatch]:
             outcomes = row[3:]
         batches.append(SampleBatch(setting=setting, outcomes=np.asarray(outcomes), seed=seed, weight=weight))
     return batches
+
+
+def load_samples_whole(path) -> list[SampleBatch]:
+    """The sample reader that holds the whole body at once: its text, its
+    lines, their comma join and every parsed value, in one ``np.fromstring``.
+    It refuses what the library refuses, with the same messages."""
+    with open(path, encoding="utf-8") as fh:
+        header = tio._read_header(fh, path, tio.SAMPLES_HEADER, tio.TWO_MODE_SAMPLES_HEADER)
+        lines = fh.read().splitlines()
+    n_key = header.count(",")
+    cells = np.array([line.count(",") + 1 for line in lines], dtype=int)
+    if not lines or np.any(cells <= n_key):
+        raise InvalidParameter(f"{path}: need one or more lines, each {n_key} key cells and one or more outcomes")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(",".join(lines), sep=",")
+        except (ValueError, DeprecationWarning) as exc:
+            raise InvalidParameter(f"{path}: {exc}") from None
+    if values.size != cells.sum():
+        raise InvalidParameter(f"{path}: a cell is empty or not a number")
+    ends = np.cumsum(cells)
+    starts = ends - cells
+    keys = values[starts[:, None] + np.arange(n_key)].tolist()
+    meta = tio._read_sidecar(path)
+    weights = meta.get("weights", [1.0] * len(lines))
+    if len(weights) != len(lines):
+        raise InvalidParameter(f"{len(weights)} weights for {len(lines)} batches")
+    seed = meta.get("seed", 0)
+    two_mode = header == tio.TWO_MODE_SAMPLES_HEADER
+    settings = [tio._two_mode_setting(k[:8], k[8]) if two_mode else QuadratureSetting(*k) for k in keys]
+    return [SampleBatch(s, values[lo + n_key : end], seed, w) for s, lo, end, w in zip(settings, starts, ends, weights)]

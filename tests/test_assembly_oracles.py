@@ -315,13 +315,13 @@ def test_empirical_characteristic_matches_the_outcome_loop(case, r_cutoff):
     r, _ = PolarGrid(r_cutoff).nodes(1.0)
     # negative frequencies, as the circle path evaluates them, and a radius at 0
     freqs = np.concatenate([-r, r, [0.0]])
-    got = _empirical_characteristic([[xs]], freqs)
+    got = _empirical_characteristic([[(xs, 0.0)]], freqs)
     assert got.shape == (1, freqs.size)
     assert np.max(np.abs(got[0] - empirical_characteristic_loop(xs, freqs))) <= 1e-13
 
 
 def _records_match_the_loop(records, freqs) -> bool:
-    got = _empirical_characteristic(records, freqs)
+    got = _empirical_characteristic([[(xs, 0.0) for xs in record] for record in records], freqs)
     want = [empirical_characteristic_loop(np.concatenate(record), freqs) for record in records]
     return got.shape == (len(records), freqs.size) and np.max(np.abs(got - want)) <= 1e-13
 
@@ -337,6 +337,18 @@ def test_empirical_characteristic_matches_the_outcome_loop_on_many_records():
     records.append([rng.normal(size=200000)])
     r, _ = PolarGrid(40.0).nodes(1.0)
     assert _records_match_the_loop(records, np.concatenate([-r, r, [0.0]]))
+
+
+def test_empirical_characteristic_centres_its_pieces_as_a_copy_would():
+    # (xs - delta) / r0 is formed a chunk at a time, to the numbers of a centred copy
+    rng = np.random.default_rng(11)
+    shapes = ([(1, 0.4)], [(40000, -0.3), (7, 0.0)])  # per record: (outcomes, delta) of each piece
+    records = [[(1.7 * rng.normal(size=n) + d, d) for n, d in pieces] for pieces in shapes]
+    r, _ = PolarGrid(12.0).nodes(1.0)
+    freqs = np.concatenate([-r, [0.0]])
+    got = _empirical_characteristic(records, freqs, 1.7)
+    want = _empirical_characteristic([[((xs - d) / 1.7, 0.0) for xs, d in record] for record in records], freqs)
+    assert np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@ malformed files."""
 
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from symplectomo.twomode import TwoModeSetting, TwoModeTomogram, tabulate_tilde_
 
 from oracles import (
     load_samples_lines,
+    load_samples_whole,
     load_tomogram_lines,
     load_two_mode_tomogram_lines,
     save_samples_lines,
@@ -26,6 +28,7 @@ from oracles import (
     save_tomogram_lines,
     save_tomogram_long_lines,
     read_tomogram_loadtxt,
+    row_text_whole,
     save_two_mode_tomogram_lines,
     write_body_per_row,
 )
@@ -221,7 +224,7 @@ def test_writer_bytes_equal_the_per_row_writer(case, tmp_path, monkeypatch):
 def test_writer_formats_each_distinct_row_once(case, tmp_path, count_calls):
     make, save = WRITER_CASES[case]
     obj = make()
-    calls = count_calls(tio, "_row_text")
+    calls = count_calls(tio, "_row_pieces")
     save(obj, tmp_path / "t.csv")
     assert len(calls) == _distinct_rows(_rows(obj))
 
@@ -236,12 +239,41 @@ def test_save_samples_formats_every_row_without_a_reuse_pass(make, tmp_path, mon
 
     monkeypatch.setattr(tio, "_repeats", refuse)
     batches = make()
-    calls = count_calls(tio, "_row_text")
+    calls = count_calls(tio, "_row_pieces")
     ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
     tio.save_samples(batches, ours, state_label="s")
     assert len(calls) == len(batches)
     save_samples_lines(batches, theirs, state_label="s")
     assert _file_bytes(ours) == _file_bytes(theirs)
+
+
+_PIECE = tio._ROW_PIECE
+
+
+@pytest.mark.parametrize("size", [1, 2, _PIECE - 1, _PIECE, _PIECE + 1, 3 * _PIECE, 10**5])
+def test_row_pieces_join_to_the_whole_row_text(size):
+    rng = np.random.default_rng(size)
+    row = rng.normal(size=size) * 10.0 ** rng.integers(-300, 301, size)
+    row[::7], row[3::7] = -0.0, 5e-324
+    pieces = list(tio._row_pieces(row))
+    assert len(pieces) == -(-size // _PIECE)
+    assert "".join(pieces) == row_text_whole(row)
+
+
+def test_sample_file_with_long_rows_equals_the_line_writer(tmp_path):
+    rng = np.random.default_rng(6)
+    sizes = (1, _PIECE, _PIECE + 1, 10**5)
+    batches = [SampleBatch(QuadratureSetting(0.6, -0.8, 0.25), rng.normal(size=n), seed=3, weight=0.5) for n in sizes]
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    tio.save_samples(batches, ours, state_label="s")
+    save_samples_lines(batches, theirs, state_label="s")
+    assert _file_bytes(ours) == _file_bytes(theirs)
+
+
+def test_save_samples_formats_a_long_row_in_pieces(tmp_path, traced_peak):
+    # 10^5 outcomes (0.8 MB): formatted in one call, the row's floats, tuple and text held 5.8 MB
+    batch = SampleBatch(QuadratureSetting(0.6, 0.8), np.random.default_rng(7).normal(size=10**5), seed=3)
+    assert traced_peak(tio.save_samples, [batch], tmp_path / "s.csv") <= 2 * 2**20
 
 
 def test_distinct_rows_of_symmetric_records():
@@ -390,6 +422,57 @@ def test_random_campaign_round_trips_bit_exactly(two_mode, data, tmp_path_factor
     path = tmp_path_factory.mktemp("campaign") / "s.csv"
     tio.save_samples(batches, path)
     assert _campaign_bits(tio.load_samples(path)) == _campaign_bits(batches)
+
+
+@hs.composite
+def _sample_files(draw):
+    """A campaign of 1 to 300 lines over a pool of drawn settings: most lines
+    hold 1 to 40 outcomes and one holds 1 to 5000, of magnitudes 1e-20 to 1e20."""
+    two_mode = draw(hs.booleans())
+    pool = draw(_campaigns(two_mode))
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    sizes = rng.integers(1, 41, draw(hs.integers(1, 300)))
+    sizes[draw(hs.integers(0, sizes.size - 1))] = draw(hs.integers(1, 5000))
+    return [
+        SampleBatch(
+            pool[k % len(pool)].setting,
+            rng.normal(size=n) * 10.0 ** rng.integers(-20, 21, n),
+            pool[0].seed,
+            rng.uniform(0.1, 10.0),
+        )
+        for k, n in enumerate(sizes)
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(batches=_sample_files(), sidecar=hs.booleans(), data=hs.data())
+def test_streamed_samples_equal_the_whole_body_reader(batches, sidecar, data, tmp_path_factory):
+    # blocks from 1 character (each line its own block) up to the library's;
+    # below the longest line, that line is longer than a block
+    path = tmp_path_factory.mktemp("samples") / "s.csv"
+    tio.save_samples(batches, path)
+    if not sidecar:
+        (path.parent / "s.csv.meta.json").unlink()
+    longest = max(map(len, path.read_text().splitlines()[1:]))
+    block = data.draw(hs.one_of(hs.integers(1, longest - 1), hs.just(tio._READ_BLOCK)))
+    want = _campaign_bits(load_samples_whole(path))
+    with mock.patch.object(tio, "_READ_BLOCK", block):
+        assert _campaign_bits(tio.load_samples(path)) == want
+    if sidecar:
+        assert want == _campaign_bits(batches)
+
+
+@pytest.mark.parametrize("n_settings", [8, 2000], ids=["8 phases", "2000 settings"])
+def test_load_samples_holds_one_block_beyond_its_batches(n_settings, tmp_path, traced_peak):
+    # 2e5 outcomes (1.6 MB) in a 4 MB file: the whole-body reader held the
+    # text, its lines, their join and the values at once, 6 times the outcomes
+    rng = np.random.default_rng(8)
+    angles = np.pi * np.arange(n_settings) / n_settings
+    per = 200000 // n_settings
+    batches = [SampleBatch(QuadratureSetting(np.cos(a), np.sin(a)), rng.normal(size=per), 3) for a in angles]
+    path = tmp_path / "s.csv"
+    tio.save_samples(batches, path)
+    assert traced_peak(tio.load_samples, path) <= 2.5 * 200000 * 8
 
 
 @pytest.mark.parametrize("make", [_one_mode_campaign, _two_mode_campaign], ids=["one-mode", "two-mode"])
@@ -707,9 +790,10 @@ def _load_peak_over_table(tmp_path, traced_peak, tomo):
 
 
 def test_load_tomogram_holds_little_beyond_its_table(tmp_path, traced_peak):
-    # the body is parsed from the open file: neither its text nor its lines are held
+    # the body is parsed from the open file: neither its text nor its lines
+    # are held, and the Tomogram takes the read-only table over without a copy
     cat = tabulate_tomogram(st.EvenCat(1.0, 1.0), circle_settings(1000))
-    assert _load_peak_over_table(tmp_path, traced_peak, cat) <= 2.5
+    assert _load_peak_over_table(tmp_path, traced_peak, cat) <= 1.3
 
 
 def test_load_tomogram_without_repeats_holds_little_beyond_its_table(tmp_path, traced_peak):
@@ -718,7 +802,7 @@ def test_load_tomogram_without_repeats_holds_little_beyond_its_table(tmp_path, t
     noise = np.random.default_rng(3).normal(size=(1000, 1))
     tomo = Tomogram(cat.settings, cat.x, cat.values * (1 + 1e-9 * noise))
     assert _distinct_rows(_rows(tomo)) == 1000
-    assert _load_peak_over_table(tmp_path, traced_peak, tomo) <= 2.5
+    assert _load_peak_over_table(tmp_path, traced_peak, tomo) <= 1.3
 
 
 def _edited(tmp_path, save, obj, edit):
@@ -783,12 +867,49 @@ MALFORMED_SAMPLES = {
 }
 
 
+def _refusal(load, path) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        load(path)
+    return type(info.value), str(info.value)
+
+
 @pytest.mark.parametrize("kind", sorted(MALFORMED_SAMPLES))
-def test_malformed_samples_are_rejected(kind, tmp_path):
+def test_malformed_samples_are_rejected(kind, tmp_path, monkeypatch):
+    # refused as the whole-body reader refuses, in one block or a line per block
     path = _edited(tmp_path, tio.save_samples, _one_mode_campaign(), MALFORMED_SAMPLES[kind])
     (tmp_path / "t.csv.meta.json").unlink()
-    with pytest.raises(InvalidParameter):
-        tio.load_samples(path)
+    want = _refusal(load_samples_whole, path)
+    assert want[0] is InvalidParameter
+    for block in (tio._READ_BLOCK, 1):
+        monkeypatch.setattr(tio, "_READ_BLOCK", block)
+        assert _refusal(tio.load_samples, path) == want
+
+
+def _weights(n):
+    def edit(path):
+        sidecar = path.parent / (path.name + ".meta.json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "weights": [1.0] * n}))
+
+    return edit
+
+
+SAMPLE_REFUSALS = {
+    "long one-mode": lambda path: save_samples_long_lines(_one_mode_campaign(), path),
+    "long two-mode": lambda path: save_samples_long_lines(_two_mode_campaign(), path),
+    "4 weights for 5 lines": lambda path: (tio.save_samples(_one_mode_campaign(), path), _weights(4)(path)),
+    "6 weights for 5 lines": lambda path: (tio.save_samples(_one_mode_campaign(), path), _weights(6)(path)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_REFUSALS))
+def test_sample_refusals_equal_the_whole_body_reader(case, tmp_path, monkeypatch):
+    path = tmp_path / "s.csv"
+    SAMPLE_REFUSALS[case](path)
+    want = _refusal(load_samples_whole, path)
+    assert want[0] is InvalidParameter
+    for block in (tio._READ_BLOCK, 1):
+        monkeypatch.setattr(tio, "_READ_BLOCK", block)
+        assert _refusal(tio.load_samples, path) == want
 
 
 def test_cli_reconstruct_rejects_malformed_csv(tmp_path, capsys):

@@ -58,8 +58,9 @@ def test_blocked_line_marginal_is_the_one_shot_broadcast(shape, num):
 
 
 def test_line_integral_memory_is_bounded(traced_peak):
+    # blocks of 2^14 points keep the working set near 1 MB; 2^16 took 3 MB
     x = np.linspace(-6.0, 6.0, 4096)
-    assert traced_peak(mg.marginal_numeric, st.NumberState(1), x, (1.0, 0.0), num=mg.LINE_POINTS) <= 4 * MB
+    assert traced_peak(mg.marginal_numeric, st.NumberState(1), x, (1.0, 0.0), num=mg.LINE_POINTS) <= 1.5 * MB
 
 
 @pytest.mark.parametrize(
