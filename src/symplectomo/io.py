@@ -24,6 +24,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, asdict
 
@@ -32,6 +33,7 @@ import numpy as np
 from .errors import EmptyBatches, InvalidParameter
 from .marginals import QuadratureSetting, Tomogram
 from .measure_sim import SampleBatch
+from .reconstruct import ReconstructionReport
 from .states import FockDensityMatrix
 from .twomode import TwoModeSetting, TwoModeTomogram
 
@@ -59,6 +61,9 @@ _ROW_PIECE = 1 << 14
 # parses a block and builds its batches before it reads the next, so it holds
 # at most this much text plus one line
 _READ_BLOCK = 1 << 18
+# a cell of spaces and tabs only, which np.fromstring reads as -1; the
+# writers emit neither, so a block is searched only when it holds one
+_BLANK_CELL = re.compile(r"(?:^|,)[ \t]+(?:,|$)")
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +323,15 @@ def _read_sidecar(path) -> dict:
     return meta
 
 
+def _check_written(value, kind: type, what: str) -> None:
+    """Refuse a writer's first argument unless it is a ``kind``: a path passed
+    first, with the arguments swapped, fails here and not deep in the writer."""
+    if not isinstance(value, kind):
+        raise InvalidParameter(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def save_tomogram(tomo: Tomogram, path) -> None:
+    _check_written(tomo, Tomogram, "the tomogram to save")
     keys = ((s.mu, s.nu, s.delta) for s in tomo.settings)
     _write_tomogram(path, TOMOGRAM_HEADER, (tomo.x,), keys, tomo.values)
 
@@ -329,6 +342,7 @@ def load_tomogram(path) -> Tomogram:
 
 
 def save_two_mode_tomogram(tomo: TwoModeTomogram, path) -> None:
+    _check_written(tomo, TwoModeTomogram, "the two-mode tomogram to save")
     if any(np.any(s.delta) for s in tomo.settings):
         raise InvalidParameter("two-mode tomogram CSVs have no delta column: every setting needs delta = 0")
     vector = tomo.kind == "vector"
@@ -352,6 +366,9 @@ def _sample_key(b: SampleBatch) -> list:
 
 
 def save_samples(batches: list[SampleBatch], path, state_label: str = "") -> None:
+    _check_written(batches, list, "the batches to save")
+    for b in batches:
+        _check_written(b, SampleBatch, "each batch to save")
     if not batches or any(b.outcomes.size == 0 for b in batches):
         raise EmptyBatches("a sample file needs at least one batch, and each batch an outcome")
     if {type(b.setting) for b in batches} not in ({QuadratureSetting}, {TwoModeSetting}):
@@ -389,12 +406,16 @@ def _parse_block(block: list, path, n_key: int) -> tuple[list, list]:
     cells = np.array([line.count(",") + 1 for line in lines], dtype=int)
     if np.any(cells <= n_key):
         raise InvalidParameter(_no_batch(path, n_key))
+    text = ",".join(lines)
+    if (" " in text or "\t" in text) and _BLANK_CELL.search(text):
+        raise InvalidParameter(f"{path}: a cell is empty or not a number")
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)  # how numpy 1.x reports a bad cell
         try:
-            values = np.fromstring(",".join(lines), sep=",")
+            values = np.fromstring(text, sep=",")
         except (ValueError, DeprecationWarning) as exc:
             raise InvalidParameter(f"{path}: {exc}") from None
+    del text
     if values.size != cells.sum():  # a trailing empty cell ends the parse without an error
         raise InvalidParameter(f"{path}: a cell is empty or not a number")
     ends = np.cumsum(cells)
@@ -453,6 +474,7 @@ def _density_payload(rho: FockDensityMatrix) -> dict:
 
 
 def save_density(rho: FockDensityMatrix, path) -> None:
+    _check_written(rho, FockDensityMatrix, "the density matrix to save")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_density_payload(rho), fh)
         fh.write("\n")
@@ -474,6 +496,7 @@ def load_density(path) -> FockDensityMatrix:
 
 def save_report(report, path) -> None:
     """Full reconstruction record: the density-matrix schema plus diagnostics."""
+    _check_written(report, ReconstructionReport, "the report to save")
     payload = {
         "density": _density_payload(report.rho),
         "trace_error": report.trace_error,

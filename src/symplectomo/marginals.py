@@ -77,6 +77,10 @@ class QuadratureSetting:
         return QuadratureSetting(-self.mu, -self.nu, self.delta)
 
 
+# the setting of the sampler tables that many settings share (see _marginal_family)
+_UNIT_SETTING = QuadratureSetting(1.0, 0.0)
+
+
 def circle_settings(n: int, radius: float = 1.0, delta: float = 0.0) -> list[QuadratureSetting]:
     """``n`` settings uniformly spaced on the circle ``mu^2 + nu^2 = radius^2``.
 
@@ -234,7 +238,7 @@ def marginal_analytic(state, x, setting: QuadratureSetting):
         return np.sqrt(lam / (np.pi * r2)) * np.exp(-lam * x**2 / r2)
 
     if isinstance(state, st.Coherent):
-        center = np.sqrt(2) * (mu * state.alpha.real + nu * state.alpha.imag)
+        center = _coherent_mean(state, setting)
         return np.exp(-((x - center) ** 2) / r2) / np.sqrt(np.pi * r2)
 
     if isinstance(state, st.EvenCat):
@@ -302,6 +306,11 @@ def marginal_numeric(state, x, setting: QuadratureSetting, extent: float = 8.0, 
 # ---------------------------------------------------------------------------
 
 
+def _coherent_mean(state: st.Coherent, setting: QuadratureSetting) -> float:
+    """Mean ``sqrt(2) (mu Re alpha + nu Im alpha)`` of a coherent state's marginal."""
+    return np.sqrt(2) * (setting.mu * state.alpha.real + setting.nu * state.alpha.imag)
+
+
 def _sigma_and_span(state, setting: QuadratureSetting) -> tuple[float, float]:
     """Gaussian width and extra displacement allowance for one setting."""
     r2 = setting.mu**2 + setting.nu**2
@@ -310,8 +319,7 @@ def _sigma_and_span(state, setting: QuadratureSetting) -> tuple[float, float]:
     if isinstance(state, st.NumberState):
         return np.sqrt(r2 * (2 * state.n + 1) / 2), 0.0
     if isinstance(state, st.Coherent):
-        shift = np.sqrt(2) * (setting.mu * state.alpha.real + setting.nu * state.alpha.imag)
-        return np.sqrt(r2 / 2), abs(shift)
+        return np.sqrt(r2 / 2), abs(_coherent_mean(state, setting))
     if isinstance(state, st.EvenCat):
         shift = np.sqrt(2) * (abs(state.a * setting.mu) + abs(state.b * setting.nu))
         return np.sqrt(r2 / 2), shift
@@ -349,6 +357,25 @@ def _marginal_key(state, setting: QuadratureSetting):
     if isinstance(state, (st.Vacuum, st.Thermal, st.NumberState)):
         return setting.radius
     return (setting.mu, setting.nu)
+
+
+def _marginal_family(state, setting: QuadratureSetting) -> tuple:
+    """``(table state, table setting, scale, offset)``: the centered marginal of
+    ``setting`` is that of the table setting for the table state, scaled by
+    ``scale`` about 0 and then moved by ``offset``.
+
+    Marginals are homogeneous, ``w(x; r u) = w(x / r; u) / r``, so every
+    marginal of a vacuum, thermal or number state is its marginal at the
+    unit setting ``(1, 0)`` scaled by the radius ``r``.  A coherent state's
+    marginal is normal, of mean ``_coherent_mean`` and variance ``r^2 / 2``:
+    the vacuum's unit marginal scaled by ``r`` and moved by that mean.  Any
+    other state is its own table at ``setting``, with scale 1 and offset 0.
+    """
+    if isinstance(state, (st.Vacuum, st.Thermal, st.NumberState)):
+        return state, _UNIT_SETTING, setting.radius, 0.0
+    if isinstance(state, st.Coherent):
+        return st.Vacuum(), _UNIT_SETTING, setting.radius, _coherent_mean(state, setting)
+    return state, setting, 1.0, 0.0
 
 
 def tabulate_tomogram(state, settings, x_grid: np.ndarray | None = None, num: int = 1201) -> Tomogram:

@@ -7,12 +7,18 @@ nonnegative integer seed and stable across platforms.  The generator is numpy's
 PCG64 (``default_rng``); per-batch streams are spawned from ``(master_seed,
 batch_index)`` so campaigns are reproducible batch by batch.
 
-A campaign tabulates each distinct marginal once and draws every batch that
-shares it from that one table.  Vacuum, thermal and number states have one
-marginal per radius, so a phase scan of such a state on one radius (optical
-homodyne tomography of a Fock state) needs a single table; other one-mode
-states share a table between repeats of one ``(mu, nu)``, and every two-mode
-batch has its own.
+A campaign tabulates each marginal *family* once: every marginal of a family
+is an exact affine image of one table's, so batch ``i`` reports ``offset +
+scale * X(u) + delta``, with ``X`` the table's interpolated inverse CDF and
+``u`` drawn from the batch's own stream ``(seed, i)``.  Marginals are
+homogeneous, ``w(x; r u) = w(x / r; u) / r``, so a vacuum, thermal or number
+state has one table, at unit radius, and scale ``r``; a coherent state's and
+a two-mode Gaussian's marginals are normal, so both draw from the vacuum's
+unit-radius table, scaled to the setting's standard deviation and moved by
+its mean.  Any other state (cats, products, ...) has one table per distinct
+``(mu, nu)``, or per batch for two modes, drawn with scale 1 and offset 0,
+exactly as a table of its own setting.  The streams, and so the batch order
+and seeds, do not depend on which table a batch draws from.
 
 Hardware idealizations: detection is lossless and noise-free, and the
 squeezer/heterodyne maps place the sampled distribution exactly at the mapped
@@ -33,9 +39,9 @@ from .errors import (
     PhaseLockRequired,
 )
 from .kernels import KernelScale, PolarGrid, _check_radius, _scale_z
-from .marginals import QuadratureSetting, _as_setting, _check_count, _half_width, _marginal_any, _marginal_key
+from .marginals import QuadratureSetting, _as_setting, _check_count, _half_width, _marginal_any, _marginal_family
 from .states import _finite, _finite_array
-from .twomode import TwoModeSetting, tilde_marginal, _half_width as _tilde_half_width
+from .twomode import TwoModeSetting, tilde_marginal, _half_width as _tilde_half_width, _tilde_family
 
 __all__ = [
     "GENERATOR_NAME",
@@ -212,10 +218,11 @@ def sample_campaign(state, schedule, n_per_setting: int, seed: int) -> list[Samp
 
     ``schedule`` entries are settings, tuples ``(mu, nu)`` or ``(mu, nu,
     delta)``, or ``(setting, weight)`` pairs; two campaigns with the same
-    master seed are identical batch for batch.  The sampler table of each
-    distinct marginal is built once, on the first setting that has it, and
-    serves every batch of that marginal; batch ``i`` always draws from its
-    own stream ``(seed, i)``.
+    master seed are identical batch for batch.  Batch ``i`` draws ``u`` from
+    its own stream ``(seed, i)`` and reports ``offset + scale * X(u) + delta``
+    for its family's table ``X`` (see the module docstring: one table for
+    every setting of a vacuum, thermal, number, coherent or two-mode Gaussian
+    state).  Each table is built once, on the first setting that uses it.
     """
     entries = [_schedule_entry(entry) for entry in schedule]
     if not entries:
@@ -224,15 +231,18 @@ def sample_campaign(state, schedule, n_per_setting: int, seed: int) -> list[Samp
     seed = _check_count(seed, 0, "seed")
     groups = {}
     for idx, (setting, _) in enumerate(entries):
-        key = ("batch", idx) if isinstance(setting, TwoModeSetting) else _marginal_key(state, setting)
-        groups.setdefault(key, []).append(idx)
+        family = (_tilde_family if isinstance(setting, TwoModeSetting) else _marginal_family)(state, setting)
+        table = family[1]  # the setting the family's table is built for
+        key = ("batch", idx) if isinstance(table, TwoModeSetting) else (table.mu, table.nu)
+        groups.setdefault(key, []).append((idx, family))
     batches = [None] * len(entries)
-    for indices in groups.values():
+    for members in groups.values():
         # one table alive at a time, however many groups the schedule has
-        x, cdf = tabulated_cdf(state, entries[indices[0]][0])
-        for idx in indices:
+        table_state, table_setting, _, _ = members[0][1]
+        x, cdf = tabulated_cdf(table_state, table_setting)
+        for idx, (_, _, scale, offset) in members:
             setting, weight = entries[idx]
-            outcomes = np.interp(_batch_seed(seed, idx).random(n_per_setting), cdf, x)
+            outcomes = offset + scale * np.interp(_batch_seed(seed, idx).random(n_per_setting), cdf, x)
             delta = setting.delta[0] if isinstance(setting, TwoModeSetting) else setting.delta
             batches[idx] = SampleBatch(setting=setting, outcomes=outcomes + delta, seed=seed, weight=weight)
     return batches

@@ -54,6 +54,7 @@ from .kernels import KernelScale, PolarGrid, _scale_z, displacement_matrix
 from .marginals import (
     NORMALIZATION_TOL,
     QuadratureSetting,
+    _UNIT_SETTING,
     _antipodes,
     _centred_grid,
     _check_count,
@@ -297,10 +298,16 @@ def _cat_term_characteristic(A: np.ndarray, B: np.ndarray, w: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def _gauss_moments(state: st.GaussianTwoMode, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means ``u . means`` and variances ``u M u^T`` of the Gaussian tilde marginals of the setting rows ``U[s]``."""
+    return U @ state.means, np.einsum("si,ij,sj->s", U, state.M.entries, U)
+
+
 def _gauss_rows(state: st.GaussianTwoMode, x: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Gaussian marginals at ``x[s]`` of the setting rows ``U[s]``: mean ``u . means``, variance ``u M u^T``."""
-    s2 = np.einsum("si,ij,sj->s", U, state.M.entries, U)[:, None]
-    x = x - (U @ state.means)[:, None]
+    """Gaussian marginals at ``x[s]`` of the setting rows ``U[s]`` (moments from ``_gauss_moments``)."""
+    mean, s2 = _gauss_moments(state, U)
+    s2 = s2[:, None]
+    x = x - mean[:, None]
     return np.exp(-(x**2) / (2 * s2)) / np.sqrt(2 * np.pi * s2)
 
 
@@ -347,6 +354,19 @@ def tilde_marginal(state, x1, setting: TwoModeSetting):
         return _tilde_from_characteristic(state, x1, setting)
     x1 = np.asarray(x1, dtype=float)
     return rows(state, x1.reshape(1, -1), setting.row1[None])[0].reshape(x1.shape)[()]
+
+
+def _tilde_family(state, setting: TwoModeSetting) -> tuple:
+    """``(table state, table setting, scale, offset)`` of a tilde marginal, as
+    in ``marginals._marginal_family``.  A Gaussian's is normal (see
+    ``_gauss_moments``): the vacuum's unit marginal, of variance 1/2, scaled
+    by ``sqrt(2 u M u^T)`` and moved by ``u . means``.  Any other state is its
+    own table at ``setting``, with scale 1 and offset 0.
+    """
+    if isinstance(state, st.GaussianTwoMode):
+        mean, var = _gauss_moments(state, setting.row1[None])
+        return st.Vacuum(), _UNIT_SETTING, float(np.sqrt(2 * var[0])), float(mean[0])
+    return state, setting, 1.0, 0.0
 
 
 def _tilde_from_characteristic(state, x1, setting: TwoModeSetting, k_points: int = 2001):
@@ -457,8 +477,8 @@ def _half_widths(state, U: np.ndarray) -> np.ndarray:
     """Half-widths of the centered x1 grids of the setting rows ``U[s]``: 8 standard deviations plus displacements."""
     mu, nu = U[:, :2], U[:, 2:]
     if isinstance(state, st.GaussianTwoMode):
-        s2 = np.einsum("si,ij,sj->s", U, state.M.entries, U)
-        return 8.0 * np.sqrt(s2) + np.abs(U @ state.means)
+        mean, s2 = _gauss_moments(state, U)
+        return 8.0 * np.sqrt(s2) + np.abs(mean)
     if isinstance(state, st.TwoModeCat):
         shift = np.sqrt(2) * (np.sum(np.abs(mu * state.A.real), axis=1) + np.sum(np.abs(nu * state.A.imag), axis=1))
         return 8.0 * np.linalg.norm(U, axis=1) / np.sqrt(2) + 2 * shift

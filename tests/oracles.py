@@ -6,7 +6,8 @@ displacement-element series, the element-by-element displacement table, the
 one-shot Wigner line integral, the dense per-angle one-mode polar assembly,
 the weighted-copy, complex-phase and whole-grid two-table row Fourier
 transforms, the broadcast
-Wigner inversion, the per-batch campaign estimator, the per-setting two-mode
+Wigner inversion, the per-batch campaign estimator, the sampler that builds
+one cumulative table per distinct marginal, the per-setting two-mode
 closed-form marginals and their 3-d Wigner reduction, the two-mode
 tabulation loop that evaluates every row over its whole x grid, the
 per-direction two-mode einsum loops and per-radius GEMM, the vector-kernel
@@ -42,10 +43,11 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from symplectomo import io as tio
+from symplectomo import measure_sim as ms
 from symplectomo import states as st
 from symplectomo.errors import CutoffTooSmall, EmptyBatches, InvalidParameter, NotSymplectic, UnsupportedVariant
 from symplectomo.kernels import KernelScale, _check_radius, displacement_matrix, kernel_displacement_argument
-from symplectomo.marginals import QuadratureSetting, Tomogram, _antipodes, _as_setting, _trapezoid_weights
+from symplectomo.marginals import QuadratureSetting, Tomogram, _antipodes, _as_setting, _marginal_key, _trapezoid_weights
 from symplectomo.measure_sim import SampleBatch
 from symplectomo.reconstruct import (
     PolarGrid,
@@ -402,6 +404,27 @@ def samples_loop(batches, cfg):
         total += outcomes.size
     raw /= len(batches)
     return _finish(raw, cfg.projection, len(batches), total, check_trace=False)
+
+
+def sample_campaign_per_setting(state, schedule, n_per_setting: int, seed: int) -> list[SampleBatch]:
+    """The campaign sampler with one cumulative table per distinct marginal:
+    per ``marginals._marginal_key`` for one mode (one table per radius for
+    rotation-invariant states), per batch for two modes.  Batch ``i`` draws
+    from the stream ``(seed, i)``, as the library's does."""
+    entries = [ms._schedule_entry(entry) for entry in schedule]
+    groups = {}
+    for idx, (setting, _) in enumerate(entries):
+        key = ("batch", idx) if isinstance(setting, TwoModeSetting) else _marginal_key(state, setting)
+        groups.setdefault(key, []).append(idx)
+    batches = [None] * len(entries)
+    for indices in groups.values():
+        x, cdf = ms.tabulated_cdf(state, entries[indices[0]][0])
+        for idx in indices:
+            setting, weight = entries[idx]
+            outcomes = np.interp(ms._batch_seed(seed, idx).random(n_per_setting), cdf, x)
+            delta = setting.delta[0] if isinstance(setting, TwoModeSetting) else setting.delta
+            batches[idx] = SampleBatch(setting=setting, outcomes=outcomes + delta, seed=seed, weight=weight)
+    return batches
 
 
 # ---------------------------------------------------------------------------

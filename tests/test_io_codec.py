@@ -16,6 +16,7 @@ from symplectomo import states as st
 from symplectomo.errors import EmptyBatches, InvalidParameter
 from symplectomo.marginals import QuadratureSetting, Tomogram, circle_settings, tabulate_tomogram
 from symplectomo.measure_sim import SampleBatch, importance_schedule, sample_campaign
+from symplectomo.reconstruct import ReconstructionConfig, reconstruct_from_tomogram
 from symplectomo.twomode import TwoModeSetting, TwoModeTomogram, tabulate_tilde_tomogram
 
 from oracles import (
@@ -570,6 +571,34 @@ def test_sidecar_of_wrong_type_is_rejected(case, tmp_path):
     assert cli.main(["reconstruct", "--input", str(path), "--dim", "3", "--out", str(tmp_path / "o.json")]) == 2
 
 
+def _report():
+    return reconstruct_from_tomogram(tabulate_tomogram(st.Vacuum(), circle_settings(8)), ReconstructionConfig(dim=3))
+
+
+WRITERS = {
+    "save_tomogram": (tio.save_tomogram, _one_mode_tomogram, "Tomogram"),
+    "save_two_mode_tomogram": (tio.save_two_mode_tomogram, _tilde_tomogram, "TwoModeTomogram"),
+    "save_samples": (tio.save_samples, _one_mode_campaign, "list"),
+    "save_density": (tio.save_density, lambda: _report().rho, "FockDensityMatrix"),
+    "save_report": (tio.save_report, _report, "ReconstructionReport"),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_writer_with_its_arguments_swapped_names_the_type_it_expected(writer, tmp_path):
+    save, make, expected = WRITERS[writer]
+    path = str(tmp_path / "out")
+    with pytest.raises(InvalidParameter, match=f"must be a {expected}, got str"):
+        save(path, make())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_samples_names_an_entry_that_is_not_a_batch(tmp_path):
+    with pytest.raises(InvalidParameter, match="must be a SampleBatch, got tuple"):
+        tio.save_samples([*_one_mode_campaign(), (QuadratureSetting(1.0, 0.0), [0.5])], tmp_path / "s.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_samples_rejects_an_empty_campaign(tmp_path):
     with pytest.raises(EmptyBatches):
         tio.save_samples([], tmp_path / "s.csv")
@@ -883,6 +912,32 @@ def test_malformed_samples_are_rejected(kind, tmp_path, monkeypatch):
     for block in (tio._READ_BLOCK, 1):
         monkeypatch.setattr(tio, "_READ_BLOCK", block)
         assert _refusal(tio.load_samples, path) == want
+
+
+BLANK_CELLS = {
+    "space": _last_line(lambda cells: cells[:4] + [" "] + cells[5:]),
+    "tab": _last_line(lambda cells: cells[:4] + ["\t"] + cells[5:]),
+    "spaces and a tab in a key cell": _last_line(lambda cells: [cells[0], " \t ", *cells[2:]]),
+    "trailing space": _last_line(lambda cells: cells + [" "]),
+    "first line, trailing tab": lambda lines: [lines[0], lines[1] + ",\t", *lines[2:]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLANK_CELLS))
+def test_a_blank_cell_is_refused_not_read_as_minus_one(kind, tmp_path, monkeypatch):
+    # np.fromstring reads a cell of spaces or tabs as -1
+    path = _edited(tmp_path, tio.save_samples, _one_mode_campaign(), BLANK_CELLS[kind])
+    for block in (tio._READ_BLOCK, 1):
+        monkeypatch.setattr(tio, "_READ_BLOCK", block)
+        with pytest.raises(InvalidParameter, match="a cell is empty or not a number"):
+            tio.load_samples(path)
+
+
+def test_spaces_around_a_number_are_still_read(tmp_path):
+    campaign = _one_mode_campaign()
+    path = _edited(tmp_path, tio.save_samples, campaign, _last_line(lambda cells: [f" {c}\t" for c in cells]))
+    got = tio.load_samples(path)
+    assert all(np.array_equal(g.outcomes, b.outcomes) for g, b in zip(got, campaign))
 
 
 def _weights(n):

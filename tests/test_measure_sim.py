@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import kstest, norm
 
 import symplectomo.marginals as mg
 import symplectomo.measure_sim as ms
@@ -8,7 +8,9 @@ from symplectomo import states as st
 from symplectomo.errors import DegenerateSetting, EmptySchedule, GridTooNarrow, InvalidParameter, PhaseLockRequired
 from symplectomo.kernels import KernelScale
 from symplectomo.marginals import QuadratureSetting
-from symplectomo.twomode import tilde_marginal
+from symplectomo.twomode import TwoModeSetting, tilde_marginal
+
+from oracles import sample_campaign_per_setting
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +324,42 @@ def test_phase_scan_of_a_number_state_builds_one_table(count_calls):
         assert np.max(np.abs(b.outcomes - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("state", [st.Thermal(0.5), st.EvenCat(1.0, 0.9)])
-def test_importance_campaign_builds_one_table_per_setting(state, count_calls):
+def test_importance_cat_campaign_builds_one_table_per_setting(count_calls):
     schedule = ms.importance_schedule(12, seed=3)
     tables = count_calls(ms, "tabulated_cdf")
-    ms.sample_campaign(state, schedule, 20, seed=2)
+    ms.sample_campaign(st.EvenCat(1.0, 0.9), schedule, 20, seed=2)
     assert len(tables) == 12
+
+
+def _heterodyne_schedule(n, seed):
+    """``n`` heterodyne settings of random amplitudes and phases, weight 1."""
+    rng = np.random.default_rng(seed)
+    return [
+        ms.heterodyne_to_setting(ms.HeterodyneSettingTwoMode(*rng.uniform(0.2, 2.0, 2), *rng.uniform(0, 2 * np.pi, 3)))
+        for _ in range(n)
+    ]
+
+
+# a two-mode Gaussian with correlations and nonzero means
+GAUSS_TWO_MODE = st.GaussianTwoMode(
+    np.array([[0.9, 0.2, 0.0, 0.1], [0.2, 0.7, -0.1, 0.0], [0.0, -0.1, 0.8, 0.15], [0.1, 0.0, 0.15, 0.6]]),
+    means=np.array([0.4, -0.3, 0.2, 0.5]),
+)
+
+
+@pytest.mark.parametrize(
+    "state, schedule",
+    [
+        (st.Thermal(0.5), ms.importance_schedule(12, seed=3)),
+        (st.Coherent(1.2 - 0.7j), ms.importance_schedule(12, seed=3)),
+        (GAUSS_TWO_MODE, _heterodyne_schedule(12, seed=3)),
+    ],
+    ids=["thermal", "coherent", "gaussian-two-mode"],
+)
+def test_family_campaign_builds_one_table(state, schedule, count_calls):
+    tables = count_calls(ms, "tabulated_cdf")
+    ms.sample_campaign(state, schedule, 20, seed=2)
+    assert len(tables) == 1
 
 
 def test_cat_campaign_equals_per_setting_tables_bit_for_bit():
@@ -338,6 +370,103 @@ def test_cat_campaign_equals_per_setting_tables_bit_for_bit():
         x, cdf = ms.tabulated_cdf(state, s)
         assert np.array_equal(b.outcomes, np.interp(_stream(9, idx).random(200), cdf, x))
         assert (b.setting, b.weight, b.seed) == (s, w, 9)
+
+
+def _spread_schedule(phase: float = 0.3):
+    """Settings at several radii and phases, some shifted and some weighted."""
+    radii, deltas = (0.4, 1.0, 2.5, 6.0), (0.0, 1.7, -0.6, 0.25)
+    settings = [
+        QuadratureSetting(r * np.cos(phase + k), r * np.sin(phase + k), d)
+        for k, (r, d) in enumerate(zip(radii, deltas))
+    ]
+    return [settings[0], (settings[1], 0.5), settings[2], (settings[3], 2.0)] + ms.importance_schedule(6, seed=8)
+
+
+def _centre_and_width(state, setting):
+    """Mean and standard deviation of the marginal at ``setting`` of a thermal,
+    coherent or two-mode Gaussian state."""
+    if isinstance(setting, TwoModeSetting):
+        u = setting.row1
+        return float(u @ state.means), float(np.sqrt(u @ state.M.entries @ u))
+    r = setting.radius
+    if isinstance(state, st.Thermal):
+        return 0.0, r / np.sqrt(2 * state.lam)
+    return float(np.sqrt(2) * (setting.mu * state.alpha.real + setting.nu * state.alpha.imag)), r / np.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "state", [st.Vacuum(), st.Thermal(0.35), st.NumberState(1), st.NumberState(2)], ids=["vacuum", "thermal", "n1", "n2"]
+)
+def test_rotation_invariant_campaign_matches_per_setting_tables(state):
+    # one unit-radius table scaled by r is the table of radius r, up to its rounding
+    schedule = _spread_schedule()
+    got = ms.sample_campaign(state, schedule, 400, seed=13)
+    want = sample_campaign_per_setting(state, schedule, 400, seed=13)
+    for g, w in zip(got, want):
+        assert (g.setting, g.weight, g.seed) == (w.setting, w.weight, w.seed)
+        assert np.max(np.abs(g.outcomes - w.outcomes)) <= 1e-9 * g.setting.radius
+
+
+@pytest.mark.parametrize(
+    "state, schedule",
+    [
+        (st.Coherent(1.2 - 0.7j), _spread_schedule()),
+        (GAUSS_TWO_MODE, _heterodyne_schedule(10, seed=5)),
+    ],
+    ids=["coherent", "gaussian-two-mode"],
+)
+def test_gaussian_campaign_matches_per_setting_tables(state, schedule):
+    # the shared standard table is at least as fine as a per-setting one, so
+    # the two agree to the per-setting table's interpolation error
+    got = ms.sample_campaign(state, schedule, 400, seed=13)
+    want = sample_campaign_per_setting(state, schedule, 400, seed=13)
+    for g, w in zip(got, want):
+        assert (g.setting, g.weight, g.seed) == (w.setting, w.weight, w.seed)
+        assert np.max(np.abs(g.outcomes - w.outcomes)) <= 1e-4 * _centre_and_width(state, g.setting)[1]
+
+
+def test_cat_campaign_matches_per_setting_tables_bit_for_bit():
+    schedule = _spread_schedule()
+    got = ms.sample_campaign(st.EvenCat(0.9, 1.1), schedule, 300, seed=4)
+    want = sample_campaign_per_setting(st.EvenCat(0.9, 1.1), schedule, 300, seed=4)
+    assert all(np.array_equal(g.outcomes, w.outcomes) for g, w in zip(got, want))
+
+
+class _FixedStream:
+    """A stand-in for a batch stream whose uniforms are a fixed array."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return self.u[:n].copy()
+
+
+# uniforms over [1e-6, 1 - 1e-6], dense in both tails
+_TAIL_U = np.concatenate([np.geomspace(1e-6, 0.5, 300), 1.0 - np.geomspace(1e-6, 0.5, 300)[::-1]])
+
+
+@pytest.mark.parametrize(
+    "state, schedule",
+    [
+        (st.Thermal(0.35), _spread_schedule()),
+        # settings along alpha: the mean is 3 standard deviations out
+        (st.Coherent(1.5 * np.exp(0.4j)), [QuadratureSetting(r * np.cos(0.4), r * np.sin(0.4), 0.3) for r in (0.5, 1, 2.5)]),
+        (GAUSS_TWO_MODE, _heterodyne_schedule(6, seed=2)),
+    ],
+    ids=["thermal", "coherent-3-sigma", "gaussian-two-mode"],
+)
+def test_shared_table_quantiles_are_as_close_to_the_exact_ones(state, schedule, monkeypatch):
+    # every batch draws the same uniforms, so each outcome is a quantile of its normal marginal
+    monkeypatch.setattr(ms, "_batch_seed", lambda seed, index: _FixedStream(_TAIL_U))
+    got = ms.sample_campaign(state, schedule, _TAIL_U.size, seed=0)
+    want = sample_campaign_per_setting(state, schedule, _TAIL_U.size, seed=0)
+    for g, w in zip(got, want):
+        setting = g.setting
+        mean, sigma = _centre_and_width(state, setting)
+        delta = setting.delta[0] if isinstance(setting, TwoModeSetting) else setting.delta
+        exact = mean + sigma * norm.ppf(_TAIL_U) + delta
+        assert np.max(np.abs(g.outcomes - exact)) <= np.max(np.abs(w.outcomes - exact)) + 1e-9 * sigma
 
 
 def test_repeated_settings_keep_batch_order_weights_and_seeds(count_calls):
